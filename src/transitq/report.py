@@ -220,7 +220,8 @@ def _sim_rows(stats: SimStats):
 
 def sim_stats_to_csv(stats: SimStats) -> str:
     comments = {"label": stats.label, "runs": stats.runs,
-                "seed": stats.seed, "warmup": stats.warmup}
+                "seed": stats.seed, "warmup": stats.warmup,
+                "rng_layout": stats.rng_layout}
     rows = [[fmt_value(v) for v in row] for row in _sim_rows(stats)]
     return _csv_text(comments, SIM_COLUMNS, rows)
 
@@ -236,7 +237,8 @@ def sim_stats_to_json(stats: SimStats) -> dict:
                 rec[key] = _json_num(rec[key])
         stations.append(rec)
     return {"label": stats.label, "runs": stats.runs, "seed": stats.seed,
-            "warmup": stats.warmup, "stations": stations}
+            "warmup": stats.warmup, "rng_layout": stats.rng_layout,
+            "stations": stations}
 
 
 def write_sim_stats(stats: SimStats, path, fmt: str = "csv") -> None:
@@ -247,6 +249,10 @@ def write_sim_stats(stats: SimStats, path, fmt: str = "csv") -> None:
 
 
 def read_sim_stats(path) -> SimStats:
+    """Load stats written by write_sim_stats (format sniffed).
+
+    Files that predate the ``rng_layout`` field read back with layout 0.
+    """
     text = Path(path).read_text(encoding="utf-8")
     stations: list[StationSimStats] = []
     if _looks_like_json(text):
@@ -255,6 +261,7 @@ def read_sim_stats(path) -> SimStats:
         runs = int(doc.get("runs", 0))
         seed = int(doc.get("seed", 0))
         warmup = float(doc.get("warmup", 0.0))
+        rng_layout = int(doc.get("rng_layout", 0))
         recs = [{k: rec[k] if k in ("station", "boarded") else _from_json_num(rec[k])
                  for k in SIM_COLUMNS} for rec in doc["stations"]]
     else:
@@ -265,6 +272,7 @@ def read_sim_stats(path) -> SimStats:
         runs = int(comments.get("runs", 0))
         seed = int(comments.get("seed", 0))
         warmup = float(comments.get("warmup", 0.0))
+        rng_layout = int(comments.get("rng_layout", 0))
         recs = []
         for row in rows:
             vals = dict(zip(header, row))
@@ -279,7 +287,7 @@ def read_sim_stats(path) -> SimStats:
             w_mean_se=rec["e_wait_se"], headway_mean=rec["headway_mu_sim"],
             headway_var=sigma * sigma, boarded=int(rec["boarded"])))
     return SimStats(label=label, runs=runs, seed=seed, warmup=warmup,
-                    stations=tuple(stations))
+                    stations=tuple(stations), rng_layout=rng_layout)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 Vehicles traverse the route on a relative clock: the virtual vehicle 0
 departs every station at time zero and each later vehicle departs its
 predecessor's time plus a rectified headway max(0, H_adj + I_l - I_{l-1}),
-where I_l is vehicle l's cumulative incident delay.  Passengers arrive in
-Poisson streams during each headway window, queue FIFO, and board up to the
-free space left after alighting.
+where I_l is vehicle l's cumulative incident delay.  Passengers arrive at
+each station as one Poisson process over the whole run, queue FIFO, and
+board up to the free space left after alighting.
 
-Every vehicle owns a counter-based RNG stream (Philox keyed by seed and
-vehicle id), so results are reproducible regardless of how the phases are
-interleaved and runs differing only in length share their common prefix.
+Random draws come from counter-based streams (Philox, stream layout 2): one
+stream per (seed, draw kind, station), its draws taken in vehicle order.
+Results are reproducible, and runs differing only in length share every
+draw of their common prefix of vehicles.  Each phase is a few array
+operations per station; the only Python loop is over stations.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from .solver import RouteReport
 
 _MASK64 = (1 << 64) - 1
 _BATCHES = 100
+
+# Version of the random-stream layout: 1 gave every vehicle its own Philox
+# stream; 2 gives every (seed, draw kind, station) one, drawn in vehicle order.
+RNG_LAYOUT = 2
+_INCIDENT_COUNT, _INCIDENT_SIZE, _ARRIVALS, _ALIGHTING = range(4)
 
 
 @dataclass(frozen=True)
@@ -60,10 +67,12 @@ class SimStats:
     seed: int
     warmup: float
     stations: tuple[StationSimStats, ...]
+    rng_layout: int = 0     # RNG_LAYOUT of the run; 0 if unknown or not simulated
 
 
-def _vehicle_rng(seed: int, vehicle: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=((seed & _MASK64) << 64) | vehicle))
+def _stream(seed: int, kind: int, station: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(
+        key=((seed & _MASK64) << 64) | (kind << 32) | station))
 
 
 def _series_se(values: np.ndarray) -> float:
@@ -84,16 +93,65 @@ def _ratio_se(row_sums: np.ndarray, row_counts: np.ndarray) -> float:
     return float(np.std(means, ddof=1) / math.sqrt(len(means)))
 
 
+def _poisson_process(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
+    """Sorted event times of a rate-``rate`` Poisson process on (0, horizon].
+
+    The times are prefix sums of exponential gaps, so a longer horizon only
+    appends events.  Gaps are drawn in chunks until the sum passes the
+    horizon; the prefix sum always runs over the joined gaps, so the times
+    do not depend on where the chunks were cut.
+    """
+    if rate <= 0.0 or horizon <= 0.0:
+        return np.empty(0)
+    mean = rate * horizon
+    gaps = rng.standard_exponential(int(mean + 6.0 * math.sqrt(mean)) + 16)
+    times = np.cumsum(gaps) / rate
+    while times[-1] <= horizon:
+        gaps = np.concatenate([gaps, rng.standard_exponential(len(gaps))])
+        times = np.cumsum(gaps) / rate
+    return times[:np.searchsorted(times, horizon, side="right")]
+
+
+def _queue_pass(k: np.ndarray, stay: np.ndarray, cap: int):
+    """Bulk-service FIFO queue of one station over all vehicles at once.
+
+    ``k[j]`` passengers arrive during vehicle j's headway window and
+    ``stay[j]`` riders remain on board after alighting, leaving room
+    ``cap - stay[j]``.  Returns ``(q_seen, board, left)``: the queue the
+    vehicle finds, how many of it board, and the queue left behind.  The
+    leftover follows the Lindley recursion x_j = max(0, x_{j-1} + k_j -
+    room_j) with x_0 = 0, which is S - min(0, running minimum of S) for
+    S the prefix sum of k - room.
+    """
+    s = np.cumsum(k - (cap - stay))
+    left = s - np.minimum(np.minimum.accumulate(s), 0)
+    q_seen = k + np.concatenate(([0], left[:-1]))
+    return q_seen, q_seen - left, left
+
+
+def _fifo_waits(arrivals: np.ndarray, depart: np.ndarray, board: np.ndarray):
+    """Per-vehicle sum and sum of squares of the waits of its boarders.
+
+    Passengers board in arrival order, so the i-th boarder overall is the
+    i-th arrival and rides the vehicle whose cumulative boardings first
+    exceed i.
+    """
+    rider = np.repeat(np.arange(len(board)), board)
+    w = depart[rider] - arrivals[:len(rider)]
+    return (np.bincount(rider, weights=w, minlength=len(board)),
+            np.bincount(rider, weights=w * w, minlength=len(board)))
+
+
 def _simulate(scenario: Scenario, config: SimConfig, keep_trace: bool = False):
     require_valid(scenario)
     route = scenario.route
     n_sta = route.num_stations
-    runs = config.runs
+    runs, seed = config.runs, config.seed
     cap = route.capacity
-    lam = np.asarray(route.arrival_rates())
+    lam = route.arrival_rates()
     alpha = route.alight_probs()
-    seg = np.asarray(route.segment_times if route.segment_times is not None
-                     else (route.interstation_time,) * n_sta)
+    seg = (route.segment_times if route.segment_times is not None
+           else (route.interstation_time,) * n_sta)
     gamma, theta = scenario.incidents.rate, scenario.incidents.duration_rate
     h_adj = adjusted_headway(scenario)
 
@@ -101,77 +159,40 @@ def _simulate(scenario: Scenario, config: SimConfig, keep_trace: bool = False):
     if runs - cut < 2:
         raise ValueError("warmup leaves fewer than 2 vehicles for statistics")
 
-    gens = [_vehicle_rng(config.seed, vid) for vid in range(runs + 1)]
-
-    # Phase 1: cumulative incident delay per vehicle at each station.
+    # Phase 1: cumulative incident delay of vehicles 0..runs at each station.
     delay = np.empty((runs + 1, n_sta))
-    inc_rate = gamma * seg
-    for vid in range(runs + 1):
-        g = gens[vid]
-        counts = g.poisson(inc_rate)
-        delay[vid] = np.cumsum(g.gamma(counts) / theta)
+    for n in range(n_sta):
+        counts = _stream(seed, _INCIDENT_COUNT, n).poisson(gamma * seg[n], size=runs + 1)
+        delay[:, n] = _stream(seed, _INCIDENT_SIZE, n).gamma(counts) / theta
+    delay = np.cumsum(delay, axis=1)
 
     # Phase 2: rectified headways and departure times (vehicle rows 0..runs-1
     # are vehicles 1..runs; the virtual vehicle departs everywhere at t=0).
     headways = np.maximum(0.0, h_adj + delay[1:] - delay[:-1])
     depart = np.cumsum(headways, axis=0)
 
-    # Phase 3: passenger arrivals during each vehicle's headway window.
-    k_all = np.zeros((runs, n_sta), dtype=np.int64)
-    chunks: list[list[np.ndarray]] = [[] for _ in range(n_sta)]
-    for j in range(runs):
-        g = gens[j + 1]
-        k_row = g.poisson(lam * headways[j])
-        k_all[j] = k_row
-        window_start = depart[j] - headways[j]
-        for n in range(n_sta):
-            k = int(k_row[n])
-            if k:
-                u = np.sort(g.random(k))
-                chunks[n].append(window_start[n] + headways[j, n] * u)
-    arrivals = [np.concatenate(c) if c else np.empty(0) for c in chunks]
-
-    # Phase 4: station-major queue/boarding pass.
+    # Phases 3-4, station by station: arrivals, alighting, queue, waits.
     loads = np.zeros(runs, dtype=np.int64)
     stats: list[StationSimStats] = []
-    trace_boarded = np.zeros(n_sta, dtype=np.int64)
+    trace_arrivals = np.zeros((runs, n_sta), dtype=np.int64)
+    trace_boardings = np.zeros((runs, n_sta), dtype=np.int64)
     trace_final_q = np.zeros(n_sta, dtype=np.int64)
     load_max = 0
     for n in range(n_sta):
-        arr = arrivals[n]
-        k_col = k_all[:, n]
-        a = float(alpha[n])
-        head = 0
-        tail = 0
-        q_rec = np.empty(runs)
-        w_sum = np.zeros(runs)
-        w_sq = np.zeros(runs)
-        w_cnt = np.zeros(runs, dtype=np.int64)
-        for j in range(runs):
-            tail += k_col[j]
-            q_len = tail - head
-            q_rec[j] = q_len
-            load = loads[j]
-            if a <= 0.0 or load == 0:
-                stay = load
-            elif a >= 1.0:
-                stay = 0
-            else:
-                stay = load - int(gens[j + 1].binomial(load, a))
-            board = min(cap - stay, q_len)
-            if board > 0:
-                w = depart[j, n] - arr[head:head + board]
-                w_sum[j] = w.sum()
-                w_sq[j] = w @ w
-                w_cnt[j] = board
-                head += board
-            loads[j] = stay + board
+        dep = depart[:, n]
+        arr = _poisson_process(_stream(seed, _ARRIVALS, n), lam[n], dep[-1])
+        k = np.diff(np.searchsorted(arr, dep, side="right"), prepend=0)
+        stay = loads - _stream(seed, _ALIGHTING, n).binomial(loads, alpha[n])
+        q_seen, board, left = _queue_pass(k, stay, cap)
+        w_sum, w_sq = _fifo_waits(arr, dep, board)
+        loads = stay + board
         load_max = max(load_max, int(loads.max()))
-        trace_boarded[n] = int(w_cnt.sum())
-        trace_final_q[n] = tail - head
+        trace_arrivals[:, n] = k
+        trace_boardings[:, n] = board
+        trace_final_q[n] = left[-1]
 
-        q_sel = q_rec[cut:]
-        cnt = int(w_cnt[cut:].sum())
+        q_sel = q_seen[cut:]
+        cnt = int(board[cut:].sum())
         if cnt:
             w_mean = float(w_sum[cut:].sum()) / cnt
             w_var = ((float(w_sq[cut:].sum()) - cnt * w_mean * w_mean) / (cnt - 1)
@@ -184,22 +205,24 @@ def _simulate(scenario: Scenario, config: SimConfig, keep_trace: bool = False):
             q_mean=float(q_sel.mean()), q_var=float(q_sel.var(ddof=1)),
             q_mean_se=_series_se(q_sel),
             w_mean=w_mean, w_var=w_var,
-            w_mean_se=_ratio_se(w_sum[cut:], w_cnt[cut:]),
+            w_mean_se=_ratio_se(w_sum[cut:], board[cut:]),
             headway_mean=float(h_sel.mean()), headway_var=float(h_sel.var(ddof=1)),
             boarded=cnt,
         ))
 
-    result = SimStats(label=scenario.label, runs=runs, seed=config.seed,
-                      warmup=config.warmup, stations=tuple(stats))
+    result = SimStats(label=scenario.label, runs=runs, seed=seed,
+                      warmup=config.warmup, stations=tuple(stats), rng_layout=RNG_LAYOUT)
     if not keep_trace:
         return result, None
     trace = {
         "headways": headways,
-        "arrived": k_all.sum(axis=0),
-        "boarded": trace_boarded,
+        "arrived": trace_arrivals.sum(axis=0),
+        "boarded": trace_boardings.sum(axis=0),
         "final_queue": trace_final_q,
         "load_max": load_max,
-        "final_loads": loads.copy(),
+        "final_loads": loads,
+        "vehicle_arrivals": trace_arrivals,
+        "vehicle_boardings": trace_boardings,
     }
     return result, trace
 

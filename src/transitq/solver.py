@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binom
 
 from .headway import (ArrivalMoments, HeadwayModel, truncated_headway,
                       y_moments, y_pgf)
@@ -139,15 +138,20 @@ class RouteReport:
 
 
 def alighting_matrix(alpha: float, capacity: int) -> np.ndarray:
-    """Row-stochastic load-thinning matrix: entry (i, j) = P(j of i stay onboard)."""
+    """Row-stochastic load-thinning matrix: entry (i, j) = P(j of i stay onboard).
+
+    Row i is the Binomial(i, 1 - alpha) pmf, built by the recurrence
+    P_i(j) = alpha * P_{i-1}(j) + (1 - alpha) * P_{i-1}(j - 1): the i-th
+    rider alights or stays.  Every term is non-negative, so nothing cancels;
+    subnormal alpha and alpha in {0, 1} need no special case.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alighting probability must lie in [0, 1], got {alpha}")
-    idx = np.arange(capacity + 1)
-    ii = idx[:, None]
-    jj = idx[None, :]
-    with np.errstate(invalid="ignore"):
-        mat = binom.pmf(ii - jj, ii, alpha)
-    mat[jj > ii] = 0.0
+    mat = np.zeros((capacity + 1, capacity + 1))
+    mat[0, 0] = 1.0
+    for i in range(1, capacity + 1):
+        mat[i, :i] = alpha * mat[i - 1, :i]
+        mat[i, 1:i + 1] += (1.0 - alpha) * mat[i - 1, :i]
     return mat
 
 

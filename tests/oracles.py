@@ -233,3 +233,39 @@ def batch_moment_se(samples: np.ndarray, stat, batches: int = 100) -> tuple[floa
     chunks = samples[:n].reshape(batches, -1)
     vals = np.array([stat(c) for c in chunks])
     return float(stat(samples)), float(vals.std(ddof=1) / math.sqrt(batches))
+
+
+# ---------------------------------------------------------------------------
+# Simulator queue pass, one vehicle at a time
+
+
+def fifo_queue_loop(k: np.ndarray, stay: np.ndarray, capacity: int,
+                    arrivals: np.ndarray, depart: np.ndarray):
+    """Per-vehicle FIFO bulk-service pass of one station, head/tail pointers.
+
+    Vehicle j finds the ``k[j]`` new arrivals behind whoever was left, boards
+    up to ``capacity - stay[j]`` of them in arrival order, and leaves the
+    rest.  Returns (q_seen, board, left, w_sum, w_sq): the queue found, the
+    boardings, the queue left behind, and the per-vehicle sum and sum of
+    squares of the boarders' waits ``depart[j] - arrivals[i]``.
+    """
+    runs = len(k)
+    q_seen = np.zeros(runs, dtype=np.int64)
+    board = np.zeros(runs, dtype=np.int64)
+    left = np.zeros(runs, dtype=np.int64)
+    w_sum = np.zeros(runs)
+    w_sq = np.zeros(runs)
+    head = tail = 0
+    for j in range(runs):
+        tail += int(k[j])
+        q_len = tail - head
+        q_seen[j] = q_len
+        b = min(capacity - int(stay[j]), q_len)
+        if b > 0:
+            w = depart[j] - arrivals[head:head + b]
+            w_sum[j] = w.sum()
+            w_sq[j] = w @ w
+            head += b
+            board[j] = b
+        left[j] = tail - head
+    return q_seen, board, left, w_sum, w_sq

@@ -185,8 +185,8 @@ def test_sim_stats_round_trip(small_stats, tmp_path, fmt):
     path = tmp_path / f"sim.{fmt}"
     write_sim_stats(small_stats, path, fmt=fmt)
     back = read_sim_stats(path)
-    assert (back.label, back.runs, back.seed, back.warmup) == (
-        small_stats.label, small_stats.runs, small_stats.seed, small_stats.warmup)
+    assert (back.label, back.runs, back.seed, back.warmup, back.rng_layout) == (
+        small_stats.label, small_stats.runs, small_stats.seed, small_stats.warmup, 2)
     for sa, sb in zip(small_stats.stations, back.stations):
         assert sb.station == sa.station
         assert sb.boarded == sa.boarded
@@ -197,6 +197,17 @@ def test_sim_stats_round_trip(small_stats, tmp_path, fmt):
                 assert math.isnan(vb)
             else:
                 assert vb == pytest.approx(va, rel=1e-7, abs=1e-12)
+    # files written before the layout was recorded read back as layout 0
+    text = path.read_text(encoding="utf-8")
+    if fmt == "json":
+        doc = json.loads(text)
+        del doc["rng_layout"]
+        text = json.dumps(doc)
+    else:
+        text = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith("# rng_layout:"))
+    path.write_text(text, encoding="utf-8")
+    assert read_sim_stats(path).rng_layout == 0
 
 
 def test_sim_csv_layout(small_stats):

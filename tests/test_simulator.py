@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from transitq import headway, model, simulator, solver
 from transitq.simulator import (
     ComparisonTable,
@@ -14,6 +15,8 @@ from transitq.simulator import (
     StationSimStats,
     compare,
     run_simulation,
+    _fifo_waits,
+    _queue_pass,
     _simulate,
 )
 
@@ -80,10 +83,22 @@ def test_longer_run_shares_prefix(reference):
     np.testing.assert_array_equal(full["headways"][:300], short["headways"])
 
 
+def test_longer_run_shares_arrival_and_boarding_prefix(reference):
+    # one stream per (draw kind, station), drawn in vehicle order: the first
+    # 300 vehicles see the same passengers whatever follows them
+    _, short = _simulate(reference, SimConfig(runs=300, seed=11), keep_trace=True)
+    _, full = _simulate(reference, SimConfig(runs=600, seed=11), keep_trace=True)
+    assert short["vehicle_arrivals"].shape == (300, reference.route.num_stations)
+    assert short["vehicle_arrivals"].sum() > 0
+    for key in ("vehicle_arrivals", "vehicle_boardings"):
+        np.testing.assert_array_equal(full[key][:300], short[key])
+
+
 def test_stats_carry_run_metadata(reference):
     stats = run_simulation(reference, SimConfig(runs=250, seed=3, warmup=0.2))
     assert stats.label == reference.label
     assert (stats.runs, stats.seed, stats.warmup) == (250, 3, 0.2)
+    assert stats.rng_layout == simulator.RNG_LAYOUT == 2
     assert [s.station for s in stats.stations] == list(range(1, 11))
 
 
@@ -144,6 +159,53 @@ def test_capacity_one_line_leaves_queue_behind():
     _, trace = _simulate(sc, SimConfig(runs=300, seed=31), keep_trace=True)
     assert trace["load_max"] <= 1
     assert trace["final_queue"].sum() > 0
+
+
+class _ShortGaps:
+    """Stands in for a Generator: gaps about half the mean, so that one chunk
+    of draws never covers the horizon."""
+
+    def __init__(self):
+        self.rng = np.random.default_rng(3)
+        self.drawn = []
+
+    def standard_exponential(self, size):
+        self.drawn.append(0.5 + 0.01 * self.rng.random(size))
+        return self.drawn[-1]
+
+
+def test_poisson_process_cumsum_spans_chunks():
+    gen = _ShortGaps()
+    times = simulator._poisson_process(gen, 2.0, 500.0)
+    assert len(gen.drawn) >= 2
+    want = np.cumsum(np.concatenate(gen.drawn)) / 2.0
+    np.testing.assert_array_equal(times, want[want <= 500.0])
+    assert want[-1] > 500.0
+
+
+@pytest.mark.parametrize("cap,alpha,rate", [
+    (1, 0.0, 0.5), (1, 0.5, 2.0), (1, 1.0, 0.4),
+    (34, 0.0, 3.0), (34, 0.3, 6.0), (34, 1.0, 1.0), (5, 0.2, 0.0),
+])
+def test_queue_pass_matches_vehicle_loop(cap, alpha, rate):
+    rng = np.random.default_rng(1000 * cap + int(10 * rate))
+    runs = 3000
+    depart = np.cumsum(np.maximum(0.0, rng.normal(6.0, 4.0, runs)))  # some zero headways
+    arrivals = np.sort(rng.uniform(0.0, depart[-1], rng.poisson(rate * depart[-1])))
+    k = np.diff(np.searchsorted(arrivals, depart, side="right"), prepend=0)
+    loads = rng.integers(0, cap + 1, runs)
+    stay = loads - rng.binomial(loads, alpha)
+    want_q, want_board, want_left, want_sum, want_sq = oracles.fifo_queue_loop(
+        k, stay, cap, arrivals, depart)
+    q_seen, board, left = _queue_pass(k, stay, cap)
+    np.testing.assert_array_equal(q_seen, want_q)
+    np.testing.assert_array_equal(board, want_board)
+    np.testing.assert_array_equal(left, want_left)
+    w_sum, w_sq = _fifo_waits(arrivals, depart, board)
+    np.testing.assert_allclose(w_sum, want_sum, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(w_sq, want_sq, rtol=1e-12, atol=0.0)
+    if cap == 1 and rate > 0:
+        assert left.max() > 0  # the one-seat line does build a queue
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,6 +111,30 @@ def test_alighting_matrix_is_binomial():
             assert mat[load, stay] == pytest.approx(
                 binom.pmf(load - stay, load, alpha), abs=1e-12)
         assert np.all(mat[load, load + 1:] == 0.0)
+
+
+def test_alighting_matrix_matches_binomial_pmf():
+    rng = np.random.default_rng(5)
+    alphas = np.r_[rng.random(40), np.logspace(-12, -1, 12), 1.0 - np.logspace(-12, -1, 12)]
+    for C in (1, 2, 13, 34):
+        load = np.arange(C + 1)[:, None]
+        stay = np.arange(C + 1)[None, :]
+        for alpha in alphas:
+            want = np.where(stay <= load, binom.pmf(load - stay, load, alpha), 0.0)
+            assert np.max(np.abs(alighting_matrix(alpha, C) - want)) <= 1e-13
+    # scipy itself errs near 1e-13 at tiny alpha; check those against exact rationals
+    for alpha in (5e-324, 2.2e-308, 1e-224, 1e-30, 1.0 - 2.0 ** -53):
+        mat = alighting_matrix(alpha, 34)
+        a = Fraction(alpha)
+        for load in range(35):
+            for stay in range(load + 1):
+                exact = math.comb(load, stay) * (1 - a) ** stay * a ** (load - stay)
+                assert abs(Fraction(mat[load, stay]) - exact) <= Fraction(1, 10 ** 13)
+    np.testing.assert_array_equal(alighting_matrix(0.0, 4), np.eye(5))
+    np.testing.assert_array_equal(alighting_matrix(1.0, 4)[:, 0], np.ones(5))
+    for alpha in np.r_[alphas[::4], 5e-324]:
+        rows = alighting_matrix(alpha, 300).sum(axis=1)
+        assert np.max(np.abs(rows - 1.0)) <= 1e-12
 
 
 def test_step_alighting_reverses_for_space():
