@@ -4,9 +4,9 @@ The queue front at each station is fixed by the in-disk zeros of
 Den(z) = z^C / Y(z) - sum_u s_u z^(C-u).  This script prints the root
 ring for a reference station, shows the argument-principle census that
 certifies completeness, and then walks a heavy-truncation scenario whose
-roots stack radially — the case where the sweep-and-interpolate search
-needs its rescue stage (seeding from the interior zeros of the service
-polynomial) to find the buried conjugate pair.
+roots stack radially — a buried conjugate pair that an angular sweep along
+the ring cannot see, but that the fixed-point iteration reaches from its
+ray.
 """
 
 import cmath
@@ -17,7 +17,7 @@ import numpy as np
 from transitq import model, solver
 from transitq.headway import y_pgf
 from transitq.roots import find_all_roots
-from transitq.solver import DiscreteDist, _effective_capacity, den_eval
+from transitq.solver import DiscreteDist, den_eval
 
 # --- the reference ring -----------------------------------------------------
 
@@ -26,7 +26,7 @@ rep = solver.analyze_route(scenario)
 sm = rep.stations[1]          # station 2, the busier of the early stops
 hw = rep.headway[1]
 probs = sm.service_dist.probs
-ceff = _effective_capacity(probs)
+ceff = sm.effective_capacity
 s_eff = DiscreteDist(probs[: ceff + 1]) if ceff < len(probs) - 1 else sm.service_dist
 
 roots = np.asarray(sm.roots)
@@ -52,9 +52,9 @@ print(f"lambda = 0, fixed batch {cap}: roots are the {cap}th roots of unity "
 # --- the stacked case --------------------------------------------------------
 
 # Long suspensions + tight capacity push two roots radially beneath the main
-# ring, where the angular sweep cannot see them.  The search still succeeds:
-# after interpolation stalls, first-order steps off the service polynomial's
-# interior zeros land inside the missing roots' Newton basins.
+# ring, where an angular sweep cannot see them.  The search does not sweep:
+# each root solves z = w (s(z) Y(z))^(1/C) for a root of unity w, and the
+# iteration started on w's ray seeds Newton inside the buried pair's basin.
 sc2 = model.reference_scenario(nominal_headway=7.0)
 sc2 = dataclasses.replace(
     sc2,

@@ -119,7 +119,9 @@ def truncated_headway_moments(model: HeadwayModel) -> tuple[float, float, float]
         E[X]   = mu Phi(m) + sigma phi(m)
         E[X^2] = (mu^2 + sigma^2) Phi(m) + mu sigma phi(m)
         E[X^3] = (mu^3 + 3 mu sigma^2) Phi(m) + (mu^2 sigma + 2 sigma^3) phi(m)
-    with m = mu/sigma.
+    with m = mu/sigma.  The mean is evaluated as
+    mu + sigma max(0, phi(m) - m Phi(-m)): the correction term is
+    non-negative, and written this way roundoff cannot put the mean below mu.
     """
     mu, sigma = model.mu, model.sigma
     if sigma == 0.0:
@@ -127,7 +129,7 @@ def truncated_headway_moments(model: HeadwayModel) -> tuple[float, float, float]
     m = mu / sigma
     big_phi = float(ndtr(m))
     small_phi = math.exp(-0.5 * m * m) * _INV_SQRT_2PI
-    raw1 = mu * big_phi + sigma * small_phi
+    raw1 = mu + sigma * max(0.0, small_phi - m * float(ndtr(-m)))
     raw2 = (mu * mu + sigma * sigma) * big_phi + mu * sigma * small_phi
     raw3 = (mu**3 + 3.0 * mu * sigma**2) * big_phi + (mu * mu * sigma + 2.0 * sigma**3) * small_phi
     var = raw2 - raw1 * raw1

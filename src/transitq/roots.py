@@ -1,11 +1,22 @@
 """Locate all in-disk zeros of the queue PGF denominator.
 
-The denominator Den(z) = z^C / Y(z) - sum_u s_u z^{C-u} has exactly C zeros
-in the closed unit disk for a stable station.  Each zero satisfies
-J(z) = 1 where J(z) = Y(z) * sum_u s_u z^{-u}, so the search solves the
-2D real system (log|J|, arg J) = (0, 0) in polar coordinates: a clockwise
-sweep from z = 1 seeds most of the upper half, then an interpolation pass
-fills gaps until the count reaches C; conjugates come for free.
+The denominator Den(z) = z^C / Y(z) - P(z), with P(z) = sum_u s_u z^{C-u},
+has exactly C zeros in the closed unit disk for a stable station, z = 1
+among them.  ``find_all_roots`` gathers candidates in up to three stages,
+polishes every candidate with complex Newton on Den, merges conjugates and
+duplicates, and accepts the set only once ``validate_root_set`` passes:
+
+1. the fixed-point iteration z <- w (P(z) Y(z))^{1/C}, one start on each
+   ray w = e^{i pi k / C}, k = 1..C, of the upper half-plane;
+2. the eigenvalues of the truncated polynomial z^C - P(z) Y^(z), where Y^
+   is the power series of Y read off an FFT on the unit circle;
+3. the polar chain (``polar_search``): a clockwise sweep from z = 1 solving
+   the 2D real system (log|J|, arg J) = (0, 0) with J(z) = Y(z) P(z) / z^C,
+   an interpolation pass that fills gaps, and a radial rescue for roots
+   hidden beneath the ring.
+
+Each stage runs only when the roots pooled so far do not certify.  On the
+540-scenario criterion-4 grid the first stage certifies almost every solve.
 """
 
 from __future__ import annotations
@@ -137,9 +148,8 @@ def solve_from_initial(initial: PolarPoint, j_handle,
 
 
 def _add_unique(roots: list[complex], z: complex, tol: float = 1e-6) -> bool:
-    for w in roots:
-        if abs(z - w) <= tol:
-            return False
+    if roots and np.min(np.abs(np.asarray(roots) - z)) <= tol:
+        return False
     roots.append(z)
     return True
 
@@ -286,12 +296,12 @@ def validate_root_set(root_set: RootSet, capacity: int, j_handle=None) -> list[s
         problems.append("unit root z=1 missing")
     if np.any(np.abs(arr) > 1.0 + 1e-8):
         problems.append("root outside the closed unit disk")
-    for i in range(len(arr)):
-        for k in range(i + 1, len(arr)):
-            if abs(arr[i] - arr[k]) < 1e-6:
-                problems.append(f"roots {i} and {k} coincide within 1e-6")
-    for i, z in enumerate(arr):
-        if abs(z.imag) > 1e-8 and np.min(np.abs(arr - z.conjugate())) > 1e-8:
+    close = np.triu(np.abs(arr[:, None] - arr[None, :]) < 1e-6, k=1)
+    for i, k in zip(*np.nonzero(close)):
+        problems.append(f"roots {i} and {k} coincide within 1e-6")
+    if len(arr):
+        partner_gap = np.min(np.abs(arr.conj()[:, None] - arr[None, :]), axis=1)
+        for i in np.flatnonzero((np.abs(arr.imag) > 1e-8) & (partner_gap > 1e-8)):
             problems.append(f"root {i} has no conjugate partner")
     if j_handle is not None and len(arr):
         resid = np.abs(np.asarray(j_handle(arr), dtype=complex) - 1.0)
@@ -339,28 +349,182 @@ def _radial_rescue(s_probs, y_pgf_handle, capacity: int,
     return merged
 
 
-def find_all_roots(s_probs, y_pgf_handle, capacity: int, rho: float) -> RootSet:
-    """Clockwise sweep then interpolation fill; validates the final set.
+def polar_search(s_probs, y_pgf_handle, capacity: int, rho: float,
+                 j_handle) -> RootSet:
+    """Clockwise sweep then interpolation fill, with one radial-rescue retry.
 
-    ``s_probs`` is the available-space pmf (index 0..C); ``y_pgf_handle`` must
-    accept complex ndarray arguments.  If interpolation stalls (which happens
-    when roots hide radially beneath the ring), one retry is made after
-    seeding candidates derived from interior zeros of the space polynomial.
-    Raises RootSearchError when the search cannot produce exactly C validated
-    roots.
+    If interpolation stalls (which happens when roots hide radially beneath
+    the ring), one retry is made after seeding candidates derived from
+    interior zeros of the space polynomial.  Raises RootSearchError when
+    that retry still cannot reach C roots.  The result is not validated.
     """
-    j_handle = make_j_handle(s_probs, y_pgf_handle, capacity)
     partial = clockwise_search(capacity, rho, j_handle)
     try:
-        full = interpolation_search(partial, capacity, j_handle)
+        return interpolation_search(partial, capacity, j_handle)
     except RootSearchError as err:
         known = err.roots if err.roots else partial.roots
         rescued = _radial_rescue(s_probs, y_pgf_handle, capacity, known, j_handle)
         if len(rescued) == len(known):
             raise
-        full = interpolation_search(rescued, capacity, j_handle)
-    problems = validate_root_set(full, capacity, j_handle)
-    if problems:
-        raise RootSearchError("root set validation failed: " + "; ".join(problems),
-                              found=len(full), needed=capacity)
-    return full
+        return interpolation_search(rescued, capacity, j_handle)
+
+
+def _space_poly(probs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P(z) = sum_u s_u z^{C-u} and P'(z) from one table of powers of z.
+
+    For the few dozen points the root stages evaluate at once, two matrix
+    products beat Horner's C + 1 passes over the points (``np.polyval``).
+    """
+    cap = len(probs) - 1
+    powers = np.cumprod(np.broadcast_to(z[:, None], (len(z), cap)), axis=1)  # z^1..z^C
+    coef = probs[-2::-1]  # coefficients of z^1..z^C
+    value = probs[-1] + powers @ coef
+    slope = coef[0] + powers[:, :-1] @ (np.arange(2, cap + 1) * coef[1:])
+    return value, slope
+
+
+def fixed_point_seeds(probs: np.ndarray, y_pgf_handle, capacity: int) -> np.ndarray:
+    """Iterate z <- w (P(z) Y(z))^{1/C} from z = 0 on the rays w = e^{i pi k / C}.
+
+    Every root satisfies z^C = P(z) Y(z), so z = w (P Y)^{1/C} for some C-th
+    root of unity w (Janssen & van Leeuwaarden, Queueing Systems 50, 2005).
+    With the principal C-th root, the start on w = e^{2 pi i k / C} reaches
+    the roots whose arg(P Y) lies away from pi; a root with arg(P Y) near pi
+    sits on that branch cut, between two such rays.  So the rays at the odd
+    multiples of pi / C run as well, with the cut moved to arg(P Y) = 0 by
+    taking the root of -P Y (then w^C = -1).  Rays k pi / C, k = 1..C, cover
+    the closed upper half-plane.  The iterates only seed Newton, so the
+    iteration stops once no point moves by 1e-6, or after 12 passes.
+    """
+    steps = np.arange(1, capacity + 1)
+    omega = np.exp(1j * np.pi * steps / capacity)
+    turn = np.where(steps % 2, -1.0, 1.0)  # omega^C
+    z = np.zeros(len(omega), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(12):
+            w = _space_poly(probs, z)[0] * np.asarray(y_pgf_handle(z), dtype=complex)
+            z_new = omega * np.exp(np.log(turn * w) / capacity)
+            z_new[~np.isfinite(z_new)] = 0.0
+            done = np.max(np.abs(z_new - z)) < 1e-6
+            z = z_new
+            if done:
+                break
+    return z
+
+
+def eigen_seeds(probs: np.ndarray, y_pgf_handle, capacity: int) -> np.ndarray:
+    """Zeros of the polynomial z^C - P(z) Y^(z) in |z| <= 1.05.
+
+    Y^ is Y's power series from a 4096-point FFT on the unit circle, cut
+    where it sinks into the FFT rounding noise (entries of a few 1e-16
+    scatter up to the last bin, and an uncut series would make the
+    polynomial thousands of degrees long).  High-degree coefficients whose
+    size at |z| = 1.05 is below 1e-17 of the largest are dropped before
+    ``np.roots``: a tiny s_0 makes the leading coefficient tiny, and left in
+    place it ruins the companion matrix and loses roots crowding the unit
+    circle.
+    """
+    points, radius = 4096, 1.05
+    t = np.arange(points) * (2.0 * math.pi / points)
+    y_hat = np.fft.fft(np.asarray(y_pgf_handle(np.exp(1j * t)), dtype=complex)).real
+    y_hat /= points
+    above = np.flatnonzero(np.abs(y_hat) > 1e-14)
+    y_hat = y_hat[: above[-1] + 1] if len(above) else y_hat[:1]
+    coeffs = -np.convolve(probs[::-1], y_hat)  # ascending powers of z
+    coeffs[capacity] += 1.0
+    weight = np.abs(coeffs) * radius ** np.arange(len(coeffs))
+    keep = np.flatnonzero(weight >= 1e-17 * weight.max())
+    coeffs = coeffs[: keep[-1] + 1]
+    try:
+        cand = np.roots(coeffs[::-1])
+    except np.linalg.LinAlgError:  # eigenvalues did not converge: no seeds
+        return np.empty(0, dtype=complex)
+    return cand[np.abs(cand) <= radius]
+
+
+def newton_polish(z, probs: np.ndarray, y_pgf_handle, capacity: int) -> np.ndarray:
+    """Complex Newton on Den(z) = z^C / Y(z) - P(z) from every start at once.
+
+    Y' is central-differenced (step 1e-6, one batched Y call per step); its
+    error only slows the final convergence, which ends once a step falls to
+    1e-15 or stops shrinking at the rounding floor.  Starts whose step turns
+    non-finite, or that have not converged after 40 steps, come back as NaN.
+    """
+    z = np.array(z, dtype=complex)
+    h = 1e-6
+    last = np.full(len(z), np.inf)
+    active = np.arange(len(z))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(40):
+            if not len(active):
+                break
+            za = z[active]
+            n = len(za)
+            y = np.asarray(y_pgf_handle(np.concatenate([za, za + h, za - h])),
+                           dtype=complex)
+            y0, dy = y[:n], (y[n:2 * n] - y[2 * n:]) / (2.0 * h)
+            p_val, p_slope = _space_poly(probs, za)
+            zc = za ** (capacity - 1)
+            den = za * zc / y0 - p_val
+            slope = (capacity * zc - za * zc * dy / y0) / y0 - p_slope
+            step = den / slope
+            size = np.abs(step)
+            bad = ~np.isfinite(size)
+            z[active[bad]] = np.nan
+            z[active[~bad]] = za[~bad] - step[~bad]
+            done = bad | (size <= 1e-15) | ((size < 1e-11) & (size >= 0.5 * last[active]))
+            last[active] = size
+            active = active[~done]
+    z[active] = np.nan
+    return z
+
+
+def _upper(z: np.ndarray) -> np.ndarray:
+    """Reflect into the closed upper half-plane; within 1e-7 of the axis is real."""
+    z = np.where(z.imag < 0.0, z.conj(), z)
+    return np.where(np.abs(z.imag) < 1e-7, z.real + 0j, z)
+
+
+def _merge(z: np.ndarray) -> np.ndarray:
+    """Distinct upper-half representatives of the finite in-disk points.
+
+    Conjugates fold together (``_upper``), points within 1e-7 of z = 1
+    become exactly 1, and of points closer than 1e-6 the first stays.
+    """
+    z = z[np.isfinite(z)]
+    z = _upper(z[np.abs(z) <= 1.0 + 1e-8])
+    z = np.where(np.abs(z - 1.0) < 1e-7, 1.0 + 0j, z)
+    close = np.tril(np.abs(z[:, None] - z[None, :]) < 1e-6, k=-1)
+    return z[~close.any(axis=1)]
+
+
+def find_all_roots(s_probs, y_pgf_handle, capacity: int, rho: float) -> RootSet:
+    """All C in-disk roots of Den, from the cheapest stage that certifies.
+
+    ``s_probs`` is the available-space pmf (index 0..C); ``y_pgf_handle``
+    must accept complex ndarray arguments.  Candidates from the fixed-point
+    iteration, then the companion-matrix eigenvalues, then the polar chain
+    (see the module docstring) are Newton-polished and pooled; the pool is
+    returned as soon as it passes ``validate_root_set`` with exactly C
+    roots.  Raises RootSearchError when no stage yields such a set.
+    """
+    probs = np.asarray(getattr(s_probs, "probs", s_probs), dtype=float)
+    j_handle = make_j_handle(probs, y_pgf_handle, capacity)
+    stages = (
+        lambda: fixed_point_seeds(probs, y_pgf_handle, capacity),
+        lambda: eigen_seeds(probs, y_pgf_handle, capacity),
+        lambda: polar_search(probs, y_pgf_handle, capacity, rho, j_handle).as_array(),
+    )
+    pool = np.array([1.0 + 0j])
+    for stage in stages:
+        seeds = np.asarray(stage(), dtype=complex)
+        seeds = _upper(seeds[np.isfinite(seeds)])
+        polished = newton_polish(seeds, probs, y_pgf_handle, capacity)
+        pool = _merge(np.concatenate([pool, polished]))
+        full = np.concatenate([pool, pool[pool.imag > 0.0].conj()])
+        root_set = RootSet(_ordered(full))
+        problems = validate_root_set(root_set, capacity, j_handle)
+        if not problems:
+            return root_set
+    raise RootSearchError("root set validation failed: " + "; ".join(problems),
+                          found=len(root_set), needed=capacity, roots=root_set.roots)

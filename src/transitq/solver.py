@@ -20,9 +20,6 @@ from .model import Scenario, require_valid
 from .roots import RootSearchError, RootSet, find_all_roots
 
 TRIM_EPS = 1e-12           # below this, top-of-range space mass counts as zero
-FRONT_DIRECT_MIN_SC = 1e-4  # smallest s_C the triangular solve handles accurately
-CONTOUR_POINTS = 16384
-CONTOUR_RADIUS = 0.97
 
 UNBOUNDED = math.inf        # sentinel for moments of an unstable station
 
@@ -266,7 +263,8 @@ def queue_front(s: DiscreteDist, roots: RootSet, y: ArrivalMoments) -> QueueFron
     follow from the triangular Toeplitz system with the coefficients of
     prod_i (1 - z/z_i).  Fast and exact while s_C is healthy; for tiny s_C
     the triangle is ill-conditioned (error grows like eps/s_C) and the
-    contour route below should be used instead.
+    contour route below should be used instead.  The pipeline always uses
+    the contour route; this one stays as an independent reference.
     """
     probs = s.probs
     cap = len(probs) - 1
@@ -299,15 +297,28 @@ def queue_front(s: DiscreteDist, roots: RootSet, y: ArrivalMoments) -> QueueFron
     return QueueFront(_front_diagnostics(q, s, s_mean, y.mean))
 
 
+def contour_size(capacity: int) -> tuple[float, int]:
+    """(radius, points) of the FFT circle for a front of ``capacity`` entries.
+
+    Coefficient j comes back divided by radius^j, so the radius
+    max(0.97, 10^(-1/C)) bounds that amplification by 10 at j < C.  The
+    point count is the next power of two at or above max(1024, 40/(1-r)),
+    which keeps the aliased tail, of order r^N, below e^-40.
+    """
+    radius = max(0.97, 10.0 ** (-1.0 / capacity))
+    need = max(1024.0, 40.0 / (1.0 - radius))
+    return radius, 1 << math.ceil(math.log2(need))
+
+
 def queue_front_contour(s: DiscreteDist, roots: RootSet, y: ArrivalMoments,
-                        y_pgf_handle, n_points: int = CONTOUR_POINTS,
-                        radius: float = CONTOUR_RADIUS) -> QueueFront:
+                        y_pgf_handle) -> QueueFront:
     """Extract q_0..q_{C-1} as power-series coefficients of the queue PGF.
 
     The PGF is assembled in root-factored form
         Q(z) = (S_mean - Y_mean)(z - 1) prod(z - z_i) / [prod(1 - z_i) Den(z)]
-    and integrated over a circle inside the unit disk via the FFT.  Immune to
-    the small-s_C ill-conditioning of the direct triangular solve.
+    and integrated over the circle ``contour_size(C)`` inside the unit disk
+    via the FFT.  Immune to the small-s_C ill-conditioning of the direct
+    triangular solve.
     """
     probs = s.probs
     cap = len(probs) - 1
@@ -322,6 +333,7 @@ def queue_front_contour(s: DiscreteDist, roots: RootSet, y: ArrivalMoments,
         complex(np.prod(1.0 - inner)) if len(inner) else 1.0 + 0j,
         "root product normalizer")
 
+    radius, n_points = contour_size(cap)
     theta = 2.0 * np.pi * np.arange(n_points) / n_points
     z = radius * np.exp(1j * theta)
     num = scale * (z - 1.0)
@@ -438,13 +450,7 @@ def _solve_station(n: int, s: DiscreteDist, y: ArrivalMoments, lam: float,
         raise StationSolveError(n, f"max |Den(root)| = {resid:.3e} exceeds 1e-8")
 
     try:
-        if s_eff.probs[ceff] >= FRONT_DIRECT_MIN_SC:
-            try:
-                front = queue_front(s_eff, roots, y)
-            except FrontPrecisionError:
-                front = queue_front_contour(s_eff, roots, y, y_handle)
-        else:
-            front = queue_front_contour(s_eff, roots, y, y_handle)
+        front = queue_front_contour(s_eff, roots, y, y_handle)
     except SolverError as exc:
         raise StationSolveError(n, str(exc)) from exc
 

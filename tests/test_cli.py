@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from transitq import model, report
+from transitq import cli, model, report
+from transitq import roots as rootsmod
 from transitq.cli import (EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_TOLERANCE,
                           main)
 from transitq.report import ROUTE_COLUMNS, SIM_COLUMNS
@@ -189,6 +190,21 @@ def test_roots_dump(tmp_path):
                and abs(report.parse_value(r[1])) < 1e-12 for r in rows)
 
 
+def test_roots_serves_stored_root_set(tmp_path, monkeypatch):
+    # the dump is the root set analyze_route stored; no second search runs
+    first = tmp_path / "first.csv"
+    assert main(["roots", "--station", "4", "--out", str(first)]) == EXIT_OK
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the roots command searched for roots again")
+
+    monkeypatch.setattr(cli, "find_all_roots", no_search, raising=False)
+    monkeypatch.setattr(rootsmod, "find_all_roots", no_search)
+    second = tmp_path / "second.csv"
+    assert main(["roots", "--station", "4", "--out", str(second)]) == EXIT_OK
+    assert second.read_text() == first.read_text()
+
+
 @pytest.mark.parametrize("station", [0, 11])
 def test_roots_station_out_of_range(station, capsys):
     assert main(["roots", "--station", str(station)]) == EXIT_INPUT
@@ -199,6 +215,12 @@ def test_roots_unstable_station(congested_config, capsys):
     assert main(["roots", "--config", congested_config,
                  "--station", "5"]) == EXIT_NUMERIC
     assert "unstable" in capsys.readouterr().err
+
+
+def test_roots_station_without_arrivals(capsys):
+    # the terminal station has no boarding demand, so no root set is stored
+    assert main(["roots", "--station", "10"]) == EXIT_NUMERIC
+    assert "no arrivals" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from scipy.special import ndtr
 
 import oracles
-from transitq import headway, roots as rootsmod
+from transitq import headway, model, solver
+from transitq import roots as rootsmod
 from transitq.headway import HeadwayModel
 from transitq.roots import (
     PolarPoint,
@@ -268,3 +270,113 @@ def test_stacked_pair_agrees_with_companion_matrix():
 def test_winding_count_excludes_rescued_case_deficit():
     count = oracles.char_winding(STACKED_S, STACKED_LAM, STACKED_MODEL, 34)
     assert count == pytest.approx(34, abs=1e-6)
+
+
+# Criterion-4 scenarios (capacity, gamma, theta, headway, demand) on which the
+# polar chain spent about a minute each: every Newton start of its
+# interpolation passes converged to a root already known, until the radial
+# rescue found the last ones.
+POLAR_STALL_SCENARIOS = [
+    (38, 1.0 / 3.0, 0.5, 4.0, 0.8),
+    (38, 0.2, 0.5, 4.0, 1.0),
+    (38, 0.1, 0.5, 7.0, 0.8),
+    (34, 0.2, 0.5, 7.0, 0.6),
+    (34, 1.0 / 3.0, 0.5, 2.0, 1.0),
+]
+
+
+def _grid_scenario(cap, gamma, theta, hbar, demand):
+    base = model.reference_scenario(nominal_headway=hbar)
+    return dataclasses.replace(
+        base, route=dataclasses.replace(base.route, capacity=cap, demand_factor=demand),
+        incidents=dataclasses.replace(base.incidents, rate=gamma, duration_rate=theta))
+
+
+def _forbid(monkeypatch, *names):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("this root stage must not run")
+
+    for name in names:
+        monkeypatch.setattr(rootsmod, name, forbidden)
+
+
+def _station_inputs(rep, idx):
+    sm, hw = rep.stations[idx], rep.headway[idx]
+    ceff = sm.effective_capacity
+    probs = sm.service_dist.probs[: ceff + 1]
+    probs = probs / probs.sum()
+    return sm, hw, ceff, probs
+
+
+@pytest.mark.parametrize("row", POLAR_STALL_SCENARIOS)
+def test_polar_stall_scenarios_certify_without_polar_chain(row, monkeypatch):
+    _forbid(monkeypatch, "polar_search")
+    rep = solver.analyze_route(_grid_scenario(*row))
+    solved = 0
+    for idx, sm in enumerate(rep.stations):
+        if not sm.stable or sm.arrival_rate == 0.0:
+            continue
+        _, hw, ceff, probs = _station_inputs(rep, idx)
+        jh = make_j_handle(probs, lambda z, lam=sm.arrival_rate, hw=hw:
+                           headway.y_pgf(z, lam, hw), ceff)
+        assert validate_root_set(RootSet(sm.roots), ceff, jh) == []
+        wind = oracles.char_winding(probs, sm.arrival_rate, hw, ceff)
+        assert wind == pytest.approx(ceff, abs=0.01)
+        solved += 1
+    assert solved >= 8
+
+
+def test_eigen_stage_completes_when_fixed_point_seeds_nothing(reference_report, monkeypatch):
+    expected = find_all_roots(STACKED_S, lambda z: headway.y_pgf(z, STACKED_LAM, STACKED_MODEL),
+                              34, STACKED_RHO)
+    monkeypatch.setattr(rootsmod, "fixed_point_seeds", lambda *a, **k: np.empty(0))
+    _forbid(monkeypatch, "polar_search")
+    got = find_all_roots(STACKED_S, lambda z: headway.y_pgf(z, STACKED_LAM, STACKED_MODEL),
+                         34, STACKED_RHO)
+    assert min(abs(z - STACKED_ROOT) for z in got.roots) < 1e-9
+    assert np.max(np.abs(got.as_array() - expected.as_array())) < 1e-12
+    for idx in (0, 3, 8):
+        sm, hw, ceff, probs = _station_inputs(reference_report, idx)
+        rs = find_all_roots(probs, lambda z: headway.y_pgf(z, sm.arrival_rate, hw),
+                            ceff, sm.rho)
+        assert np.max(np.abs(rs.as_array() - np.array(sm.roots))) < 1e-12
+
+
+def test_polar_stage_output_is_polished(reference_report, monkeypatch):
+    monkeypatch.setattr(rootsmod, "fixed_point_seeds", lambda *a, **k: np.empty(0))
+    monkeypatch.setattr(rootsmod, "eigen_seeds", lambda *a, **k: np.empty(0))
+    sm, hw, ceff, probs = _station_inputs(reference_report, 3)
+    rs = find_all_roots(probs, lambda z: headway.y_pgf(z, sm.arrival_rate, hw),
+                        ceff, sm.rho)
+    assert np.max(np.abs(rs.as_array() - np.array(sm.roots))) < 1e-12
+
+
+def test_find_all_roots_raises_when_no_stage_certifies(monkeypatch):
+    C = 6
+    for name in ("fixed_point_seeds", "eigen_seeds"):
+        monkeypatch.setattr(rootsmod, name, lambda *a, **k: np.empty(0))
+    monkeypatch.setattr(rootsmod, "polar_search",
+                        lambda *a, **k: RootSet(tuple(_roots_of_unity(C)[:3])))
+    with pytest.raises(RootSearchError, match="expected 6 roots") as err:
+        find_all_roots(_point_mass_probs(C), _unit_y, C, 0.0)
+    assert err.value.needed == C
+    assert err.value.found < C
+
+
+def test_production_roots_sit_at_newton_fixed_point(reference_report):
+    # one more Newton step on Den, with a central-difference slope of Den
+    # itself, moves no stored root by more than 1e-14
+    h = 1e-6
+    worst = 0.0
+    for idx, sm in enumerate(reference_report.stations):
+        if not sm.roots:
+            continue
+        _, hw, _, probs = _station_inputs(reference_report, idx)
+
+        def den(z, lam=sm.arrival_rate, hw=hw):
+            return solver.den_eval(z, probs, lambda w: headway.y_pgf(w, lam, hw))
+
+        z = np.array(sm.roots)
+        step = den(z) / ((den(z + h) - den(z - h)) / (2 * h))
+        worst = max(worst, float(np.max(np.abs(step))))
+    assert worst <= 1e-14

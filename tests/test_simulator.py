@@ -76,8 +76,8 @@ def test_different_seed_different_draws(reference):
 
 
 def test_longer_run_shares_prefix(reference):
-    # per-vehicle counter-based streams: extending the run must not disturb
-    # the vehicles already simulated
+    # counter-based streams, one per (draw kind, station), drawn in vehicle
+    # order: extending the run must not disturb the vehicles already simulated
     _, short = _simulate(reference, SimConfig(runs=300, seed=11), keep_trace=True)
     _, full = _simulate(reference, SimConfig(runs=600, seed=11), keep_trace=True)
     np.testing.assert_array_equal(full["headways"][:300], short["headways"])

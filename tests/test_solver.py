@@ -21,6 +21,7 @@ from transitq.solver import (
     alighting_matrix,
     analyze_route,
     boarding_matrix,
+    contour_size,
     den_eval,
     dist_moments,
     normalization_gap,
@@ -36,17 +37,19 @@ from transitq.solver import (
 
 # Ten-station demo line, 6-min headway: station, rho, E[Q], Var[Q], E[W], Var[W].
 # Regression anchors; the Markov-chain oracle below independently reproduces
-# the queue-side numbers from nothing but the transition law.
+# the queue-side numbers from nothing but the transition law.  rho is checked
+# to 1e-12 and so pins roots polished to machine precision: root errors near
+# 1e-12 upstream move it by about that much.
 REFERENCE_TABLE = [
     (1, 0.12706020391784284, 4.320046933211783, 5.759615063177648, 3.8777305636441635, 6.242979047939288),
-    (2, 0.2913044038718123, 8.646365994371347, 20.053729678913626, 4.152535493757048, 8.024159344898672),
-    (3, 0.19409493385111765, 4.3386049205771045, 8.528077047732573, 4.422180180771085, 9.735160275196668),
-    (4, 0.7917815661532324, 26.008301094825264, 288.1332279979932, 8.242449700293628, 41.80366665097073),
-    (5, 0.7341177054940435, 15.025076525073064, 127.09040449911389, 10.11540229570298, 72.50163911623193),
-    (6, 0.2113562074001726, 5.883380369883156, 19.432690020394816, 5.116680745366809, 14.383479435342142),
-    (7, 0.15895425396265916, 4.4469510450733125, 13.08789788908392, 5.325113746919132, 15.871606930827904),
-    (8, 0.12162746577296443, 2.9896329039691807, 7.264850540180802, 5.524952453013419, 17.344186583809638),
-    (9, 0.039028670053768845, 1.2058583526974687, 1.9564646001565933, 5.713514696105986, 18.780620358550046),
+    (2, 0.2913044038717842, 8.646365994371347, 20.053729678913626, 4.152535493757048, 8.024159344898672),
+    (3, 0.1940949338510597, 4.3386049205771045, 8.528077047732573, 4.422180180771085, 9.735160275196668),
+    (4, 0.7917815661521749, 26.008301094825264, 288.1332279979932, 8.242449700293628, 41.80366665097073),
+    (5, 0.7341177054927, 15.025076525073064, 127.09040449911389, 10.11540229570298, 72.50163911623193),
+    (6, 0.211356207400139, 5.883380369883156, 19.432690020394816, 5.116680745366809, 14.383479435342142),
+    (7, 0.15895425396265941, 4.4469510450733125, 13.08789788908392, 5.325113746919132, 15.871606930827904),
+    (8, 0.12162746577312952, 2.9896329039691807, 7.264850540180802, 5.524952453013419, 17.344186583809638),
+    (9, 0.039028670053789516, 1.2058583526974687, 1.9564646001565933, 5.713514696105986, 18.780620358550046),
 ]
 
 
@@ -277,6 +280,32 @@ def test_normalization_gap_is_tiny(reference_report):
         gap = normalization_gap(sm.service_dist, sm.queue_front.q,
                                 s_mean, sm.arrivals.mean)
         assert abs(gap) < 1e-8
+
+
+def test_contour_size_bounds_amplification_and_aliasing():
+    for cap in (1, 6, 34, 75, 76, 100, 300, 1000):
+        radius, points = contour_size(cap)
+        assert radius ** -cap <= 10.0 * (1.0 + 1e-12)
+        assert points >= 1024 and points & (points - 1) == 0
+        assert points * (1.0 - radius) >= 40.0
+
+
+def test_reference_line_solves_at_capacity_300():
+    # a fixed contour radius of 0.97 amplified the FFT error by 0.97^-300
+    # and broke the normalization identity here
+    sc = model.expand_grid(model.reference_scenario(), "capacity", [300])[0]
+    rep = analyze_route(sc)
+    busiest = max((sm.rho, i) for i, sm in enumerate(rep.stations)
+                  if sm.stable and sm.arrival_rate > 0.0)[1]
+    for sm in rep.stations:
+        if sm.stable and sm.arrival_rate > 0.0:
+            assert len(sm.roots) == sm.effective_capacity
+    sm, hm = rep.stations[busiest], rep.headway[busiest]
+    pi = oracles.markov_queue_stationary(sm.service_dist.probs, sm.arrival_rate, hm)
+    mean, var = oracles.pmf_mean_var(pi)
+    assert sm.eq == pytest.approx(mean, rel=1e-9)
+    assert sm.varq == pytest.approx(var, rel=1e-9)
+    assert np.max(np.abs(pi[:300] - sm.queue_front.q)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
