@@ -18,7 +18,7 @@ import numpy as np
 from . import model, report
 from .headway import y_pgf
 from .model import InvalidScenarioError, Scenario, expand_grid
-from .roots import RootSearchError
+from .roots import RootSearchError, find_all_roots
 from .simulator import SimConfig, SimStats, StationSimStats, compare, run_simulation
 from .solver import DiscreteDist, SolverError, analyze_route, den_eval
 
@@ -208,12 +208,7 @@ def cmd_roots(args) -> int:
         _err(f"station {args.station} is unstable (rho = {report.fmt_value(sm.rho)}); "
              "no root set exists")
         return EXIT_NUMERIC
-    if not sm.roots:
-        _err(f"station {args.station} has no arrivals; its queue is always empty "
-             "and no root set is computed")
-        return EXIT_NUMERIC
     try:
-        # the root set analyze_route found, for the space pmf it was found on
         probs = sm.service_dist.probs
         ceff = sm.effective_capacity
         s_eff = DiscreteDist(probs[: ceff + 1]) if ceff < len(probs) - 1 else sm.service_dist
@@ -223,11 +218,14 @@ def cmd_roots(args) -> int:
         def y_handle(z):
             return y_pgf(z, lam, hw)
 
-        residuals = np.abs(den_eval(np.asarray(sm.roots, dtype=complex), s_eff, y_handle))
-    except (SolverError, ArithmeticError) as exc:
+        # analyze_route stores the root set of every station with arrivals;
+        # without arrivals Y = 1 and the roots are those of z^C = P(z)
+        roots = sm.roots or find_all_roots(s_eff.probs, y_handle, ceff, sm.rho).roots
+        residuals = np.abs(den_eval(np.asarray(roots, dtype=complex), s_eff, y_handle))
+    except (SolverError, RootSearchError, ArithmeticError) as exc:
         _err(str(exc))
         return EXIT_NUMERIC
-    _emit(report.roots_to_csv(sm.roots, residuals, route_report.label), args.out)
+    _emit(report.roots_to_csv(roots, residuals, route_report.label), args.out)
     return EXIT_OK
 
 

@@ -500,7 +500,8 @@ def analyze_route(scenario: Scenario) -> RouteReport:
             metrics.append(StationMetrics(
                 station=n, rho=rho, stable=True,
                 eq=0.0, varq=0.0, ew=math.nan, varw=math.nan,
-                queue_front=front, service_dist=s, arrivals=ym, arrival_rate=lam,
+                queue_front=front, effective_capacity=_effective_capacity(s.probs),
+                service_dist=s, arrivals=ym, arrival_rate=lam,
             ))
             v = DiscreteDist(g.probs @ boarding_matrix(front, capacity))
             continue

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from transitq import cli, model, report
@@ -13,6 +14,8 @@ from transitq import roots as rootsmod
 from transitq.cli import (EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_TOLERANCE,
                           main)
 from transitq.report import ROUTE_COLUMNS, SIM_COLUMNS
+from transitq.roots import validate_root_set
+from transitq.solver import analyze_route
 
 
 @pytest.fixture()
@@ -217,10 +220,25 @@ def test_roots_unstable_station(congested_config, capsys):
     assert "unstable" in capsys.readouterr().err
 
 
-def test_roots_station_without_arrivals(capsys):
-    # the terminal station has no boarding demand, so no root set is stored
-    assert main(["roots", "--station", "10"]) == EXIT_NUMERIC
-    assert "no arrivals" in capsys.readouterr().err
+def test_roots_station_without_arrivals(tmp_path):
+    # the terminal station has no boarding demand, so analyze_route stores no
+    # root set; the command finds the C roots of z^C = P(z) itself
+    out = tmp_path / "roots.csv"
+    assert main(["roots", "--station", "10", "--out", str(out)]) == EXIT_OK
+    sm = analyze_route(model.reference_scenario()).stations[9]
+    assert sm.arrival_rate == 0.0 and not sm.roots
+    _, header, rows = report._read_csv_text(out.read_text())
+    assert header == report.ROOT_COLUMNS
+    assert len(rows) == sm.effective_capacity
+    assert max(report.parse_value(r[4]) for r in rows) < 1e-12
+    # the dump (9 significant digits) is a certified root set
+    probs = sm.service_dist.probs[: sm.effective_capacity + 1]
+    jh = rootsmod.make_j_handle(probs, lambda z: np.ones_like(z), sm.effective_capacity)
+    rs = rootsmod.find_all_roots(probs, lambda z: np.ones_like(z), sm.effective_capacity, 0.0)
+    assert validate_root_set(rs, sm.effective_capacity, jh) == []
+    dumped = np.array([complex(report.parse_value(r[0]), report.parse_value(r[1]))
+                       for r in rows])
+    assert np.max(np.abs(dumped - rs.as_array())) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -292,14 +292,6 @@ def _grid_scenario(cap, gamma, theta, hbar, demand):
         incidents=dataclasses.replace(base.incidents, rate=gamma, duration_rate=theta))
 
 
-def _forbid(monkeypatch, *names):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("this root stage must not run")
-
-    for name in names:
-        monkeypatch.setattr(rootsmod, name, forbidden)
-
-
 def _station_inputs(rep, idx):
     sm, hw = rep.stations[idx], rep.headway[idx]
     ceff = sm.effective_capacity
@@ -309,8 +301,7 @@ def _station_inputs(rep, idx):
 
 
 @pytest.mark.parametrize("row", POLAR_STALL_SCENARIOS)
-def test_polar_stall_scenarios_certify_without_polar_chain(row, monkeypatch):
-    _forbid(monkeypatch, "polar_search")
+def test_polar_stall_scenarios_certify(row):
     rep = solver.analyze_route(_grid_scenario(*row))
     solved = 0
     for idx, sm in enumerate(rep.stations):
@@ -330,7 +321,6 @@ def test_eigen_stage_completes_when_fixed_point_seeds_nothing(reference_report, 
     expected = find_all_roots(STACKED_S, lambda z: headway.y_pgf(z, STACKED_LAM, STACKED_MODEL),
                               34, STACKED_RHO)
     monkeypatch.setattr(rootsmod, "fixed_point_seeds", lambda *a, **k: np.empty(0))
-    _forbid(monkeypatch, "polar_search")
     got = find_all_roots(STACKED_S, lambda z: headway.y_pgf(z, STACKED_LAM, STACKED_MODEL),
                          34, STACKED_RHO)
     assert min(abs(z - STACKED_ROOT) for z in got.roots) < 1e-9
@@ -342,25 +332,53 @@ def test_eigen_stage_completes_when_fixed_point_seeds_nothing(reference_report, 
         assert np.max(np.abs(rs.as_array() - np.array(sm.roots))) < 1e-12
 
 
-def test_polar_stage_output_is_polished(reference_report, monkeypatch):
+def test_eigen_stage_declines_a_slowly_decaying_series(monkeypatch):
+    # one vehicle in a hundred meets a geometric batch of mean 999: Y's
+    # coefficients stay above 1e-14 for some 20 000 terms (the mean, 10
+    # arrivals, is well below C = 34), and the stage gives up before np.roots
+    q = 0.999
+
+    def slow_y(z):
+        return 0.99 + 0.01 * (1.0 - q) / (1.0 - q * np.asarray(z, dtype=complex))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.roots must not run on this series")
+
+    monkeypatch.setattr(rootsmod.np, "roots", forbidden)
+    seeds = rootsmod.eigen_seeds(_point_mass_probs(34), slow_y, 34)
+    assert seeds.shape == (0,)
+
+
+def test_eigen_stage_certifies_a_series_near_the_cap(monkeypatch):
+    # a series of almost EIGEN_MAX_SERIES terms still goes to np.roots, and
+    # its seeds alone give the certified root set (mean 15.7 arrivals, C = 40)
+    cap, q = 40, 0.94
+    terms = np.flatnonzero((1.0 - q) * q ** np.arange(4096) > 1e-14)[-1] + 1
+    assert 0.9 * rootsmod.EIGEN_MAX_SERIES < terms <= rootsmod.EIGEN_MAX_SERIES
+
+    def y(z):
+        return (1.0 - q) / (1.0 - q * np.asarray(z, dtype=complex))
+
     monkeypatch.setattr(rootsmod, "fixed_point_seeds", lambda *a, **k: np.empty(0))
-    monkeypatch.setattr(rootsmod, "eigen_seeds", lambda *a, **k: np.empty(0))
-    sm, hw, ceff, probs = _station_inputs(reference_report, 3)
-    rs = find_all_roots(probs, lambda z: headway.y_pgf(z, sm.arrival_rate, hw),
-                        ceff, sm.rho)
-    assert np.max(np.abs(rs.as_array() - np.array(sm.roots))) < 1e-12
+    rs = find_all_roots(_point_mass_probs(cap), y, cap, q / (1.0 - q) / cap)
+    assert validate_root_set(rs, cap, make_j_handle(_point_mass_probs(cap), y, cap)) == []
 
 
 def test_find_all_roots_raises_when_no_stage_certifies(monkeypatch):
     C = 6
-    for name in ("fixed_point_seeds", "eigen_seeds"):
-        monkeypatch.setattr(rootsmod, name, lambda *a, **k: np.empty(0))
-    monkeypatch.setattr(rootsmod, "polar_search",
-                        lambda *a, **k: RootSet(tuple(_roots_of_unity(C)[:3])))
+    monkeypatch.setattr(rootsmod, "fixed_point_seeds",
+                        lambda *a, **k: _roots_of_unity(C)[:3])
+    monkeypatch.setattr(rootsmod, "eigen_seeds", lambda *a, **k: np.empty(0))
     with pytest.raises(RootSearchError, match="expected 6 roots") as err:
         find_all_roots(_point_mass_probs(C), _unit_y, C, 0.0)
     assert err.value.needed == C
     assert err.value.found < C
+
+
+@pytest.mark.parametrize("rho", [-0.1, 1.0, math.nan])
+def test_find_all_roots_rejects_utilization_outside_unit_interval(rho):
+    with pytest.raises(ValueError, match="0 <= rho < 1"):
+        find_all_roots(_point_mass_probs(4), _unit_y, 4, rho)
 
 
 def test_production_roots_sit_at_newton_fixed_point(reference_report):
