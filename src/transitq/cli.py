@@ -7,6 +7,7 @@ Exit codes are a stable contract: 0 success, 1 tolerance failure,
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -62,8 +63,7 @@ def cmd_analyze(args) -> int:
         _err(str(exc))
         return EXIT_NUMERIC
     if args.format == "json":
-        import json as _json
-        _emit(_json.dumps(report.route_report_to_json(route_report), indent=2) + "\n",
+        _emit(json.dumps(report.route_report_to_json(route_report), indent=2) + "\n",
               args.out)
     else:
         _emit(report.route_report_to_csv(route_report), args.out)
@@ -79,8 +79,7 @@ def cmd_simulate(args) -> int:
         _err(str(exc))
         return EXIT_INPUT
     if args.format == "json":
-        import json as _json
-        _emit(_json.dumps(report.sim_stats_to_json(stats), indent=2) + "\n", args.out)
+        _emit(json.dumps(report.sim_stats_to_json(stats), indent=2) + "\n", args.out)
     else:
         _emit(report.sim_stats_to_csv(stats), args.out)
     return EXIT_OK
@@ -183,8 +182,7 @@ def cmd_compare(args) -> int:
         _err(str(exc))
         return EXIT_INPUT
     if args.format == "json":
-        import json as _json
-        _emit(_json.dumps(report.comparison_to_json(table), indent=2) + "\n", args.out)
+        _emit(json.dumps(report.comparison_to_json(table), indent=2) + "\n", args.out)
     else:
         _emit(report.comparison_to_csv(table), args.out)
     return EXIT_OK if table.passed else EXIT_TOLERANCE

@@ -344,10 +344,6 @@ def roots_to_csv(roots, residuals, label: str) -> str:
     return _csv_text({"label": label}, ROOT_COLUMNS, rows)
 
 
-def write_roots(roots, residuals, path, label: str = "") -> None:
-    _write_text(path, roots_to_csv(roots, residuals, label))
-
-
 def sweep_index_to_csv(entries: list[dict], label: str) -> str:
     rows = [[entry[c] if c in ("parameter", "report_file")
              else fmt_value(entry[c]) for c in SWEEP_COLUMNS] for entry in entries]

@@ -318,7 +318,10 @@ def queue_front_contour(s: DiscreteDist, roots: RootSet, y: ArrivalMoments,
         Q(z) = (S_mean - Y_mean)(z - 1) prod(z - z_i) / [prod(1 - z_i) Den(z)]
     and integrated over the circle ``contour_size(C)`` inside the unit disk
     via the FFT.  Immune to the small-s_C ill-conditioning of the direct
-    triangular solve.
+    triangular solve.  Q has real coefficients and the validated inner roots
+    are closed under conjugation, so Q(conj z) = conj Q(z): the samples on
+    the lower half circle mirror the upper ones, and only the N/2 + 1 points
+    with angle in [0, pi] are evaluated and inverted by ``np.fft.hfft``.
     """
     probs = s.probs
     cap = len(probs) - 1
@@ -334,14 +337,15 @@ def queue_front_contour(s: DiscreteDist, roots: RootSet, y: ArrivalMoments,
         "root product normalizer")
 
     radius, n_points = contour_size(cap)
-    theta = 2.0 * np.pi * np.arange(n_points) / n_points
+    theta = 2.0 * np.pi * np.arange(n_points // 2 + 1) / n_points
     z = radius * np.exp(1j * theta)
     num = scale * (z - 1.0)
     if len(inner):
         num = num * np.prod(z[:, None] - inner[None, :], axis=1)
     den = z**cap / np.asarray(y_pgf_handle(z), dtype=complex) - np.polyval(probs, z)
-    coef = np.fft.fft(num / den) / n_points
-    q = (coef[:cap] / radius ** np.arange(cap)).real
+    # hfft(x, N) is the (real) forward FFT of the Hermitian extension of x
+    coef = np.fft.hfft(num / den, n_points) / n_points
+    q = coef[:cap] / radius ** np.arange(cap)
     return QueueFront(_front_diagnostics(q, s, s_mean, y.mean))
 
 

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from transitq.headway import HeadwayModel, y_pgf
+from transitq.solver import contour_size, dist_moments
 
 TWO_PI = 2.0 * math.pi
 
@@ -192,6 +193,25 @@ def fixed_capacity_front(capacity: int, lam: float, model: HeadwayModel) -> np.n
     for zi in np.r_[1.0 + 0.0j, inner]:
         eta = np.convolve(eta, [1.0, -1.0 / zi])
     return (q0 * eta[:capacity]).real
+
+
+def full_circle_front(s, roots, y, y_pgf_handle) -> np.ndarray:
+    """Raw q_0..q_{C-1} from the queue PGF sampled on the whole contour circle.
+
+    The same root-factored Q(z) and circle as ``solver.queue_front_contour``,
+    but every one of the N points is evaluated and inverted by a full complex
+    FFT, so nothing rests on the conjugate symmetry of the samples.
+    """
+    probs = s.probs
+    cap = len(probs) - 1
+    inner = roots.inner()
+    scale = (dist_moments(s)[0] - y.mean) / complex(np.prod(1.0 - inner)).real
+    radius, n_points = contour_size(cap)
+    z = radius * np.exp(1j * TWO_PI * np.arange(n_points) / n_points)
+    num = scale * (z - 1.0) * np.prod(z[:, None] - inner[None, :], axis=1)
+    den = z**cap / np.asarray(y_pgf_handle(z), dtype=complex) - np.polyval(probs, z)
+    coef = np.fft.fft(num / den) / n_points
+    return (coef[:cap] / radius ** np.arange(cap)).real
 
 
 # ---------------------------------------------------------------------------

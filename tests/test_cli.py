@@ -302,3 +302,12 @@ def test_console_script_help():
     assert proc.returncode == 0
     for word in ("analyze", "simulate", "sweep", "compare", "roots"):
         assert word in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is for the test oracles
+    code = ("import sys, transitq.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erfcx as scipy_erfcx
 from scipy.special import ndtr
 from scipy.stats import norm
 
@@ -166,6 +167,75 @@ def test_y_pgf_branch_seam_is_continuous():
     vals = headway.y_pgf(xs + 0.2j, lam, hm)
     steps = np.abs(np.diff(vals))
     assert np.max(steps) < 1e-4
+
+
+# exp(x^2) erfc(x), computed once with mpmath at 60 digits
+ERFCX_REFERENCE = [
+    (0j, 1 + 0j),
+    (1e-08 + 0j, 0.9999999887162084 + 0j),
+    (0.5 + 0j, 0.6156903441929259 + 0j),
+    (1 + 1j, 0.3047442052569126 - 0.20821893820283163j),
+    (3 - 2j, 0.13075746966984858 + 0.08111265047745665j),
+    (5j, 1.3887943864964021e-11 - 0.11524596183093659j),
+    (-30j, 0.018816784868660726j),
+    (0.25 + 6j, 0.0040859383398352545 - 0.09521807564156685j),
+    (10 + 10j, 0.028279467454232456 - 0.028138433276336895j),
+    (700 - 40j, 0.0008033610903845169 + 4.590625464093947e-05j),
+    (1e8 + 1e6j, 5.6413317023073315e-09 - 5.6413317023073315e-11j),
+    (1000j, -0.0005641898656429712j),
+]
+
+
+def _erfcx_probe_points() -> np.ndarray:
+    rng = np.random.default_rng(11)
+    near_zero = rng.uniform(0.0, 1e-3, 200) + 1j * rng.uniform(-1e-3, 1e-3, 200)
+    imag_axis = 1j * np.r_[rng.uniform(-1e3, 1e3, 200), np.linspace(-30.0, 30.0, 201)]
+    radius = 10.0 ** rng.uniform(-8.0, 8.0, 300)
+    wide = radius * np.exp(1j * rng.uniform(-np.pi / 2, np.pi / 2, 300))
+    # the arguments y_pgf hands the kernel while test_y_pgf_branch_seam walks
+    # across Re(w) = 0, reflected into Re >= 0 as y_pgf does
+    hm, lam = _model(7.2, 4.47), 2.4
+    x_star = 1.0 - hm.mu / (hm.sigma**2 * lam)
+    z = np.linspace(x_star - 1e-3, x_star + 1e-3, 41) + 0.2j
+    w = -hm.mu / hm.sigma - hm.sigma * lam * (z - 1.0)
+    seam = np.where(w.real < 0.0, -w, w) / math.sqrt(2.0)
+    return np.r_[near_zero, imag_axis, wide, 1e8 * np.exp(0.5j * np.pi * np.linspace(-1, 1, 41)),
+                 seam]
+
+
+@pytest.mark.parametrize("batch", [1, 16, None])
+def test_erfcx_matches_scipy(batch):
+    x = _erfcx_probe_points()
+    if batch is None:
+        got = headway.erfcx(np.tile(x, 4))[:len(x)]
+    else:
+        got = np.concatenate([headway.erfcx(x[i:i + batch]) for i in range(0, len(x), batch)])
+    assert np.all(x.real >= 0.0)
+    want = scipy_erfcx(x)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 5e-14
+
+
+def test_erfcx_reference_values():
+    x = np.array([p for p, _ in ERFCX_REFERENCE])
+    want = np.array([v for _, v in ERFCX_REFERENCE])
+    got = headway.erfcx(x)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 2e-15
+    assert headway.erfcx(0.5) == pytest.approx(ERFCX_REFERENCE[2][1], rel=2e-15)
+
+
+def test_ndtr_matches_scipy():
+    # Phi's relative condition number is about x^2 in the lower tail, so an
+    # ulp in the internal argument x / sqrt(2) moves Phi(-37) by ~1e-13 in
+    # any implementation (scipy's own ndtr is that far off mpmath there);
+    # the bound scales with it, and below the normal range both underflow
+    xs = np.linspace(-38.0, 8.0, 46001)
+    got = np.array([headway.ndtr(x) for x in xs])
+    want = ndtr(xs)
+    normal = want >= np.finfo(float).tiny
+    rel = np.abs(got - want)[normal] / want[normal]
+    assert np.all(rel <= 1e-15 * np.maximum(1.0, xs[normal] ** 2))
+    assert np.max(rel[np.abs(xs[normal]) <= 1.0]) <= 1e-15
+    assert np.all(np.abs(got - want)[~normal] < np.finfo(float).tiny)
 
 
 def test_y_pgf_matches_series_pmf():

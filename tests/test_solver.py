@@ -247,6 +247,24 @@ def test_queue_front_direct_falls_back_at_full_capacity(reference_report):
     assert np.max(np.abs(contour.q - sm.queue_front.q)) == 0.0
 
 
+@pytest.mark.parametrize("capacity", [34, 300])
+def test_half_circle_front_matches_full_circle(reference, capacity):
+    # production evaluates the upper half circle and relies on conjugate
+    # symmetry; the oracle samples and inverts the whole circle
+    from transitq.roots import RootSet
+    rep = analyze_route(model.expand_grid(reference, "capacity", [capacity])[0])
+    checked = 0
+    for sm, hm in zip(rep.stations, rep.headway):
+        if not sm.stable or sm.arrival_rate == 0.0:
+            continue
+        full = oracles.full_circle_front(
+            sm.service_dist, RootSet(sm.roots), sm.arrivals,
+            lambda z: headway.y_pgf(z, sm.arrival_rate, hm))
+        assert np.max(np.abs(full - sm.queue_front.q)) < 1e-13
+        checked += 1
+    assert checked >= 5
+
+
 def test_queue_front_rejects_degenerate_top(reference_report):
     sm = reference_report.stations[0]
     from transitq.roots import RootSet
