@@ -1,50 +1,27 @@
 """Closed-form queue and wait statistics for a single transit route whose
 service is perturbed by random short suspensions, plus a discrete-event
 simulator for validating the analytical results.
+
+The package namespace carries the entry points; the building blocks stay in
+their modules (``transitq.headway``, ``transitq.roots``, ``transitq.solver``,
+``transitq.report`` and the rest).
 """
 
-from .headway import (ArrivalMoments, HeadwayModel, headway_base_moments,
-                      headway_mgf, incident_duration_mean,
-                      incident_duration_variance, sample_incident_duration,
-                      truncated_headway, truncated_headway_moments, y_moments,
-                      y_pgf)
 from .model import (IncidentParams, InvalidScenarioError, RouteConfig, Scenario,
-                    StationParams, adjusted_headway, expand_grid, load_scenario,
-                    preset, reference_scenario, save_scenario,
-                    scenario_from_dict, scenario_to_dict, travel_time_to,
-                    validate)
-from .roots import (PolarPoint, RootSearchError, RootSet, clockwise_search,
-                    find_all_roots, interpolation_search, make_j_handle,
-                    solve_from_initial, validate_root_set)
-from .simulator import (ComparisonRow, ComparisonTable, SimConfig, SimStats,
-                        StationSimStats, compare, run_simulation)
-from .solver import (CapacityTrimError, DiscreteDist, FrontPrecisionError,
-                     QueueFront, RouteReport, SolverError, StationMetrics,
-                     StationSolveError, UnstableStationError, alighting_matrix,
-                     analyze_route, boarding_matrix, den_eval, dist_moments,
-                     normalization_gap, point_mass, queue_front,
-                     queue_front_contour, queue_moments, queue_moments_raw,
-                     step_alighting, utilization, wait_moments)
+                    StationParams, expand_grid, load_scenario, preset,
+                    reference_scenario, save_scenario)
+from .roots import RootSearchError
+from .simulator import ComparisonTable, SimConfig, SimStats, compare, run_simulation
+from .solver import (RouteReport, SolverError, StationMetrics, StationSolveError,
+                     analyze_route)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrivalMoments", "CapacityTrimError", "ComparisonRow", "ComparisonTable",
-    "DiscreteDist", "FrontPrecisionError", "HeadwayModel", "IncidentParams",
-    "InvalidScenarioError", "PolarPoint", "QueueFront", "RootSearchError",
-    "RootSet", "RouteConfig", "RouteReport", "Scenario", "SimConfig",
+    "ComparisonTable", "IncidentParams", "InvalidScenarioError",
+    "RootSearchError", "RouteConfig", "RouteReport", "Scenario", "SimConfig",
     "SimStats", "SolverError", "StationMetrics", "StationParams",
-    "StationSimStats", "StationSolveError", "UnstableStationError",
-    "adjusted_headway", "alighting_matrix", "analyze_route", "boarding_matrix",
-    "clockwise_search", "compare", "den_eval", "dist_moments", "expand_grid",
-    "find_all_roots", "headway_base_moments", "headway_mgf",
-    "incident_duration_mean", "incident_duration_variance",
-    "interpolation_search", "load_scenario", "make_j_handle",
-    "normalization_gap", "point_mass", "preset", "queue_front",
-    "queue_front_contour", "queue_moments", "queue_moments_raw",
-    "reference_scenario", "run_simulation", "sample_incident_duration",
-    "save_scenario", "scenario_from_dict", "scenario_to_dict",
-    "solve_from_initial", "step_alighting", "travel_time_to",
-    "truncated_headway", "truncated_headway_moments", "utilization",
-    "validate", "validate_root_set", "wait_moments", "y_moments", "y_pgf",
+    "StationSolveError", "analyze_route", "compare", "expand_grid",
+    "load_scenario", "preset", "reference_scenario", "run_simulation",
+    "save_scenario",
 ]

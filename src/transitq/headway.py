@@ -103,45 +103,6 @@ class ArrivalMoments:
     central3: float
 
 
-def incident_duration_mean(gamma: float, theta: float, travel_time: float) -> float:
-    """Expected total suspension delay over ``travel_time`` minutes of track.
-
-    Suspensions occur Poisson(gamma per min) and each lasts Exp(theta), so the
-    compound total has mean gamma * T / theta.
-    """
-    _check_incident_args(gamma, theta, travel_time)
-    return gamma * travel_time / theta
-
-
-def incident_duration_variance(gamma: float, theta: float, travel_time: float) -> float:
-    """Variance of the compound delay: gamma * T * E[X^2] = 2 gamma T / theta^2."""
-    _check_incident_args(gamma, theta, travel_time)
-    return 2.0 * gamma * travel_time / theta**2
-
-
-def _check_incident_args(gamma, theta, travel_time):
-    if gamma < 0:
-        raise ValueError(f"incident rate must be >= 0, got {gamma}")
-    if theta <= 0:
-        raise ValueError(f"incident duration rate must be > 0, got {theta}")
-    if travel_time < 0:
-        raise ValueError(f"travel time must be >= 0, got {travel_time}")
-
-
-def headway_mgf(t: float, scenario: Scenario, n: int) -> float:
-    """Moment generating function of the exact (not rectified) headway at station n.
-
-    Valid for |t| < theta; used as a test oracle rather than in the pipeline.
-    """
-    theta = scenario.incidents.duration_rate
-    gamma = scenario.incidents.rate
-    if abs(t) >= theta:
-        raise ValueError(f"headway MGF undefined for |t| >= theta ({t} vs {theta})")
-    t_n = travel_time_to(scenario.route, n)
-    base = math.exp(t * adjusted_headway(scenario))
-    return base * math.exp(gamma * t_n * 2.0 * t * t / (theta * theta - t * t))
-
-
 def headway_base_moments(scenario: Scenario, n: int) -> tuple[float, float]:
     """(mean, variance) of the exact headway at station n.
 
@@ -254,12 +215,3 @@ def y_moments(lam: float, model: HeadwayModel) -> ArrivalMoments:
         central2=mix_mean + mix_var,
         central3=mix_mean + 3.0 * mix_var + mix_c3,
     )
-
-
-def sample_incident_duration(rng: np.random.Generator, gamma: float, theta: float,
-                             travel_time: float) -> float:
-    """One draw of the compound suspension delay: Poisson count of Exp jumps."""
-    _check_incident_args(gamma, theta, travel_time)
-    count = rng.poisson(gamma * travel_time)
-    # Gamma(k, 1/theta) is the sum of k iid Exp(theta); shape 0 yields exactly 0
-    return float(rng.gamma(count) / theta) if count else 0.0

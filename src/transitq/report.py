@@ -323,13 +323,6 @@ def comparison_to_json(table: ComparisonTable) -> dict:
             "tol_sd": table.tol_sd, "passed": table.passed, "rows": rows}
 
 
-def write_comparison(table: ComparisonTable, path, fmt: str = "csv") -> None:
-    if fmt == "json":
-        _write_text(path, json.dumps(comparison_to_json(table), indent=2) + "\n")
-    else:
-        _write_text(path, comparison_to_csv(table))
-
-
 # ---------------------------------------------------------------------------
 # Root dumps and sweep index
 

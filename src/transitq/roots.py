@@ -13,13 +13,6 @@ duplicates, and accepts the set only once ``validate_root_set`` passes:
 
 The second stage runs only when the first does not certify; on the
 540-scenario criterion-4 grid the first stage certifies almost every solve.
-
-The polar tools stay available for searches from chosen initials:
-``solve_from_initial`` solves the 2D real system (log|J|, arg J) = (0, 0)
-with J(z) = Y(z) P(z) / z^C, ``clockwise_search`` sweeps the upper
-half-disk from z = 1, ``interpolation_search`` fills gaps between known
-roots, and ``_radial_rescue`` steps off interior zeros of P to roots hidden
-beneath the ring.  ``find_all_roots`` does not use them.
 """
 
 from __future__ import annotations
@@ -50,15 +43,6 @@ class RootSearchError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PolarPoint:
-    r: float
-    phi: float  # in [0, 2*pi)
-
-    def to_complex(self) -> complex:
-        return self.r * cmath.exp(1j * self.phi)
-
-
-@dataclass(frozen=True)
 class RootSet:
     """Roots ordered with z=1 first, then by ascending polar angle."""
 
@@ -76,197 +60,6 @@ class RootSet:
         return arr[np.abs(arr - 1.0) > 1e-9]
 
 
-def _residual_batch(points: np.ndarray, j_handle) -> np.ndarray:
-    """(k, 2) array of (log|J|, arg J) at k polar points; NaN rows on failure."""
-    z = points[:, 0] * np.exp(1j * points[:, 1])
-    try:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            val = np.asarray(j_handle(z), dtype=complex)
-    except (ArithmeticError, ValueError):
-        return np.full((points.shape[0], 2), np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.stack([np.log(np.abs(val)), np.angle(val)], axis=1)
-
-
-def solve_from_initial(initial: PolarPoint, j_handle,
-                       r_min: float = 0.05, r_max: float = 1.0 + 1e-9,
-                       tol: float = 1e-10, max_iter: int = 200) -> PolarPoint | None:
-    """Damped 2D Newton on (log|J|, arg J) = (0, 0) from one polar initial.
-
-    The Jacobian is central-differenced (step 1e-7, one batched J call);
-    when the Newton step fails to reduce the residual after 8 halvings a
-    Levenberg-regularized step takes over with an adaptive damping weight.
-    Radii are clamped to [r_min, r_max] — sum s_u z^{-u} blows up toward the
-    origin and genuine roots never live there.  Returns None on failure.
-    """
-    x = np.array([min(max(float(initial.r), r_min), r_max), float(initial.phi)])
-    h = 1e-7
-    lam_lm = 1e-3
-    fx = _residual_batch(x[None, :], j_handle)[0]
-    if not np.all(np.isfinite(fx)):
-        return None
-    for _ in range(max_iter):
-        if np.max(np.abs(fx)) < tol:
-            z = x[0] * cmath.exp(1j * x[1])
-            if abs(complex(j_handle(z)) - 1.0) < 1e-8:
-                return PolarPoint(x[0], x[1] % _TWO_PI)
-            return None
-        probes = np.array([
-            [x[0] + h, x[1]], [x[0] - h, x[1]],
-            [x[0], x[1] + h], [x[0], x[1] - h],
-        ])
-        fprobes = _residual_batch(probes, j_handle)
-        jac = np.empty((2, 2))
-        jac[:, 0] = (fprobes[0] - fprobes[1]) / (2 * h)
-        jac[:, 1] = (fprobes[2] - fprobes[3]) / (2 * h)
-        step = None
-        if np.all(np.isfinite(jac)):
-            try:
-                step = np.linalg.solve(jac, -fx)
-            except np.linalg.LinAlgError:
-                step = None
-        moved = False
-        if step is not None and np.all(np.isfinite(step)):
-            t = 1.0
-            for _ in range(8):
-                xn = np.array([min(max(x[0] + t * step[0], r_min), r_max), x[1] + t * step[1]])
-                fn = _residual_batch(xn[None, :], j_handle)[0]
-                if np.all(np.isfinite(fn)) and np.max(np.abs(fn)) < np.max(np.abs(fx)):
-                    x, fx = xn, fn
-                    moved = True
-                    break
-                t *= 0.5
-        if not moved:
-            if not np.all(np.isfinite(jac)):
-                return None
-            reg = jac.T @ jac + lam_lm * np.eye(2)
-            try:
-                step = np.linalg.solve(reg, -jac.T @ fx)
-            except np.linalg.LinAlgError:
-                return None
-            xn = np.array([min(max(x[0] + step[0], r_min), r_max), x[1] + step[1]])
-            fn = _residual_batch(xn[None, :], j_handle)[0]
-            if np.all(np.isfinite(fn)) and np.max(np.abs(fn)) < np.max(np.abs(fx)):
-                x, fx = xn, fn
-                lam_lm = max(lam_lm / 3.0, 1e-8)
-            else:
-                lam_lm = min(lam_lm * 5.0, 1e8)
-    return None
-
-
-def _add_unique(roots: list[complex], z: complex, tol: float = 1e-6) -> bool:
-    if roots and np.min(np.abs(np.asarray(roots) - z)) <= tol:
-        return False
-    roots.append(z)
-    return True
-
-
-def clockwise_search(capacity: int, rho: float, j_handle) -> RootSet:
-    """Sweep the upper half-disk from z = 1, extrapolating initials root-to-root.
-
-    The first initial sits at radius 1 - rho/2, angle 3*pi/C; afterwards each
-    initial linearly extrapolates the previous two solutions in (r, phi).
-    The sweep stops past angle pi, after C attempts, or on the first failed
-    solve — whatever it found (plus conjugates) is handed to
-    interpolation_search to complete.
-    """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"clockwise_search needs 0 <= rho < 1, got {rho}")
-    roots: list[complex] = [1.0 + 0.0j]
-    if capacity == 1:
-        return RootSet(tuple(roots))
-    prev = np.array([1.0, 0.0])
-    init = np.array([1.0 - 0.5 * rho, 3.0 * math.pi / capacity])
-    cur = None
-    attempts = 0
-    while attempts < capacity:
-        attempts += 1
-        sol = solve_from_initial(PolarPoint(init[0], init[1]), j_handle)
-        if sol is None:
-            break
-        z = sol.to_complex()
-        _add_unique(roots, z)
-        _add_unique(roots, z.conjugate())
-        solved = np.array([sol.r, sol.phi])
-        if cur is None:
-            prev2 = prev
-            cur = solved
-        else:
-            prev2, cur = cur, solved
-        if cur[1] >= math.pi:
-            break
-        init = 2.0 * cur - prev2
-    return RootSet(_ordered(roots))
-
-
-def interpolation_search(partial, capacity: int, j_handle,
-                         epsilon: float = 0.3, max_depth: int = 50,
-                         seed: int = 12345) -> RootSet:
-    """Fill in missing roots by seeding solves between known neighbours.
-
-    Sorting the known roots by angle, each adjacent gap (including the
-    wraparound past 2*pi) gets L-1 linearly interpolated (r, phi) initials;
-    with probability ``epsilon`` an initial is jittered uniformly within half
-    the local spacing to escape repeated convergence to a known root.  L
-    starts at 2 and increments whenever a full pass adds nothing.  Raises
-    RootSearchError if max_depth passes still leave fewer than C roots.
-    """
-    rng = np.random.default_rng(seed)
-    roots = list(partial.roots if isinstance(partial, RootSet) else partial)
-    if not roots:
-        raise ValueError("interpolation_search needs at least one known root")
-    level = 2
-    for _ in range(max_depth):
-        if len(roots) >= capacity:
-            break
-        ang = np.array([cmath.phase(z) % _TWO_PI for z in roots])
-        order = np.argsort(ang)
-        zs = [roots[i] for i in order]
-        angs = ang[order]
-        rads = np.abs(np.array(zs))
-        added = 0
-        count = len(zs)
-        for i in range(count):
-            a0 = angs[i]
-            a1 = angs[(i + 1) % count] + (_TWO_PI if i == count - 1 else 0.0)
-            r0, r1 = rads[i], rads[(i + 1) % count]
-            if a1 - a0 < 1e-9:
-                continue
-            for j in range(1, level):
-                t = j / level
-                ri = r0 + t * (r1 - r0)
-                ai = a0 + t * (a1 - a0)
-                z0 = ri * cmath.exp(1j * ai)
-                if rng.random() < epsilon:
-                    # uniform over a disk of half the gap between the
-                    # bracketing roots: wide enough to reach roots sitting
-                    # radially off the interpolated arc
-                    radius = 0.5 * ri * (a1 - a0)
-                    rr = radius * math.sqrt(rng.random())
-                    z0 += rr * cmath.exp(2j * math.pi * rng.random())
-                sol = solve_from_initial(PolarPoint(abs(z0), cmath.phase(z0) % _TWO_PI),
-                                         j_handle)
-                if sol is None:
-                    continue
-                z = sol.to_complex()
-                if _add_unique(roots, z):
-                    added += 1
-                if _add_unique(roots, z.conjugate()):
-                    added += 1
-                if len(roots) >= capacity:
-                    break
-            if len(roots) >= capacity:
-                break
-        if added == 0:
-            level += 1
-    if len(roots) < capacity:
-        raise RootSearchError(
-            f"interpolation search exhausted: found {len(roots)} of {capacity} roots",
-            found=len(roots), needed=capacity, roots=roots,
-        )
-    return RootSet(_ordered(roots))
-
-
 def _ordered(roots: Sequence[complex]) -> tuple[complex, ...]:
     """z=1 first, remaining roots by ascending polar angle in [0, 2*pi)."""
     unit = [z for z in roots if abs(z - 1.0) <= 1e-9]
@@ -276,10 +69,16 @@ def _ordered(roots: Sequence[complex]) -> tuple[complex, ...]:
 
 
 def make_j_handle(s_probs, y_pgf_handle, capacity: int) -> Callable:
-    """Vectorized J(z) = Y(z) * sum_u s_u z^{-u} for the polar solver."""
+    """Vectorized J(z) = Y(z) * sum_u s_u z^{-u}; J = 1 exactly at the roots.
+
+    ``validate_root_set`` checks |J(z) - 1| at every root through it.
+    """
     probs = np.asarray(getattr(s_probs, "probs", s_probs), dtype=float)
-    # polyval with ascending s gives sum_u s_u z^{C-u}; dividing by z^C is
-    # overflow-safe while C log(1/r_min) stays inside float range
+    # polyval with ascending s gives sum_u s_u z^{C-u}; dividing by z^C
+    # cannot overflow for |z| >= 0.05 while C log(1/0.05) stays inside float
+    # range, i.e. up to C = 200.  The 0.05 radius is inherited from an
+    # earlier search that never stepped closer to the origin; it is kept so
+    # each capacity evaluates J by the same branch as before.
     if capacity * math.log(1.0 / 0.05) < 600.0:
         def j_handle(z):
             z = np.asarray(z, dtype=complex)
@@ -315,45 +114,6 @@ def validate_root_set(root_set: RootSet, capacity: int, j_handle=None) -> list[s
         if np.max(resid) >= 1e-8:
             problems.append(f"max |J(z)-1| residual {np.max(resid):.3e} >= 1e-8")
     return problems
-
-
-def _radial_rescue(s_probs, y_pgf_handle, capacity: int,
-                   known: Sequence[complex], j_handle) -> list[complex]:
-    """Recover roots sitting radially beneath the main ring.
-
-    sum_u s_u z^{C-u} can vanish strictly inside the unit disk; wherever it
-    does and |z|^C is negligible, J(z) = 1 has a solution roughly
-    z^C / (Y(z) * poly'(z)) away from the polynomial zero.  Such roots share
-    their angle with a ring root but sit well inside it, so initials
-    interpolated along the ring never land in their (tiny) Newton basins.
-    Stepping off each interior polynomial zero does, deterministically.
-    Returns ``known`` merged with whatever the candidate solves produced.
-    """
-    probs = np.asarray(getattr(s_probs, "probs", s_probs), dtype=float)
-    merged = list(known)
-    if capacity < 2:
-        return merged
-    der = np.polyder(probs)
-    for z in np.roots(probs):
-        z = complex(z)
-        if not 0.05 <= abs(z) <= 1.0 + 1e-9:
-            continue
-        y_val = complex(np.asarray(y_pgf_handle(np.array([z])), dtype=complex)[0])
-        slope = complex(np.polyval(der, z))
-        if y_val == 0.0 or slope == 0.0:
-            continue
-        step = z ** capacity / (y_val * slope)
-        cand = z + step
-        if abs(step) > 0.1 or abs(cand) > 1.0 + 1e-9:
-            continue  # no in-disk root in first-order range of this zero
-        sol = solve_from_initial(PolarPoint(abs(cand), cmath.phase(cand) % _TWO_PI),
-                                 j_handle)
-        if sol is None:
-            continue
-        w = sol.to_complex()
-        _add_unique(merged, w)
-        _add_unique(merged, w.conjugate())
-    return merged
 
 
 def _space_poly(probs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

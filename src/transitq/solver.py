@@ -10,7 +10,7 @@ the C in-disk roots of the PGF denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +26,6 @@ UNBOUNDED = math.inf        # sentinel for moments of an unstable station
 
 class SolverError(RuntimeError):
     pass
-
-
-class CapacityTrimError(SolverError):
-    """s_C is numerically zero; the caller must shrink the effective capacity."""
 
 
 class UnstableStationError(SolverError):
@@ -256,47 +252,6 @@ def _front_diagnostics(raw_q: np.ndarray, s, s_mean: float, y_mean: float) -> np
     return q
 
 
-def queue_front(s: DiscreteDist, roots: RootSet, y: ArrivalMoments) -> QueueFront:
-    """Solve q_0..q_{C-1} by matching polynomial coefficients.
-
-    q_0 comes from the product over non-unit roots; the remaining entries
-    follow from the triangular Toeplitz system with the coefficients of
-    prod_i (1 - z/z_i).  Fast and exact while s_C is healthy; for tiny s_C
-    the triangle is ill-conditioned (error grows like eps/s_C) and the
-    contour route below should be used instead.  The pipeline always uses
-    the contour route; this one stays as an independent reference.
-    """
-    probs = s.probs
-    cap = len(probs) - 1
-    s_top = float(probs[cap])
-    if s_top <= TRIM_EPS:
-        raise CapacityTrimError(
-            f"s_C = {s_top:.3e} is numerically zero; reduce the effective capacity")
-    s_mean = dist_moments(s)[0]
-    if s_mean <= y.mean:
-        raise UnstableStationError(
-            f"mean free space {s_mean:.6g} does not exceed mean arrivals {y.mean:.6g}")
-    inner = roots.inner()
-    if len(inner) != cap - 1:
-        raise ValueError(f"expected {cap - 1} non-unit roots, got {len(inner)}")
-
-    q0 = (s_mean - y.mean) / s_top * _real_checked(
-        complex(np.prod(inner / (inner - 1.0))) if len(inner) else 1.0 + 0j,
-        "root product for q_0")
-    coeffs = np.array([1.0 + 0.0j])
-    for zi in np.concatenate([[1.0 + 0.0j], inner]):
-        coeffs = np.convolve(coeffs, np.array([1.0, -1.0 / zi]))
-    if np.max(np.abs(coeffs.imag)) > 1e-8:
-        raise FrontPrecisionError(
-            f"numerator coefficients have imaginary residue {np.max(np.abs(coeffs.imag)):.3e}")
-    scaled = s_top * q0 * coeffs.real[:cap]
-
-    q = np.zeros(cap)
-    for j in range(cap):
-        q[j] = (scaled[j] - (q[:j] @ probs[cap - j:cap] if j else 0.0)) / s_top
-    return QueueFront(_front_diagnostics(q, s, s_mean, y.mean))
-
-
 def contour_size(capacity: int) -> tuple[float, int]:
     """(radius, points) of the FFT circle for a front of ``capacity`` entries.
 
@@ -317,8 +272,8 @@ def queue_front_contour(s: DiscreteDist, roots: RootSet, y: ArrivalMoments,
     The PGF is assembled in root-factored form
         Q(z) = (S_mean - Y_mean)(z - 1) prod(z - z_i) / [prod(1 - z_i) Den(z)]
     and integrated over the circle ``contour_size(C)`` inside the unit disk
-    via the FFT.  Immune to the small-s_C ill-conditioning of the direct
-    triangular solve.  Q has real coefficients and the validated inner roots
+    via the FFT.  Unlike matching polynomial coefficients, whose triangular
+    solve divides by s_C, this stays accurate when s_C is tiny.  Q has real coefficients and the validated inner roots
     are closed under conjugation, so Q(conj z) = conj Q(z): the samples on
     the lower half circle mirror the upper ones, and only the N/2 + 1 points
     with angle in [0, pi] are evaluated and inverted by ``np.fft.hfft``.
@@ -375,32 +330,6 @@ def queue_moments(s_mom: tuple[float, float, float], y: ArrivalMoments,
     varq = (-4.0 * (s_c3 - y_c3) * drift + 3.0 * (s_c2 + y_c2) ** 2
             - (6.0 * (s_c2 - y_c2) - 1.0) * drift**2 - drift**4) / (12.0 * drift**2) - sum2
     return eq, varq
-
-
-def queue_moments_raw(s_raw: tuple[float, float, float], y_raw: tuple[float, float, float],
-                      roots: RootSet) -> tuple[float, float]:
-    """Same moments written in raw (non-central) moments — cross-check form.
-
-    Algebraically identical to queue_moments; kept as an independent
-    transcription so a typo in either version shows up as a disagreement.
-    """
-    sb, s2, s3 = s_raw
-    yb, y2, y3 = y_raw
-    d = sb - yb
-    if d <= 0:
-        return UNBOUNDED, UNBOUNDED
-    cap = len(roots)
-    inner = roots.inner()
-    sum1 = _real_checked(complex(np.sum(1.0 / (1.0 - inner))) if len(inner) else 0j,
-                         "first root sum")
-    sum2 = _real_checked(complex(np.sum(inner / (1.0 - inner) ** 2)) if len(inner) else 0j,
-                         "second root sum")
-    eq = (-2.0 * cap * sb + 2.0 * cap * yb + s2 + sb + y2 - 2.0 * yb**2 - yb) / (2.0 * d) + sum1
-    var_num = (3.0 * s2**2 + 6.0 * s2 * y2 - 12.0 * s2 * yb**2 - 4.0 * s3 * sb + 4.0 * s3 * yb
-               + sb**2 - 24.0 * sb * y2 * yb + 4.0 * sb * y3 + 24.0 * sb * yb**3
-               - 2.0 * sb * yb + 3.0 * y2**2 + 12.0 * y2 * yb**2 - 4.0 * y3 * yb
-               - 12.0 * yb**4 + yb**2)
-    return eq, var_num / (12.0 * d * d) - sum2
 
 
 def wait_moments(eq: float, varq: float, y: ArrivalMoments, lam: float

@@ -13,8 +13,12 @@ import math
 
 import numpy as np
 
-from transitq.headway import HeadwayModel, y_pgf
-from transitq.solver import contour_size, dist_moments
+from transitq.headway import ArrivalMoments, HeadwayModel, y_pgf
+from transitq.model import Scenario, adjusted_headway, travel_time_to
+from transitq.roots import RootSet
+from transitq.solver import (TRIM_EPS, UNBOUNDED, DiscreteDist, FrontPrecisionError,
+                             QueueFront, UnstableStationError, _front_diagnostics,
+                             _real_checked, contour_size, dist_moments)
 
 TWO_PI = 2.0 * math.pi
 
@@ -212,6 +216,88 @@ def full_circle_front(s, roots, y, y_pgf_handle) -> np.ndarray:
     den = z**cap / np.asarray(y_pgf_handle(z), dtype=complex) - np.polyval(probs, z)
     coef = np.fft.fft(num / den) / n_points
     return (coef[:cap] / radius ** np.arange(cap)).real
+
+
+def queue_front(s: DiscreteDist, roots: RootSet, y: ArrivalMoments) -> QueueFront:
+    """Solve q_0..q_{C-1} by matching polynomial coefficients.
+
+    q_0 comes from the product over non-unit roots; the remaining entries
+    follow from the triangular Toeplitz system with the coefficients of
+    prod_i (1 - z/z_i).  Exact while s_C is healthy; for tiny s_C the
+    triangle is ill-conditioned (error grows like eps/s_C), so a numerically
+    zero s_C raises ValueError.  Production reads the front off the contour
+    (``solver.queue_front_contour``); this is the independent reference, and
+    it runs the same diagnostics, so a front that fails them raises
+    ``FrontPrecisionError``.
+    """
+    probs = s.probs
+    cap = len(probs) - 1
+    s_top = float(probs[cap])
+    if s_top <= TRIM_EPS:
+        raise ValueError(f"s_C = {s_top:.3e} is numerically zero; reduce the capacity")
+    s_mean = dist_moments(s)[0]
+    if s_mean <= y.mean:
+        raise UnstableStationError(
+            f"mean free space {s_mean:.6g} does not exceed mean arrivals {y.mean:.6g}")
+    inner = roots.inner()
+    if len(inner) != cap - 1:
+        raise ValueError(f"expected {cap - 1} non-unit roots, got {len(inner)}")
+
+    q0 = (s_mean - y.mean) / s_top * _real_checked(
+        complex(np.prod(inner / (inner - 1.0))) if len(inner) else 1.0 + 0j,
+        "root product for q_0")
+    coeffs = np.array([1.0 + 0.0j])
+    for zi in np.concatenate([[1.0 + 0.0j], inner]):
+        coeffs = np.convolve(coeffs, np.array([1.0, -1.0 / zi]))
+    if np.max(np.abs(coeffs.imag)) > 1e-8:
+        raise FrontPrecisionError(
+            f"numerator coefficients have imaginary residue {np.max(np.abs(coeffs.imag)):.3e}")
+    scaled = s_top * q0 * coeffs.real[:cap]
+
+    q = np.zeros(cap)
+    for j in range(cap):
+        q[j] = (scaled[j] - (q[:j] @ probs[cap - j:cap] if j else 0.0)) / s_top
+    return QueueFront(_front_diagnostics(q, s, s_mean, y.mean))
+
+
+def queue_moments_raw(s_raw: tuple[float, float, float], y_raw: tuple[float, float, float],
+                      roots: RootSet) -> tuple[float, float]:
+    """``solver.queue_moments`` written in raw (non-central) moments.
+
+    Algebraically identical to the production form; kept as an independent
+    transcription so a typo in either version shows up as a disagreement.
+    """
+    sb, s2, s3 = s_raw
+    yb, y2, y3 = y_raw
+    d = sb - yb
+    if d <= 0:
+        return UNBOUNDED, UNBOUNDED
+    cap = len(roots)
+    inner = roots.inner()
+    sum1 = _real_checked(complex(np.sum(1.0 / (1.0 - inner))) if len(inner) else 0j,
+                         "first root sum")
+    sum2 = _real_checked(complex(np.sum(inner / (1.0 - inner) ** 2)) if len(inner) else 0j,
+                         "second root sum")
+    eq = (-2.0 * cap * sb + 2.0 * cap * yb + s2 + sb + y2 - 2.0 * yb**2 - yb) / (2.0 * d) + sum1
+    var_num = (3.0 * s2**2 + 6.0 * s2 * y2 - 12.0 * s2 * yb**2 - 4.0 * s3 * sb + 4.0 * s3 * yb
+               + sb**2 - 24.0 * sb * y2 * yb + 4.0 * sb * y3 + 24.0 * sb * yb**3
+               - 2.0 * sb * yb + 3.0 * y2**2 + 12.0 * y2 * yb**2 - 4.0 * y3 * yb
+               - 12.0 * yb**4 + yb**2)
+    return eq, var_num / (12.0 * d * d) - sum2
+
+
+def headway_mgf(t: float, scenario: Scenario, n: int) -> float:
+    """Moment generating function of the exact (not rectified) headway at station n.
+
+    Valid for |t| < theta.
+    """
+    theta = scenario.incidents.duration_rate
+    gamma = scenario.incidents.rate
+    if abs(t) >= theta:
+        raise ValueError(f"headway MGF undefined for |t| >= theta ({t} vs {theta})")
+    t_n = travel_time_to(scenario.route, n)
+    base = math.exp(t * adjusted_headway(scenario))
+    return base * math.exp(gamma * t_n * 2.0 * t * t / (theta * theta - t * t))
 
 
 # ---------------------------------------------------------------------------

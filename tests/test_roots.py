@@ -11,14 +11,10 @@ from transitq import headway, model, solver
 from transitq import roots as rootsmod
 from transitq.headway import HeadwayModel
 from transitq.roots import (
-    PolarPoint,
     RootSearchError,
     RootSet,
-    clockwise_search,
     find_all_roots,
-    interpolation_search,
     make_j_handle,
-    solve_from_initial,
     validate_root_set,
 )
 
@@ -62,13 +58,6 @@ STACKED_S = np.array([
 ])
 
 
-def test_polar_point_round_trip():
-    p = PolarPoint(0.8, 2.1)
-    z = p.to_complex()
-    assert abs(z) == pytest.approx(0.8)
-    assert cmath.phase(z) == pytest.approx(2.1)
-
-
 def test_root_set_accessors():
     rs = RootSet((1.0 + 0j, 0.5j, -0.5j))
     assert len(rs) == 3
@@ -76,39 +65,6 @@ def test_root_set_accessors():
     inner = rs.inner()
     assert len(inner) == 2
     assert np.all(np.abs(inner - 1.0) > 1e-9)
-
-
-def test_solve_from_initial_lands_on_root_of_unity():
-    C = 8
-    jh = make_j_handle(_point_mass_probs(C), _unit_y, C)
-    target = cmath.exp(2j * math.pi / C)
-    sol = solve_from_initial(PolarPoint(0.9, 2 * math.pi / C + 0.1), jh)
-    assert sol is not None
-    assert abs(sol.to_complex() - target) < 1e-10
-
-
-def test_solve_from_initial_respects_radius_clamp():
-    C = 8
-    jh = make_j_handle(_point_mass_probs(C), _unit_y, C)
-    sol = solve_from_initial(PolarPoint(0.01, 0.7), jh)  # clamped up to r_min
-    if sol is not None:
-        assert 0.05 <= sol.r <= 1.0 + 1e-9
-
-
-def test_clockwise_search_roots_of_unity():
-    # the sweep may stop early on a failed extrapolation; everything it does
-    # return must be genuine, conjugate-closed, and include z = 1
-    C = 9
-    jh = make_j_handle(_point_mass_probs(C), _unit_y, C)
-    rs = clockwise_search(C, 0.0, jh)
-    expected = _roots_of_unity(C)
-    assert 3 <= len(rs) <= C
-    assert rs.roots[0] == pytest.approx(1.0)
-    worst = max(np.min(np.abs(expected - z)) for z in rs.roots)
-    assert worst < 1e-9
-    arr = rs.as_array()
-    for z in arr:
-        assert np.min(np.abs(arr - z.conjugate())) < 1e-9
 
 
 def test_find_all_roots_of_unity_complete():
@@ -119,54 +75,6 @@ def test_find_all_roots_of_unity_complete():
     expected = _roots_of_unity(C)
     worst = max(np.min(np.abs(expected - z)) for z in rs.roots)
     assert worst < 1e-8
-
-
-def test_clockwise_search_capacity_one():
-    rs = clockwise_search(1, 0.5, lambda z: z)
-    assert rs.roots == (1.0 + 0j,)
-
-
-def test_clockwise_search_rejects_unstable():
-    with pytest.raises(ValueError, match="0 <= rho < 1"):
-        clockwise_search(5, 1.0, _unit_y)
-
-
-def test_interpolation_search_completes_partial_set():
-    C = 12
-    jh = make_j_handle(_point_mass_probs(C), _unit_y, C)
-    expected = _roots_of_unity(C)
-    partial = [1.0 + 0j, expected[3], expected[-3]]
-    rs = interpolation_search(partial, C, jh)
-    assert len(rs) == C
-    worst = max(np.min(np.abs(expected - z)) for z in rs.roots)
-    assert worst < 1e-9
-
-
-def test_interpolation_search_needs_a_seed():
-    with pytest.raises(ValueError, match="at least one known root"):
-        interpolation_search([], 5, _unit_y)
-
-
-def test_interpolation_search_error_carries_payload():
-    C = 6
-    jh = make_j_handle(_point_mass_probs(C), _unit_y, C)
-    with pytest.raises(RootSearchError) as err:
-        interpolation_search([1.0 + 0j], C, jh, max_depth=0)
-    assert err.value.found == 1
-    assert err.value.needed == C
-    assert err.value.roots == (1.0 + 0j,)
-    assert "1 of 6" in str(err.value)
-
-
-def test_interpolation_search_deterministic(reference_report):
-    sm = reference_report.stations[1]
-    hm = reference_report.headway[1]
-    jh = make_j_handle(sm.service_dist.probs,
-                       lambda z: headway.y_pgf(z, sm.arrival_rate, hm), 34)
-    partial = [1.0 + 0j, sm.roots[5], np.conj(sm.roots[5])]
-    a = interpolation_search(partial, 34, jh)
-    b = interpolation_search(partial, 34, jh)
-    assert a.roots == b.roots
 
 
 def test_validate_root_set_catches_each_defect():
@@ -230,34 +138,6 @@ def test_find_all_roots_ordering_and_validation(reference_report):
         angles = np.angle(arr[1:]) % (2 * np.pi)
         assert np.all(np.diff(angles) > 0)
         assert np.all(np.abs(arr) <= 1.0 + 1e-8)
-
-
-def test_find_all_roots_reports_failure_mode():
-    # a capacity the interpolation cannot reach with zero depth budget is
-    # impossible through the public call, so drive the validator directly
-    C = 4
-    jh = make_j_handle(_point_mass_probs(C), _unit_y, C)
-    bad = RootSet(tuple(_roots_of_unity(C)[:2]))
-    problems = validate_root_set(bad, C, jh)
-    assert problems
-
-
-def test_radial_rescue_recovers_stacked_pair():
-    # the interpolated arc never reaches this pair (its Newton basin spans
-    # roughly r in [0.67, 0.69] below ring roots at r ~ 0.77); the rescue
-    # stage steps off the interior zeros of the space polynomial instead
-    jh = make_j_handle(STACKED_S, lambda z: headway.y_pgf(z, STACKED_LAM, STACKED_MODEL), 34)
-    partial = clockwise_search(34, STACKED_RHO, jh)
-    assert min(abs(z - STACKED_ROOT) for z in partial.roots) > 1e-3
-    merged = rootsmod._radial_rescue(
-        STACKED_S, lambda z: headway.y_pgf(z, STACKED_LAM, STACKED_MODEL),
-        34, partial.roots, jh)
-    assert len(merged) > len(partial.roots)
-    assert min(abs(z - STACKED_ROOT) for z in merged) < 1e-9
-    assert min(abs(z - STACKED_ROOT.conjugate()) for z in merged) < 1e-9
-    # and the completed search validates end to end from the rescued seeds
-    full = interpolation_search(merged, 34, jh)
-    assert validate_root_set(full, 34, jh) == []
 
 
 def test_stacked_pair_agrees_with_companion_matrix():
@@ -373,6 +253,12 @@ def test_find_all_roots_raises_when_no_stage_certifies(monkeypatch):
         find_all_roots(_point_mass_probs(C), _unit_y, C, 0.0)
     assert err.value.needed == C
     assert err.value.found < C
+    # the payload is the pooled set the last stage validated: z = 1 and the
+    # seeded roots of unity, each with its conjugate partner
+    roots = np.array(err.value.roots)
+    assert len(roots) == err.value.found
+    assert 1.0 in err.value.roots
+    assert all(np.min(np.abs(roots - z.conjugate())) < 1e-12 for z in roots)
 
 
 @pytest.mark.parametrize("rho", [-0.1, 1.0, math.nan])

@@ -11,7 +11,6 @@ from scipy.stats import binom
 import oracles
 from transitq import headway, model, solver
 from transitq.solver import (
-    CapacityTrimError,
     DiscreteDist,
     FrontPrecisionError,
     QueueFront,
@@ -26,10 +25,8 @@ from transitq.solver import (
     dist_moments,
     normalization_gap,
     point_mass,
-    queue_front,
     queue_front_contour,
     queue_moments,
-    queue_moments_raw,
     step_alighting,
     utilization,
     wait_moments,
@@ -226,7 +223,7 @@ def test_queue_front_contour_agrees_with_direct():
     s = point_mass(C, C)
     ym = headway.y_moments(lam, hm)
     rs = find_all_roots(s.probs, lambda z: headway.y_pgf(z, lam, hm), C, ym.mean / C)
-    direct = queue_front(s, rs, ym)
+    direct = oracles.queue_front(s, rs, ym)
     contour = queue_front_contour(s, rs, ym, lambda z: headway.y_pgf(z, lam, hm))
     assert np.max(np.abs(direct.q - contour.q)) < 1e-10
 
@@ -240,7 +237,7 @@ def test_queue_front_direct_falls_back_at_full_capacity(reference_report):
     hm = reference_report.headway[3]
     rs = RootSet(sm.roots)
     with pytest.raises(FrontPrecisionError):
-        queue_front(sm.service_dist, rs, sm.arrivals)
+        oracles.queue_front(sm.service_dist, rs, sm.arrivals)
     contour = queue_front_contour(
         sm.service_dist, rs, sm.arrivals,
         lambda z: headway.y_pgf(z, sm.arrival_rate, hm))
@@ -271,23 +268,27 @@ def test_queue_front_rejects_degenerate_top(reference_report):
     probs = np.zeros(35)
     probs[0] = 1.0 - 1e-13
     probs[34] = 1e-13
-    with pytest.raises(CapacityTrimError):
-        queue_front(DiscreteDist(probs), RootSet(sm.roots), sm.arrivals)
+    with pytest.raises(ValueError, match="numerically zero"):
+        oracles.queue_front(DiscreteDist(probs), RootSet(sm.roots), sm.arrivals)
 
 
 def test_queue_front_rejects_unstable_load(reference_report):
     sm = reference_report.stations[0]
     from transitq.roots import RootSet
+    hm = reference_report.headway[0]
     heavy = headway.ArrivalMoments(mean=40.0, central2=40.0, central3=40.0)
     with pytest.raises(UnstableStationError):
-        queue_front(sm.service_dist, RootSet(sm.roots), heavy)
+        queue_front_contour(sm.service_dist, RootSet(sm.roots), heavy,
+                            lambda z: headway.y_pgf(z, sm.arrival_rate, hm))
 
 
 def test_queue_front_requires_full_root_set(reference_report):
     sm = reference_report.stations[0]
     from transitq.roots import RootSet
+    hm = reference_report.headway[0]
     with pytest.raises(ValueError, match="non-unit roots"):
-        queue_front(sm.service_dist, RootSet(sm.roots[:5]), sm.arrivals)
+        queue_front_contour(sm.service_dist, RootSet(sm.roots[:5]), sm.arrivals,
+                            lambda z: headway.y_pgf(z, sm.arrival_rate, hm))
 
 
 def test_normalization_gap_is_tiny(reference_report):
@@ -353,7 +354,7 @@ def test_queue_moment_forms_cross_validate(reference_report):
         y_raw3 = sm.arrivals.central3 + 3.0 * m * y_raw2 - 2.0 * m**3
         rs = RootSet(sm.roots)
         eq_a, varq_a = queue_moments(dist_moments(sm.service_dist), sm.arrivals, rs)
-        eq_b, varq_b = queue_moments_raw(s_raw, (m, y_raw2, y_raw3), rs)
+        eq_b, varq_b = oracles.queue_moments_raw(s_raw, (m, y_raw2, y_raw3), rs)
         assert eq_a == pytest.approx(eq_b, rel=1e-8)
         assert varq_a == pytest.approx(varq_b, rel=1e-7)
 
@@ -431,7 +432,6 @@ def test_station_solve_error_carries_station(monkeypatch):
 
 
 def test_exception_hierarchy():
-    assert issubclass(CapacityTrimError, SolverError)
     assert issubclass(UnstableStationError, SolverError)
     assert issubclass(FrontPrecisionError, SolverError)
     assert issubclass(StationSolveError, SolverError)
