@@ -261,6 +261,20 @@ def test_find_all_roots_raises_when_no_stage_certifies(monkeypatch):
     assert all(np.min(np.abs(roots - z.conjugate())) < 1e-12 for z in roots)
 
 
+def test_find_all_roots_error_carries_payload(monkeypatch):
+    # with no seeds from either stage the pool is z = 1 alone, and the error
+    # reports exactly that set and its count
+    C = 6
+    for stage in ("fixed_point_seeds", "eigen_seeds"):
+        monkeypatch.setattr(rootsmod, stage, lambda *a, **k: np.empty(0))
+    with pytest.raises(RootSearchError) as err:
+        find_all_roots(_point_mass_probs(C), _unit_y, C, 0.0)
+    assert err.value.found == 1
+    assert err.value.needed == C
+    assert err.value.roots == (1.0 + 0j,)
+    assert "expected 6 roots, have 1" in str(err.value)
+
+
 @pytest.mark.parametrize("rho", [-0.1, 1.0, math.nan])
 def test_find_all_roots_rejects_utilization_outside_unit_interval(rho):
     with pytest.raises(ValueError, match="0 <= rho < 1"):
