@@ -1,36 +1,38 @@
 """Command-line front door: analyze, simulate, sweep, compare, roots.
 
 Exit codes are a stable contract: 0 success, 1 tolerance failure,
-2 input/validation error, 3 numeric/solver failure.
+2 input/validation error, 3 numeric/solver failure.  Commands return 0 or 1
+and raise on failure; ``main`` maps each exception class to its code in one
+place and prints a single ``error:`` line.  I/O errors count as input errors,
+and a sweep station that fails in a worker process is reported exactly as in
+a serial sweep.  Every file or stdout document goes through the renderer of
+``transitq.report``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import model, report
 from .headway import y_pgf
-from .model import InvalidScenarioError, Scenario, expand_grid
+from .model import Scenario, expand_grid
 from .roots import RootSearchError, find_all_roots
 from .simulator import SimConfig, SimStats, StationSimStats, compare, run_simulation
-from .solver import DiscreteDist, SolverError, analyze_route, den_eval
+from .solver import (SolverError, UnstableStationError, analyze_route, den_eval,
+                     trimmed_space)
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-
-
-def _err(msg: str) -> None:
-    print(f"error: {msg}", file=sys.stderr)
 
 
 def _load_config(spec: str) -> Scenario:
@@ -53,98 +55,63 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        scenario = _load_config(args.config)
-        route_report = analyze_route(scenario)
-    except (InvalidScenarioError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
-    except (SolverError, RootSearchError, ArithmeticError) as exc:
-        _err(str(exc))
-        return EXIT_NUMERIC
-    if args.format == "json":
-        _emit(json.dumps(report.route_report_to_json(route_report), indent=2) + "\n",
-              args.out)
-    else:
-        _emit(report.route_report_to_csv(route_report), args.out)
+    route_report = analyze_route(_load_config(args.config))
+    _emit(report.render(report.ROUTE, report.route_report_to_json(route_report),
+                        args.format), args.out)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    try:
-        scenario = _load_config(args.config)
-        config = SimConfig(runs=args.runs, seed=args.seed, warmup=args.warmup)
-        stats = run_simulation(scenario, config)
-    except (InvalidScenarioError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
-    if args.format == "json":
-        _emit(json.dumps(report.sim_stats_to_json(stats), indent=2) + "\n", args.out)
-    else:
-        _emit(report.sim_stats_to_csv(stats), args.out)
+    scenario = _load_config(args.config)
+    stats = run_simulation(scenario, SimConfig(runs=args.runs, seed=args.seed,
+                                               warmup=args.warmup))
+    _emit(report.render(report.SIM, report.sim_stats_to_json(stats), args.format),
+          args.out)
     return EXIT_OK
 
 
-def _sweep_point(task: tuple) -> list[dict]:
+def _sweep_point(args, scenario: Scenario, value) -> list[dict]:
     """Analyze (and optionally simulate) one sweep value; returns index rows.
 
     Module-level so a process pool can pickle it.
     """
-    scenario, parameter, value, out_dir, fmt, simulate, runs, seed, warmup = task
     route_report = analyze_route(scenario)
-    ext = "json" if fmt == "json" else "csv"
-    report_file = f"{parameter}_{value:g}.{ext}"
-    report.write_route_report(route_report, Path(out_dir) / report_file, fmt)
-    if simulate:
-        stats = run_simulation(scenario, SimConfig(runs=runs, seed=seed, warmup=warmup))
-        report.write_sim_stats(stats, Path(out_dir) / f"{parameter}_{value:g}_sim.{ext}",
-                               fmt)
-    return report.sweep_entries(parameter, value, route_report, report_file)
+    stem = f"{args.param}_{value:g}"
+    report.write_route_report(route_report, Path(args.out) / f"{stem}.{args.format}",
+                              args.format)
+    if args.simulate:
+        stats = run_simulation(scenario, SimConfig(runs=args.runs, seed=args.seed,
+                                                   warmup=args.warmup))
+        report.write_sim_stats(stats, Path(args.out) / f"{stem}_sim.{args.format}",
+                               args.format)
+    return report.sweep_entries(args.param, value, route_report, f"{stem}.{args.format}")
 
 
 def cmd_sweep(args) -> int:
-    try:
-        scenario = _load_config(args.config)
-        values = []
-        for tok in args.values.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            if args.param == "capacity":
-                val = float(tok)
-                if val != int(val):
-                    raise ValueError(f"capacity sweep value {tok!r} is not an integer")
-                values.append(int(val))
-            else:
-                values.append(float(tok))
-        if not values:
-            raise ValueError("no sweep values given")
-        scenarios = expand_grid(scenario, args.param, values)
-    except (InvalidScenarioError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    scenario = _load_config(args.config)
+    values = []
+    for tok in filter(None, (t.strip() for t in args.values.split(","))):
+        val = float(tok)
+        if args.param == "capacity":
+            if not val.is_integer():
+                raise ValueError(f"capacity sweep value {tok!r} is not an integer")
+            val = int(val)
+        values.append(val)
+    if not values:
+        raise ValueError("no sweep values given")
+    scenarios = expand_grid(scenario, args.param, values)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(sc, args.param, val, str(out_dir), args.format, args.simulate,
-              args.runs, args.seed, args.warmup)
-             for sc, val in zip(scenarios, values)]
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    point = partial(_sweep_point, args)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    try:
-        if jobs <= 1 or len(tasks) == 1:
-            results = [_sweep_point(t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_sweep_point, tasks))
-    except (InvalidScenarioError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
-    except (SolverError, RootSearchError, ArithmeticError) as exc:
-        _err(str(exc))
-        return EXIT_NUMERIC
+    if jobs <= 1 or len(values) == 1:
+        results = list(map(point, scenarios, values))
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(point, scenarios, values))
 
     entries = [row for rows in results for row in rows]
-    report.write_sweep_index(entries, out_dir / "index.csv", scenario.label)
+    report.write_sweep_index(entries, Path(args.out) / "index.csv", scenario.label)
     return EXIT_OK
 
 
@@ -166,63 +133,41 @@ def _sim_stats_from_report(route_report) -> SimStats:
 def _load_sim_side(path: str) -> SimStats:
     try:
         return report.read_sim_stats(path)
-    except (ValueError, KeyError):
+    except ValueError:
         return _sim_stats_from_report(report.read_route_report(path))
 
 
 def cmd_compare(args) -> int:
-    try:
-        theory = report.read_route_report(args.theory)
-        sim = _load_sim_side(args.sim)
-        if theory.label != sim.label:
-            raise ValueError(f"scenario label mismatch: theory {theory.label!r} "
-                             f"vs simulation {sim.label!r}")
-        table = compare(theory, sim, tol_mean=args.tol_mean, tol_sd=args.tol_var)
-    except (InvalidScenarioError, ValueError, OSError, KeyError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
-    if args.format == "json":
-        _emit(json.dumps(report.comparison_to_json(table), indent=2) + "\n", args.out)
-    else:
-        _emit(report.comparison_to_csv(table), args.out)
+    theory = report.read_route_report(args.theory)
+    sim = _load_sim_side(args.sim)
+    if theory.label != sim.label:
+        raise ValueError(f"scenario label mismatch: theory {theory.label!r} "
+                         f"vs simulation {sim.label!r}")
+    table = compare(theory, sim, tol_mean=args.tol_mean, tol_sd=args.tol_var)
+    _emit(report.render(report.COMPARISON, report.comparison_to_json(table), args.format),
+          args.out)
     return EXIT_OK if table.passed else EXIT_TOLERANCE
 
 
 def cmd_roots(args) -> int:
-    try:
-        scenario = _load_config(args.config)
-        route_report = analyze_route(scenario)
-        if not 1 <= args.station <= route_report.num_stations:
-            raise ValueError(f"station {args.station} outside 1..{route_report.num_stations}")
-    except (InvalidScenarioError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
-    except (SolverError, RootSearchError, ArithmeticError) as exc:
-        _err(str(exc))
-        return EXIT_NUMERIC
-
+    route_report = analyze_route(_load_config(args.config))
+    if not 1 <= args.station <= route_report.num_stations:
+        raise ValueError(f"station {args.station} outside 1..{route_report.num_stations}")
     sm = route_report.stations[args.station - 1]
     if not sm.stable:
-        _err(f"station {args.station} is unstable (rho = {report.fmt_value(sm.rho)}); "
-             "no root set exists")
-        return EXIT_NUMERIC
-    try:
-        probs = sm.service_dist.probs
-        ceff = sm.effective_capacity
-        s_eff = DiscreteDist(probs[: ceff + 1]) if ceff < len(probs) - 1 else sm.service_dist
-        hw = route_report.headway[args.station - 1]
-        lam = sm.arrival_rate
+        raise UnstableStationError(f"station {args.station} is unstable (rho = "
+                                   f"{report.fmt_value(sm.rho)}); no root set exists")
+    s_eff = trimmed_space(sm.service_dist)
+    hw = route_report.headway[args.station - 1]
+    lam = sm.arrival_rate
 
-        def y_handle(z):
-            return y_pgf(z, lam, hw)
+    def y_handle(z):
+        return y_pgf(z, lam, hw)
 
-        # analyze_route stores the root set of every station with arrivals;
-        # without arrivals Y = 1 and the roots are those of z^C = P(z)
-        roots = sm.roots or find_all_roots(s_eff.probs, y_handle, ceff, sm.rho).roots
-        residuals = np.abs(den_eval(np.asarray(roots, dtype=complex), s_eff, y_handle))
-    except (SolverError, RootSearchError, ArithmeticError) as exc:
-        _err(str(exc))
-        return EXIT_NUMERIC
+    # analyze_route stores the root set of every station with arrivals;
+    # without arrivals Y = 1 and the roots are those of z^C = P(z)
+    roots = sm.roots or find_all_roots(s_eff.probs, y_handle, s_eff.top_index, sm.rho).roots
+    residuals = np.abs(den_eval(np.asarray(roots, dtype=complex), s_eff, y_handle))
     _emit(report.roots_to_csv(roots, residuals, route_report.label), args.out)
     return EXIT_OK
 
@@ -290,7 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # InvalidScenarioError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (SolverError, RootSearchError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

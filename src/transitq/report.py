@@ -1,10 +1,17 @@
-"""Report serialization: CSV and JSON writers plus sniffing readers.
+"""Report files: one table codec behind every CSV and JSON document.
+
+Each document kind (route report, simulation stats, comparison table, root
+dump, sweep index) is a ``Table``: its columns, the columns that hold ints,
+bools or strings (the rest are floats), its metadata keys and the key of its
+record list in JSON.  Builders turn a result object into a JSON-shaped
+document; ``render`` prints that document as CSV or JSON and ``read_table``
+sniffs a file and returns its metadata and typed records.
 
 Numbers are printed with 9 significant digits and a '.' decimal separator.
 Unbounded moments serialize as the literal string "inf"; undefined values
 (e.g. wait at a station nobody boards) serialize as an empty CSV field or
 JSON null.  CSV files open with '# key: value' comment lines carrying the
-scenario label and run metadata.
+metadata; JSON files carry it as top-level keys ahead of the record list.
 """
 
 from __future__ import annotations
@@ -13,11 +20,11 @@ import csv
 import io
 import json
 import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .headway import HeadwayModel
-from .simulator import (ComparisonRow, ComparisonTable, SimStats,
-                        StationSimStats)
+from .simulator import ComparisonTable, SimStats, StationSimStats
 from .solver import RouteReport, StationMetrics
 
 ROUTE_COLUMNS = ["station", "rho", "stable", "e_queue", "var_queue",
@@ -34,6 +41,29 @@ ROOT_COLUMNS = ["re", "im", "r", "phi", "residual"]
 SWEEP_COLUMNS = ["parameter", "value", "station", "stable",
                  "e_queue", "queue_band_low", "queue_band_high",
                  "e_wait", "wait_band_low", "wait_band_high", "report_file"]
+
+
+@dataclass(frozen=True)
+class Table:
+    """One document kind; columns not named in ``types`` hold floats."""
+
+    name: str
+    columns: list[str]
+    types: dict = field(default_factory=dict)
+    meta: tuple[str, ...] = ("label",)
+    key: str = "stations"
+
+
+ROUTE = Table("route report", ROUTE_COLUMNS, {"station": int, "stable": bool})
+SIM = Table("simulation stats", SIM_COLUMNS, {"station": int, "boarded": int},
+            ("label", "runs", "seed", "warmup", "rng_layout"))
+COMPARISON = Table("comparison table", COMPARISON_COLUMNS,
+                   {"station": int, "status": str},
+                   ("label", "tol_mean", "tol_sd", "passed"), "rows")
+ROOTS = Table("root dump", ROOT_COLUMNS, key="roots")
+SWEEP = Table("sweep index", SWEEP_COLUMNS,
+              {"parameter": str, "station": int, "stable": bool, "report_file": str},
+              key="rows")
 
 
 def fmt_value(x) -> str:
@@ -68,18 +98,6 @@ def _json_num(x):
     if math.isinf(xf):
         return "inf" if xf > 0 else "-inf"
     return xf
-
-
-def _from_json_num(v) -> float:
-    if v is None:
-        return math.nan
-    if isinstance(v, str):
-        return parse_value(v)
-    return float(v)
-
-
-def _write_text(path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
 
 
 def _csv_text(comments: dict, header: list[str], rows: list[list[str]]) -> str:
@@ -117,54 +135,85 @@ def _looks_like_json(text: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The codec
+
+
+def encode(table: Table, meta: dict, rows) -> dict:
+    """The JSON-shaped document: metadata keys, then records typed per column."""
+    def cell(col, v):
+        kind = table.types.get(col, float)
+        return _json_num(v) if kind is float else v if kind is str else kind(v)
+
+    records = [{c: cell(c, v) for c, v in zip(table.columns, row)} for row in rows]
+    return {**{k: meta[k] for k in table.meta}, table.key: records}
+
+
+def _csv_cell(v) -> str:
+    return "" if v is None else v if isinstance(v, str) else fmt_value(v)
+
+
+def render(table: Table, doc: dict, fmt: str = "csv") -> str:
+    """Print an encoded document as indented JSON or as commented CSV."""
+    if fmt == "json":
+        return json.dumps(doc, indent=2) + "\n"
+    comments = {k: _csv_cell(doc[k]) for k in table.meta}
+    rows = [[_csv_cell(rec[c]) for c in table.columns] for rec in doc[table.key]]
+    return _csv_text(comments, table.columns, rows)
+
+
+def _parse(kind, v):
+    """A CSV field or a JSON value back to the column's type."""
+    if kind is bool:
+        return v is True or v == "true"
+    if kind is not float:
+        return kind(v)
+    return math.nan if v is None else parse_value(v) if isinstance(v, str) else float(v)
+
+
+def read_table(table: Table, path) -> tuple[dict, list[dict]]:
+    """Metadata and typed records of a document (CSV or JSON, sniffed)."""
+    text = Path(path).read_text(encoding="utf-8")
+    if _looks_like_json(text):
+        doc = json.loads(text)
+        if not isinstance(doc, dict) or not isinstance(doc.get(table.key), list):
+            raise ValueError(f"{table.name} JSON has no {table.key!r} list")
+        meta, records = doc, doc[table.key]
+    else:
+        meta, header, rows = _read_csv_text(text)
+        if header != table.columns:
+            raise ValueError(f"unexpected {table.name} columns: {header}")
+        records = [dict(zip(header, row)) for row in rows]
+    typed = []
+    for rec in records:
+        missing = [c for c in table.columns if c not in rec]
+        if missing:
+            raise ValueError(f"{table.name} record lacks column {missing[0]!r}")
+        try:
+            typed.append({c: _parse(table.types.get(c, float), rec[c])
+                          for c in table.columns})
+        except TypeError as exc:
+            raise ValueError(f"{table.name} record has a value of the wrong type: "
+                             f"{exc}") from exc
+    return {k: meta[k] for k in table.meta if k in meta}, typed
+
+
+# ---------------------------------------------------------------------------
 # Route reports
 
 
-def _route_rows(report: RouteReport):
-    for sm, hw in zip(report.stations, report.headway):
-        yield [sm.station, sm.rho, sm.stable, sm.eq, sm.varq, sm.ew, sm.varw,
-               hw.mu, hw.sigma, hw.zero_mass]
+def route_report_to_json(report: RouteReport) -> dict:
+    return encode(ROUTE, {"label": report.label}, (
+        [sm.station, sm.rho, sm.stable, sm.eq, sm.varq, sm.ew, sm.varw,
+         hw.mu, hw.sigma, hw.zero_mass]
+        for sm, hw in zip(report.stations, report.headway)))
 
 
 def route_report_to_csv(report: RouteReport) -> str:
-    rows = [[fmt_value(v) for v in row] for row in _route_rows(report)]
-    return _csv_text({"label": report.label}, ROUTE_COLUMNS, rows)
-
-
-def route_report_to_json(report: RouteReport) -> dict:
-    stations = []
-    for row in _route_rows(report):
-        rec = dict(zip(ROUTE_COLUMNS, row))
-        for key in ROUTE_COLUMNS:
-            if key == "station":
-                rec[key] = int(rec[key])
-            elif key == "stable":
-                rec[key] = bool(rec[key])
-            else:
-                rec[key] = _json_num(rec[key])
-        stations.append(rec)
-    return {"label": report.label, "stations": stations}
+    return render(ROUTE, route_report_to_json(report))
 
 
 def write_route_report(report: RouteReport, path, fmt: str = "csv") -> None:
-    if fmt == "json":
-        _write_text(path, json.dumps(route_report_to_json(report), indent=2) + "\n")
-    else:
-        _write_text(path, route_report_to_csv(report))
-
-
-def _station_from_fields(vals: dict) -> tuple[StationMetrics, HeadwayModel]:
-    stable = vals["stable"]
-    ew = vals["e_wait"]
-    # a stable station with undefined wait can only be one nobody travels to
-    lam = 0.0 if (stable and math.isnan(ew)) else 1.0
-    metrics = StationMetrics(
-        station=int(vals["station"]), rho=vals["rho"], stable=stable,
-        eq=vals["e_queue"], varq=vals["var_queue"], ew=ew, varw=vals["var_wait"],
-        arrival_rate=lam)
-    model = HeadwayModel(mu=vals["headway_mu"], sigma=vals["headway_sigma"],
-                         zero_mass=vals["zero_mass"])
-    return metrics, model
+    Path(path).write_text(render(ROUTE, route_report_to_json(report), fmt), encoding="utf-8")
 
 
 def read_route_report(path) -> RouteReport:
@@ -174,78 +223,42 @@ def read_route_report(path) -> RouteReport:
     not serialized, so the result is suitable for comparisons and plotting
     but not for resuming a solve.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    meta, records = read_table(ROUTE, path)
     stations: list[StationMetrics] = []
     models: list[HeadwayModel] = []
-    if _looks_like_json(text):
-        doc = json.loads(text)
-        label = doc.get("label", "")
-        for rec in doc["stations"]:
-            vals = {k: rec[k] if k in ("station", "stable") else _from_json_num(rec[k])
-                    for k in ROUTE_COLUMNS}
-            sm, hw = _station_from_fields(vals)
-            stations.append(sm)
-            models.append(hw)
-    else:
-        comments, header, rows = _read_csv_text(text)
-        if header != ROUTE_COLUMNS:
-            raise ValueError(f"unexpected route report columns: {header}")
-        label = comments.get("label", "")
-        for row in rows:
-            vals = dict(zip(header, row))
-            for k in header:
-                if k == "station":
-                    vals[k] = int(vals[k])
-                elif k == "stable":
-                    vals[k] = vals[k] == "true"
-                else:
-                    vals[k] = parse_value(vals[k])
-            sm, hw = _station_from_fields(vals)
-            stations.append(sm)
-            models.append(hw)
-    return RouteReport(label=label, stations=tuple(stations), headway=tuple(models))
+    for rec in records:
+        # a stable station with undefined wait can only be one nobody travels to
+        lam = 0.0 if (rec["stable"] and math.isnan(rec["e_wait"])) else 1.0
+        stations.append(StationMetrics(
+            station=rec["station"], rho=rec["rho"], stable=rec["stable"],
+            eq=rec["e_queue"], varq=rec["var_queue"], ew=rec["e_wait"],
+            varw=rec["var_wait"], arrival_rate=lam))
+        models.append(HeadwayModel(mu=rec["headway_mu"], sigma=rec["headway_sigma"],
+                                   zero_mass=rec["zero_mass"]))
+    return RouteReport(label=meta.get("label", ""), stations=tuple(stations),
+                       headway=tuple(models))
 
 
 # ---------------------------------------------------------------------------
 # Simulation stats
 
 
-def _sim_rows(stats: SimStats):
-    for st in stats.stations:
-        sigma = math.sqrt(st.headway_var) if st.headway_var >= 0 else math.nan
-        yield [st.station, st.q_mean, st.q_mean_se, st.q_var,
-               st.w_mean, st.w_mean_se, st.w_var,
-               st.headway_mean, sigma, st.boarded]
+def sim_stats_to_json(stats: SimStats) -> dict:
+    meta = {"label": stats.label, "runs": stats.runs, "seed": stats.seed,
+            "warmup": stats.warmup, "rng_layout": stats.rng_layout}
+    return encode(SIM, meta, (
+        [st.station, st.q_mean, st.q_mean_se, st.q_var,
+         st.w_mean, st.w_mean_se, st.w_var, st.headway_mean,
+         math.sqrt(st.headway_var) if st.headway_var >= 0 else math.nan, st.boarded]
+        for st in stats.stations))
 
 
 def sim_stats_to_csv(stats: SimStats) -> str:
-    comments = {"label": stats.label, "runs": stats.runs,
-                "seed": stats.seed, "warmup": stats.warmup,
-                "rng_layout": stats.rng_layout}
-    rows = [[fmt_value(v) for v in row] for row in _sim_rows(stats)]
-    return _csv_text(comments, SIM_COLUMNS, rows)
-
-
-def sim_stats_to_json(stats: SimStats) -> dict:
-    stations = []
-    for row in _sim_rows(stats):
-        rec = dict(zip(SIM_COLUMNS, row))
-        rec["station"] = int(rec["station"])
-        rec["boarded"] = int(rec["boarded"])
-        for key in SIM_COLUMNS:
-            if key not in ("station", "boarded"):
-                rec[key] = _json_num(rec[key])
-        stations.append(rec)
-    return {"label": stats.label, "runs": stats.runs, "seed": stats.seed,
-            "warmup": stats.warmup, "rng_layout": stats.rng_layout,
-            "stations": stations}
+    return render(SIM, sim_stats_to_json(stats))
 
 
 def write_sim_stats(stats: SimStats, path, fmt: str = "csv") -> None:
-    if fmt == "json":
-        _write_text(path, json.dumps(sim_stats_to_json(stats), indent=2) + "\n")
-    else:
-        _write_text(path, sim_stats_to_csv(stats))
+    Path(path).write_text(render(SIM, sim_stats_to_json(stats), fmt), encoding="utf-8")
 
 
 def read_sim_stats(path) -> SimStats:
@@ -253,74 +266,37 @@ def read_sim_stats(path) -> SimStats:
 
     Files that predate the ``rng_layout`` field read back with layout 0.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    stations: list[StationSimStats] = []
-    if _looks_like_json(text):
-        doc = json.loads(text)
-        label = doc.get("label", "")
-        runs = int(doc.get("runs", 0))
-        seed = int(doc.get("seed", 0))
-        warmup = float(doc.get("warmup", 0.0))
-        rng_layout = int(doc.get("rng_layout", 0))
-        recs = [{k: rec[k] if k in ("station", "boarded") else _from_json_num(rec[k])
-                 for k in SIM_COLUMNS} for rec in doc["stations"]]
-    else:
-        comments, header, rows = _read_csv_text(text)
-        if header != SIM_COLUMNS:
-            raise ValueError(f"unexpected simulation stats columns: {header}")
-        label = comments.get("label", "")
-        runs = int(comments.get("runs", 0))
-        seed = int(comments.get("seed", 0))
-        warmup = float(comments.get("warmup", 0.0))
-        rng_layout = int(comments.get("rng_layout", 0))
-        recs = []
-        for row in rows:
-            vals = dict(zip(header, row))
-            recs.append({k: int(vals[k]) if k in ("station", "boarded")
-                         else parse_value(vals[k]) for k in header})
-    for rec in recs:
-        sigma = rec["headway_sigma_sim"]
-        stations.append(StationSimStats(
-            station=int(rec["station"]), q_mean=rec["e_queue_sim"],
-            q_var=rec["var_queue_sim"], q_mean_se=rec["e_queue_se"],
-            w_mean=rec["e_wait_sim"], w_var=rec["var_wait_sim"],
-            w_mean_se=rec["e_wait_se"], headway_mean=rec["headway_mu_sim"],
-            headway_var=sigma * sigma, boarded=int(rec["boarded"])))
-    return SimStats(label=label, runs=runs, seed=seed, warmup=warmup,
-                    stations=tuple(stations), rng_layout=rng_layout)
+    meta, records = read_table(SIM, path)
+    stations = tuple(StationSimStats(
+        station=rec["station"], q_mean=rec["e_queue_sim"],
+        q_var=rec["var_queue_sim"], q_mean_se=rec["e_queue_se"],
+        w_mean=rec["e_wait_sim"], w_var=rec["var_wait_sim"],
+        w_mean_se=rec["e_wait_se"], headway_mean=rec["headway_mu_sim"],
+        headway_var=rec["headway_sigma_sim"] * rec["headway_sigma_sim"],
+        boarded=rec["boarded"])
+        for rec in records)
+    return SimStats(label=meta.get("label", ""), runs=int(meta.get("runs", 0)),
+                    seed=int(meta.get("seed", 0)), warmup=float(meta.get("warmup", 0.0)),
+                    stations=stations, rng_layout=int(meta.get("rng_layout", 0)))
 
 
 # ---------------------------------------------------------------------------
 # Comparison tables
 
 
-def _comparison_rows(table: ComparisonTable):
-    for r in table.rows:
-        yield [r.station, r.status, r.eq_theory, r.eq_sim, r.eq_gap, r.eq_tol,
-               r.ew_theory, r.ew_sim, r.ew_gap, r.ew_tol,
-               r.q_sd_theory, r.q_sd_sim, r.q_sd_rel_gap,
-               r.w_sd_theory, r.w_sd_sim, r.w_sd_rel_gap]
+def comparison_to_json(table: ComparisonTable) -> dict:
+    meta = {"label": table.label, "tol_mean": table.tol_mean,
+            "tol_sd": table.tol_sd, "passed": table.passed}
+    return encode(COMPARISON, meta, (
+        [r.station, r.status, r.eq_theory, r.eq_sim, r.eq_gap, r.eq_tol,
+         r.ew_theory, r.ew_sim, r.ew_gap, r.ew_tol,
+         r.q_sd_theory, r.q_sd_sim, r.q_sd_rel_gap,
+         r.w_sd_theory, r.w_sd_sim, r.w_sd_rel_gap]
+        for r in table.rows))
 
 
 def comparison_to_csv(table: ComparisonTable) -> str:
-    comments = {"label": table.label, "tol_mean": fmt_value(table.tol_mean),
-                "tol_sd": fmt_value(table.tol_sd),
-                "passed": "true" if table.passed else "false"}
-    rows = [[row[1] if i == 1 else fmt_value(row[i]) for i in range(len(row))]
-            for row in _comparison_rows(table)]
-    return _csv_text(comments, COMPARISON_COLUMNS, rows)
-
-
-def comparison_to_json(table: ComparisonTable) -> dict:
-    rows = []
-    for row in _comparison_rows(table):
-        rec = dict(zip(COMPARISON_COLUMNS, row))
-        rec["station"] = int(rec["station"])
-        for key in COMPARISON_COLUMNS[2:]:
-            rec[key] = _json_num(rec[key])
-        rows.append(rec)
-    return {"label": table.label, "tol_mean": table.tol_mean,
-            "tol_sd": table.tol_sd, "passed": table.passed, "rows": rows}
+    return render(COMPARISON, comparison_to_json(table))
 
 
 # ---------------------------------------------------------------------------
@@ -328,40 +304,33 @@ def comparison_to_json(table: ComparisonTable) -> dict:
 
 
 def roots_to_csv(roots, residuals, label: str) -> str:
-    rows = []
-    for z, resid in zip(roots, residuals):
-        z = complex(z)
-        rows.append([fmt_value(z.real), fmt_value(z.imag), fmt_value(abs(z)),
-                     fmt_value(math.atan2(z.imag, z.real) % (2.0 * math.pi)),
-                     fmt_value(resid)])
-    return _csv_text({"label": label}, ROOT_COLUMNS, rows)
+    rows = ([z.real, z.imag, abs(z), math.atan2(z.imag, z.real) % (2.0 * math.pi), resid]
+            for z, resid in zip(map(complex, roots), residuals))
+    return render(ROOTS, encode(ROOTS, {"label": label}, rows))
 
 
 def sweep_index_to_csv(entries: list[dict], label: str) -> str:
-    rows = [[entry[c] if c in ("parameter", "report_file")
-             else fmt_value(entry[c]) for c in SWEEP_COLUMNS] for entry in entries]
-    return _csv_text({"label": label}, SWEEP_COLUMNS, rows)
+    rows = ([entry[c] for c in SWEEP_COLUMNS] for entry in entries)
+    return render(SWEEP, encode(SWEEP, {"label": label}, rows))
 
 
 def write_sweep_index(entries: list[dict], path, label: str = "") -> None:
-    _write_text(path, sweep_index_to_csv(entries, label))
+    Path(path).write_text(sweep_index_to_csv(entries, label), encoding="utf-8")
 
 
 def sweep_entries(parameter: str, value: float, report: RouteReport,
                   report_file: str) -> list[dict]:
     """Flatten one sweep point into index rows with mean +- 0.2 sd bands."""
+    def band(stable, mean, var):
+        if not (stable and math.isfinite(var)):
+            return math.nan, math.nan
+        sd = math.sqrt(max(var, 0.0))
+        return mean - 0.2 * sd, mean + 0.2 * sd
+
     out = []
     for sm in report.stations:
-        if sm.stable and math.isfinite(sm.varq):
-            q_sd = math.sqrt(max(sm.varq, 0.0))
-            q_lo, q_hi = sm.eq - 0.2 * q_sd, sm.eq + 0.2 * q_sd
-        else:
-            q_lo = q_hi = math.nan
-        if sm.stable and math.isfinite(sm.varw):
-            w_sd = math.sqrt(max(sm.varw, 0.0))
-            w_lo, w_hi = sm.ew - 0.2 * w_sd, sm.ew + 0.2 * w_sd
-        else:
-            w_lo = w_hi = math.nan
+        q_lo, q_hi = band(sm.stable, sm.eq, sm.varq)
+        w_lo, w_hi = band(sm.stable, sm.ew, sm.varw)
         out.append({"parameter": parameter, "value": value, "station": sm.station,
                     "stable": sm.stable, "e_queue": sm.eq,
                     "queue_band_low": q_lo, "queue_band_high": q_hi,

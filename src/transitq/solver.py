@@ -42,6 +42,11 @@ class StationSolveError(SolverError):
     def __init__(self, station: int, message: str):
         super().__init__(f"station {station}: {message}")
         self.station = station
+        self.message = message
+
+    def __reduce__(self):
+        # rebuilt from both arguments, so it crosses a process pool intact
+        return type(self), (self.station, self.message)
 
 
 class DiscreteDist:
@@ -358,17 +363,19 @@ def _effective_capacity(probs: np.ndarray) -> int:
     return int(nz[-1]) if len(nz) else 0
 
 
+def trimmed_space(s: DiscreteDist) -> DiscreteDist:
+    """The space pmf cut at the effective capacity, its last entry above TRIM_EPS."""
+    ceff = _effective_capacity(s.probs)
+    return s if ceff == s.top_index else DiscreteDist(s.probs[: ceff + 1])
+
+
 def _solve_station(n: int, s: DiscreteDist, y: ArrivalMoments, lam: float,
                    model: HeadwayModel, rho: float, capacity: int):
     """Root search + queue front + moments for one stable, nonzero-demand station."""
-    probs = s.probs
-    ceff = _effective_capacity(probs)
+    s_eff = trimmed_space(s)
+    ceff = s_eff.top_index
     if ceff < 1:
         raise StationSolveError(n, "available space distribution is numerically degenerate")
-    if ceff < capacity:
-        s_eff = DiscreteDist(probs[: ceff + 1])
-    else:
-        s_eff = s
 
     def y_handle(z):
         return y_pgf(z, lam, model)
@@ -433,7 +440,7 @@ def analyze_route(scenario: Scenario) -> RouteReport:
             metrics.append(StationMetrics(
                 station=n, rho=rho, stable=True,
                 eq=0.0, varq=0.0, ew=math.nan, varw=math.nan,
-                queue_front=front, effective_capacity=_effective_capacity(s.probs),
+                queue_front=front, effective_capacity=trimmed_space(s).top_index,
                 service_dist=s, arrivals=ym, arrival_rate=lam,
             ))
             v = DiscreteDist(g.probs @ boarding_matrix(front, capacity))

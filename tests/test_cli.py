@@ -3,13 +3,14 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from transitq import cli, model, report
+from transitq import cli, model, report, solver
 from transitq import roots as rootsmod
 from transitq.cli import (EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_TOLERANCE,
                           main)
@@ -125,6 +126,13 @@ def test_compare_theory_against_itself(tmp_path, capsys):
     assert code == EXIT_OK
     assert comments["passed"] == "true"
     assert {r[1] for r in rows} == {"pass", "excluded-no-arrivals"}
+
+
+def test_compare_json_theory_against_itself(tmp_path):
+    # a route report given as --sim is read as one after the stats reader fails
+    th = tmp_path / "theory.json"
+    assert main(["analyze", "--format", "json", "--out", str(th)]) == EXIT_OK
+    assert main(["compare", "--theory", str(th), "--sim", str(th)]) == EXIT_OK
 
 
 def test_compare_flags_perturbed_report(tmp_path, capsys):
@@ -279,6 +287,12 @@ def test_sweep_capacity_requires_integers(tmp_path, capsys):
     assert "not an integer" in capsys.readouterr().err
 
 
+def test_sweep_capacity_rejects_infinity(tmp_path, capsys):
+    assert main(["sweep", "--param", "capacity", "--values", "inf",
+                 "--out", str(tmp_path / "s")]) == EXIT_INPUT
+    assert "not an integer" in capsys.readouterr().err
+
+
 def test_sweep_empty_values(tmp_path, capsys):
     assert main(["sweep", "--param", "gamma", "--values", " , ",
                  "--out", str(tmp_path / "s")]) == EXIT_INPUT
@@ -290,6 +304,55 @@ def test_sweep_unknown_parameter(tmp_path):
         main(["sweep", "--param", "bogus", "--values", "1",
               "--out", str(tmp_path / "s")])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: failures end in one error line, never a traceback
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["simulate", "--runs", "200"],
+                                     ["roots", "--station", "2"]])
+def test_unwritable_out_is_an_input_error(command, tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "out.csv"
+    assert main(command + ["--out", str(out)]) == EXIT_INPUT
+    _assert_one_error_line(capsys)
+
+
+def test_config_directory_is_an_input_error(tmp_path, capsys):
+    assert main(["analyze", "--config", str(tmp_path)]) == EXIT_INPUT
+    _assert_one_error_line(capsys)
+
+
+def test_sweep_out_under_a_file_is_an_input_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["sweep", "--param", "gamma", "--values", "0.1",
+                 "--out", str(blocker / "sweep")]) == EXIT_INPUT
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers inherit the patched root finder only when forked")
+def test_parallel_sweep_reports_station_failure_like_serial(tmp_path, monkeypatch, capsys):
+    def failing_search(probs, y_handle, capacity, rho):
+        raise rootsmod.RootSearchError("expected 34 roots, have 33", found=33,
+                                       needed=34)
+
+    monkeypatch.setattr(solver, "find_all_roots", failing_search)
+    errors = []
+    for jobs in ("1", "2"):
+        assert main(["sweep", "--param", "demand_factor", "--values", "0.6,0.8",
+                     "--out", str(tmp_path / f"jobs{jobs}"), "--jobs", jobs]) == EXIT_NUMERIC
+        errors.append(_assert_one_error_line(capsys))
+    assert "station 1: expected 34 roots" in errors[0]
+    assert errors[1] == errors[0]
 
 
 # ---------------------------------------------------------------------------

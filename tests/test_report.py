@@ -153,6 +153,40 @@ def test_route_report_rejects_foreign_columns(tmp_path):
         read_route_report(path)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_missing_column_is_named(reference_report, tmp_path, fmt):
+    path = tmp_path / f"route.{fmt}"
+    write_route_report(reference_report, path, fmt=fmt)
+    if fmt == "json":
+        doc = json.loads(path.read_text())
+        del doc["stations"][3]["var_wait"]
+        path.write_text(json.dumps(doc))
+    else:
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5] = lines[5].rsplit(",", 1)[0] + "\n"  # drop zero_mass
+        path.write_text("".join(lines))
+    missing = "var_wait" if fmt == "json" else "zero_mass"
+    with pytest.raises(ValueError, match=f"route report record lacks column '{missing}'"):
+        read_route_report(path)
+
+
+def test_json_value_of_wrong_type_rejected(reference_report, tmp_path):
+    path = tmp_path / "route.json"
+    write_route_report(reference_report, path, fmt="json")
+    doc = json.loads(path.read_text())
+    doc["stations"][0]["station"] = None
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="route report record has a value of the wrong type"):
+        read_route_report(path)
+
+
+def test_json_without_record_list_rejected(tmp_path):
+    path = tmp_path / "stats.json"
+    path.write_text('{"label": "x", "rows": []}')
+    with pytest.raises(ValueError, match="simulation stats JSON has no 'stations' list"):
+        read_sim_stats(path)
+
+
 def test_route_csv_shape(reference_report):
     text = report.route_report_to_csv(reference_report)
     comments, header, rows = report._read_csv_text(text)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.stats import binom
 
 import oracles
 from transitq import headway, model, solver
+from transitq.roots import RootSearchError
 from transitq.solver import (
     DiscreteDist,
     FrontPrecisionError,
@@ -28,6 +30,7 @@ from transitq.solver import (
     queue_front_contour,
     queue_moments,
     step_alighting,
+    trimmed_space,
     utilization,
     wait_moments,
 )
@@ -436,6 +439,31 @@ def test_exception_hierarchy():
     assert issubclass(FrontPrecisionError, SolverError)
     assert issubclass(StationSolveError, SolverError)
     assert issubclass(SolverError, RuntimeError)
+
+
+@pytest.mark.parametrize("exc", [
+    SolverError("front failed"),
+    UnstableStationError("rho >= 1"),
+    FrontPrecisionError("normalization gap 1e-3"),
+    StationSolveError(4, "expected 34 roots, have 33"),
+    RootSearchError("expected 6 roots, have 2", found=2, needed=6,
+                    roots=(1.0 + 0j, 0.5 - 0.25j)),
+], ids=lambda exc: type(exc).__name__)
+def test_errors_survive_pickling(exc):
+    # a sweep worker process sends its failure back to the parent pickled;
+    # the attributes (station, found/needed/roots) must come back intact
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert vars(back) == vars(exc)
+
+
+def test_trimmed_space_cuts_at_effective_capacity():
+    full = DiscreteDist([0.25, 0.5, 0.25])
+    assert trimmed_space(full) is full
+    cut = trimmed_space(DiscreteDist([0.5, 0.5, 1e-13, 0.0]))
+    assert list(cut.probs) == [0.5, 0.5]
+    assert cut.top_index == solver._effective_capacity(np.array([0.5, 0.5, 1e-13, 0.0]))
 
 
 # ---------------------------------------------------------------------------
