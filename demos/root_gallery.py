@@ -43,7 +43,7 @@ print("roots come in conjugate pairs because the coefficients are real.\n")
 
 cap = 8
 unity = find_all_roots(solver.point_mass(cap, cap).probs,
-                       lambda z: y_pgf(z, 0.0, hw), cap, 0.0)
+                       lambda z: y_pgf(z, 0.0, hw), 0.0)
 gap = max(abs(z - np.exp(2j * np.pi * round(cmath.phase(z) * cap / (2 * np.pi)) / cap))
           for z in unity.roots)
 print(f"lambda = 0, fixed batch {cap}: roots are the {cap}th roots of unity "

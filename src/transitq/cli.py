@@ -76,7 +76,9 @@ def _sweep_point(args, scenario: Scenario, value) -> list[dict]:
     Module-level so a process pool can pickle it.
     """
     route_report = analyze_route(scenario)
-    stem = f"{args.param}_{value:g}"
+    # %g only where it reads back as the same number, so no two values share a file
+    short = f"{value:g}"
+    stem = f"{args.param}_{short if float(short) == value else repr(value)}"
     report.write_route_report(route_report, Path(args.out) / f"{stem}.{args.format}",
                               args.format)
     if args.simulate:
@@ -158,15 +160,10 @@ def cmd_roots(args) -> int:
         raise UnstableStationError(f"station {args.station} is unstable (rho = "
                                    f"{report.fmt_value(sm.rho)}); no root set exists")
     s_eff = trimmed_space(sm.service_dist)
-    hw = route_report.headway[args.station - 1]
-    lam = sm.arrival_rate
-
-    def y_handle(z):
-        return y_pgf(z, lam, hw)
-
+    y_handle = partial(y_pgf, lam=sm.arrival_rate, model=route_report.headway[sm.station - 1])
     # analyze_route stores the root set of every station with arrivals;
     # without arrivals Y = 1 and the roots are those of z^C = P(z)
-    roots = sm.roots or find_all_roots(s_eff.probs, y_handle, s_eff.top_index, sm.rho).roots
+    roots = sm.roots or find_all_roots(s_eff.probs, y_handle, sm.rho).roots
     residuals = np.abs(den_eval(np.asarray(roots, dtype=complex), s_eff, y_handle))
     _emit(report.roots_to_csv(roots, residuals, route_report.label), args.out)
     return EXIT_OK

@@ -13,6 +13,8 @@ duplicates, and accepts the set only once ``validate_root_set`` passes:
 
 The second stage runs only when the first does not certify; on the
 540-scenario criterion-4 grid the first stage certifies almost every solve.
+Every function here reads C off the space pmf s_0..s_C it is given
+(C = len(probs) - 1); none takes the capacity separately.
 """
 
 from __future__ import annotations
@@ -68,27 +70,21 @@ def _ordered(roots: Sequence[complex]) -> tuple[complex, ...]:
     return tuple(unit + rest)
 
 
-def make_j_handle(s_probs, y_pgf_handle, capacity: int) -> Callable:
+def make_j_handle(s_probs, y_pgf_handle) -> Callable:
     """Vectorized J(z) = Y(z) * sum_u s_u z^{-u}; J = 1 exactly at the roots.
 
+    C is the last index of the space pmf ``s_probs``.  The z^{-C} factor is
+    taken in log space, so J stays finite at every capacity and radius.
     ``validate_root_set`` checks |J(z) - 1| at every root through it.
     """
     probs = np.asarray(getattr(s_probs, "probs", s_probs), dtype=float)
-    # polyval with ascending s gives sum_u s_u z^{C-u}; dividing by z^C
-    # cannot overflow for |z| >= 0.05 while C log(1/0.05) stays inside float
-    # range, i.e. up to C = 200.  The 0.05 radius is inherited from an
-    # earlier search that never stepped closer to the origin; it is kept so
-    # each capacity evaluates J by the same branch as before.
-    if capacity * math.log(1.0 / 0.05) < 600.0:
-        def j_handle(z):
-            z = np.asarray(z, dtype=complex)
-            return y_pgf_handle(z) * np.polyval(probs, z) / z**capacity
-    else:  # very large C: evaluate the z^{-C} factor in log space
-        def j_handle(z):
-            z = np.asarray(z, dtype=complex)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scale = np.exp(np.log(np.polyval(probs, z)) - capacity * np.log(z))
-            return y_pgf_handle(z) * scale
+    capacity = len(probs) - 1
+
+    def j_handle(z):
+        z = np.asarray(z, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.exp(np.log(np.polyval(probs, z)) - capacity * np.log(z))
+        return y_pgf_handle(z) * scale
     return j_handle
 
 
@@ -133,7 +129,7 @@ def _space_poly(probs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return value, slope
 
 
-def fixed_point_seeds(probs: np.ndarray, y_pgf_handle, capacity: int) -> np.ndarray:
+def fixed_point_seeds(probs: np.ndarray, y_pgf_handle) -> np.ndarray:
     """Iterate z <- w (P(z) Y(z))^{1/C} from z = 0 on the rays w = e^{i pi k / C}.
 
     Every root satisfies z^C = P(z) Y(z), so z = w (P Y)^{1/C} for some C-th
@@ -146,6 +142,7 @@ def fixed_point_seeds(probs: np.ndarray, y_pgf_handle, capacity: int) -> np.ndar
     the closed upper half-plane.  The iterates only seed Newton, so the
     iteration stops once no point moves by 1e-6, or after 12 passes.
     """
+    capacity = len(probs) - 1
     steps = np.arange(1, capacity + 1)
     omega = np.exp(1j * np.pi * steps / capacity)
     turn = np.where(steps % 2, -1.0, 1.0)  # omega^C
@@ -162,7 +159,7 @@ def fixed_point_seeds(probs: np.ndarray, y_pgf_handle, capacity: int) -> np.ndar
     return z
 
 
-def eigen_seeds(probs: np.ndarray, y_pgf_handle, capacity: int) -> np.ndarray:
+def eigen_seeds(probs: np.ndarray, y_pgf_handle) -> np.ndarray:
     """Zeros of the polynomial z^C - P(z) Y^(z) in |z| <= 1.05.
 
     Y^ is Y's power series from a 4096-point FFT on the unit circle, cut
@@ -186,7 +183,7 @@ def eigen_seeds(probs: np.ndarray, y_pgf_handle, capacity: int) -> np.ndarray:
         return np.empty(0, dtype=complex)
     y_hat = y_hat[: above[-1] + 1] if len(above) else y_hat[:1]
     coeffs = -np.convolve(probs[::-1], y_hat)  # ascending powers of z
-    coeffs[capacity] += 1.0
+    coeffs[len(probs) - 1] += 1.0
     weight = np.abs(coeffs) * radius ** np.arange(len(coeffs))
     keep = np.flatnonzero(weight >= 1e-17 * weight.max())
     coeffs = coeffs[: keep[-1] + 1]
@@ -197,7 +194,7 @@ def eigen_seeds(probs: np.ndarray, y_pgf_handle, capacity: int) -> np.ndarray:
     return cand[np.abs(cand) <= radius]
 
 
-def newton_polish(z, probs: np.ndarray, y_pgf_handle, capacity: int) -> np.ndarray:
+def newton_polish(z, probs: np.ndarray, y_pgf_handle) -> np.ndarray:
     """Complex Newton on Den(z) = z^C / Y(z) - P(z) from every start at once.
 
     Y' is central-differenced (step 1e-6, one batched Y call per step); its
@@ -205,6 +202,7 @@ def newton_polish(z, probs: np.ndarray, y_pgf_handle, capacity: int) -> np.ndarr
     1e-15 or stops shrinking at the rounding floor.  Starts whose step turns
     non-finite, or that have not converged after 40 steps, come back as NaN.
     """
+    capacity = len(probs) - 1
     z = np.array(z, dtype=complex)
     h = 1e-6
     last = np.full(len(z), np.inf)
@@ -253,12 +251,12 @@ def _merge(z: np.ndarray) -> np.ndarray:
     return z[~close.any(axis=1)]
 
 
-def find_all_roots(s_probs, y_pgf_handle, capacity: int, rho: float) -> RootSet:
+def find_all_roots(s_probs, y_pgf_handle, rho: float) -> RootSet:
     """All C in-disk roots of Den, from the cheapest stage that certifies.
 
-    ``s_probs`` is the available-space pmf (index 0..C); ``y_pgf_handle``
-    must accept complex ndarray arguments; ``rho`` is the station's
-    utilization, which must lie in [0, 1) for the C roots to exist.
+    ``s_probs`` is the available-space pmf (index 0..C, so it fixes C);
+    ``y_pgf_handle`` must accept complex ndarray arguments; ``rho`` is the
+    station's utilization, which must lie in [0, 1) for the C roots to exist.
     Candidates from the fixed-point iteration, then the companion-matrix
     eigenvalues (see the module docstring), are Newton-polished and pooled;
     the pool is returned as soon as it passes ``validate_root_set`` with
@@ -268,12 +266,13 @@ def find_all_roots(s_probs, y_pgf_handle, capacity: int, rho: float) -> RootSet:
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"find_all_roots needs 0 <= rho < 1, got {rho}")
     probs = np.asarray(getattr(s_probs, "probs", s_probs), dtype=float)
-    j_handle = make_j_handle(probs, y_pgf_handle, capacity)
+    capacity = len(probs) - 1
+    j_handle = make_j_handle(probs, y_pgf_handle)
     pool = np.array([1.0 + 0j])
     for stage in (fixed_point_seeds, eigen_seeds):
-        seeds = np.asarray(stage(probs, y_pgf_handle, capacity), dtype=complex)
+        seeds = np.asarray(stage(probs, y_pgf_handle), dtype=complex)
         seeds = _upper(seeds[np.isfinite(seeds)])
-        polished = newton_polish(seeds, probs, y_pgf_handle, capacity)
+        polished = newton_polish(seeds, probs, y_pgf_handle)
         pool = _merge(np.concatenate([pool, polished]))
         full = np.concatenate([pool, pool[pool.imag > 0.0].conj()])
         root_set = RootSet(_ordered(full))

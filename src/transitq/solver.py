@@ -10,7 +10,8 @@ the C in-disk roots of the PGF denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -234,15 +235,12 @@ def normalization_gap(s, q, s_mean: float, y_mean: float) -> float:
     """
     probs = np.asarray(getattr(s, "probs", s), dtype=float)
     qv = np.asarray(getattr(q, "q", q), dtype=float)
-    cap = len(probs) - 1
-    # sum_{i<u} q_i (u-i) = u * A_{u-1} - B_{u-1} with prefix sums A, B
+    # sum_{i<u} q_i (u-i) = u * A_m - B_m with prefix sums A, B to m = min(u, len q)
     a = np.concatenate([[0.0], np.cumsum(qv)])
     b = np.concatenate([[0.0], np.cumsum(np.arange(len(qv)) * qv)])
-    total = 0.0
-    for u in range(cap + 1):
-        m = min(u, len(qv))
-        total += probs[u] * (u * a[m] - b[m])
-    return abs(total - (s_mean - y_mean))
+    u = np.arange(len(probs))
+    m = np.minimum(u, len(qv))
+    return abs(probs @ (u * a[m] - b[m]) - (s_mean - y_mean))
 
 
 def _front_diagnostics(raw_q: np.ndarray, s, s_mean: float, y_mean: float) -> np.ndarray:
@@ -277,14 +275,14 @@ def queue_front_contour(s: DiscreteDist, roots: RootSet, y: ArrivalMoments,
     The PGF is assembled in root-factored form
         Q(z) = (S_mean - Y_mean)(z - 1) prod(z - z_i) / [prod(1 - z_i) Den(z)]
     and integrated over the circle ``contour_size(C)`` inside the unit disk
-    via the FFT.  Unlike matching polynomial coefficients, whose triangular
-    solve divides by s_C, this stays accurate when s_C is tiny.  Q has real coefficients and the validated inner roots
+    via the FFT, with Den from ``den_eval``.  Unlike matching polynomial
+    coefficients, whose triangular solve divides by s_C, this stays accurate
+    when s_C is tiny.  Q has real coefficients and the validated inner roots
     are closed under conjugation, so Q(conj z) = conj Q(z): the samples on
     the lower half circle mirror the upper ones, and only the N/2 + 1 points
     with angle in [0, pi] are evaluated and inverted by ``np.fft.hfft``.
     """
-    probs = s.probs
-    cap = len(probs) - 1
+    cap = s.top_index
     s_mean = dist_moments(s)[0]
     if s_mean <= y.mean:
         raise UnstableStationError(
@@ -302,7 +300,7 @@ def queue_front_contour(s: DiscreteDist, roots: RootSet, y: ArrivalMoments,
     num = scale * (z - 1.0)
     if len(inner):
         num = num * np.prod(z[:, None] - inner[None, :], axis=1)
-    den = z**cap / np.asarray(y_pgf_handle(z), dtype=complex) - np.polyval(probs, z)
+    den = den_eval(z, s, y_pgf_handle)
     # hfft(x, N) is the (real) forward FFT of the Hermitian extension of x
     coef = np.fft.hfft(num / den, n_points) / n_points
     q = coef[:cap] / radius ** np.arange(cap)
@@ -369,44 +367,47 @@ def trimmed_space(s: DiscreteDist) -> DiscreteDist:
     return s if ceff == s.top_index else DiscreteDist(s.probs[: ceff + 1])
 
 
-def _solve_station(n: int, s: DiscreteDist, y: ArrivalMoments, lam: float,
-                   model: HeadwayModel, rho: float, capacity: int):
-    """Root search + queue front + moments for one stable, nonzero-demand station."""
+def _solve_station(base: StationMetrics, model: HeadwayModel) -> StationMetrics:
+    """The record of one stable station, filled in from its unsolved ``base``.
+
+    With no arrivals the queue is empty and the wait undefined (NaN, not
+    zero); otherwise the roots, the queue front and the moments are solved,
+    and any failure of those stages is raised tagged with the station.
+    """
+    n, s, y, lam = base.station, base.service_dist, base.arrivals, base.arrival_rate
     s_eff = trimmed_space(s)
-    ceff = s_eff.top_index
-    if ceff < 1:
+    if lam == 0.0:
+        return replace(base, eq=0.0, varq=0.0, ew=math.nan, varw=math.nan,
+                       queue_front=QueueFront(np.r_[1.0, np.zeros(s.top_index - 1)]),
+                       effective_capacity=s_eff.top_index)
+    if s_eff.top_index < 1:
         raise StationSolveError(n, "available space distribution is numerically degenerate")
 
-    def y_handle(z):
-        return y_pgf(z, lam, model)
-
+    y_handle = partial(y_pgf, lam=lam, model=model)
     try:
-        roots = find_all_roots(s_eff.probs, y_handle, ceff, rho)
-    except RootSearchError as exc:
-        raise StationSolveError(n, str(exc)) from exc
-
-    resid = np.max(np.abs(den_eval(roots.as_array(), s_eff, y_handle)))
-    if resid >= 1e-8:
-        raise StationSolveError(n, f"max |Den(root)| = {resid:.3e} exceeds 1e-8")
-
-    try:
+        roots = find_all_roots(s_eff.probs, y_handle, base.rho)
+        resid = np.max(np.abs(den_eval(roots.as_array(), s_eff, y_handle)))
+        if resid >= 1e-8:
+            raise SolverError(f"max |Den(root)| = {resid:.3e} exceeds 1e-8")
         front = queue_front_contour(s_eff, roots, y, y_handle)
-    except SolverError as exc:
+    except (RootSearchError, SolverError) as exc:
         raise StationSolveError(n, str(exc)) from exc
 
     eq, varq = queue_moments(dist_moments(s_eff), y, roots)
-    padded = np.zeros(capacity)
+    ew, varw = wait_moments(eq, varq, y, lam)
+    padded = np.zeros(s.top_index)
     padded[: len(front.q)] = front.q
-    return roots, QueueFront(padded), eq, varq, ceff, s_eff
+    return replace(base, eq=eq, varq=varq, ew=ew, varw=varw, roots=tuple(roots.roots),
+                   queue_front=QueueFront(padded), effective_capacity=s_eff.top_index)
 
 
 def analyze_route(scenario: Scenario) -> RouteReport:
     """Run the station recursion end to end and report per-station metrics.
 
-    Stable stations get roots, queue front, and queue/wait moments; unstable
-    ones carry the unbounded sentinel, an all-zero queue front, and a vehicle
-    that departs full.  Stations with no arrivals short-circuit to an empty
-    queue (their wait moments are NaN — undefined, not zero).
+    Every station starts from the record of an unstable one: unbounded
+    moments, an all-zero queue front, and a vehicle that departs full.
+    Stable stations then get roots, queue front, and queue/wait moments;
+    those with no arrivals get an empty queue and NaN wait moments.
     """
     require_valid(scenario)
     route = scenario.route
@@ -424,38 +425,16 @@ def analyze_route(scenario: Scenario) -> RouteReport:
         g, s = step_alighting(v, alphas[n - 1], capacity)
         ym = y_moments(lam, model)
         rho, stable = utilization(s, ym)
-
-        if not stable:
-            metrics.append(StationMetrics(
-                station=n, rho=rho, stable=False,
-                eq=UNBOUNDED, varq=UNBOUNDED, ew=UNBOUNDED, varw=UNBOUNDED,
-                queue_front=QueueFront(np.zeros(capacity)),
-                service_dist=s, arrivals=ym, arrival_rate=lam,
-            ))
+        sm = StationMetrics(station=n, rho=rho, stable=stable,
+                            eq=UNBOUNDED, varq=UNBOUNDED, ew=UNBOUNDED, varw=UNBOUNDED,
+                            queue_front=QueueFront(np.zeros(capacity)),
+                            service_dist=s, arrivals=ym, arrival_rate=lam)
+        if stable:
+            sm = _solve_station(sm, model)
+            v = DiscreteDist(g.probs @ boarding_matrix(sm.queue_front, capacity))
+        else:
             v = point_mass(capacity, capacity)
-            continue
-
-        if lam == 0.0:
-            front = QueueFront(np.r_[1.0, np.zeros(capacity - 1)])
-            metrics.append(StationMetrics(
-                station=n, rho=rho, stable=True,
-                eq=0.0, varq=0.0, ew=math.nan, varw=math.nan,
-                queue_front=front, effective_capacity=trimmed_space(s).top_index,
-                service_dist=s, arrivals=ym, arrival_rate=lam,
-            ))
-            v = DiscreteDist(g.probs @ boarding_matrix(front, capacity))
-            continue
-
-        roots, front, eq, varq, ceff, s_eff = _solve_station(
-            n, s, ym, lam, model, rho, capacity)
-        ew, varw = wait_moments(eq, varq, ym, lam)
-        metrics.append(StationMetrics(
-            station=n, rho=rho, stable=True,
-            eq=eq, varq=varq, ew=ew, varw=varw,
-            roots=tuple(roots.roots), queue_front=front,
-            effective_capacity=ceff, service_dist=s, arrivals=ym, arrival_rate=lam,
-        ))
-        v = DiscreteDist(g.probs @ boarding_matrix(front, capacity))
+        metrics.append(sm)
 
     return RouteReport(label=scenario.label, stations=tuple(metrics),
                        headway=tuple(models), scenario=scenario)

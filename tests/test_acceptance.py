@@ -219,8 +219,7 @@ def test_criterion_5_degenerate_closed_forms(capsys, reference):
     for cap, lam, hw in fixed_cases:
         s = point_mass(cap, cap)
         ym = y_moments(lam, hw)
-        rs = find_all_roots(s.probs, lambda z: y_pgf(z, lam, hw), cap,
-                            ym.mean / cap)
+        rs = find_all_roots(s.probs, lambda z: y_pgf(z, lam, hw), ym.mean / cap)
         try:
             front = queue_front(s, rs, ym)
         except FrontPrecisionError:
@@ -236,7 +235,7 @@ def test_criterion_5_degenerate_closed_forms(capsys, reference):
     ym1 = y_moments(lam1, hw1)
     rho1 = ym1.mean  # unit batch: expected boarding capacity is 1
     rs1 = find_all_roots(point_mass(1, 1).probs,
-                         lambda z: y_pgf(z, lam1, hw1), 1, rho1)
+                         lambda z: y_pgf(z, lam1, hw1), rho1)
     q0 = float(queue_front(point_mass(1, 1), rs1, ym1).q[0])
     gap1 = abs(q0 - (1.0 - rho1))
     ok_one = gap1 < 1e-10
@@ -245,7 +244,7 @@ def test_criterion_5_degenerate_closed_forms(capsys, reference):
     # lambda = 0: the root set is exactly the C-th roots of unity
     cap0 = 8
     rs0 = find_all_roots(point_mass(cap0, cap0).probs,
-                         lambda z: y_pgf(z, 0.0, hw1), cap0, 0.0)
+                         lambda z: y_pgf(z, 0.0, hw1), 0.0)
     got = np.sort_complex(rs0.as_array())
     want = np.sort_complex(np.exp(2j * np.pi * np.arange(cap0) / cap0))
     gap0 = float(np.max(np.abs(got - want)))

@@ -241,8 +241,8 @@ def test_roots_station_without_arrivals(tmp_path):
     assert max(report.parse_value(r[4]) for r in rows) < 1e-12
     # the dump (9 significant digits) is a certified root set
     probs = sm.service_dist.probs[: sm.effective_capacity + 1]
-    jh = rootsmod.make_j_handle(probs, lambda z: np.ones_like(z), sm.effective_capacity)
-    rs = rootsmod.find_all_roots(probs, lambda z: np.ones_like(z), sm.effective_capacity, 0.0)
+    jh = rootsmod.make_j_handle(probs, lambda z: np.ones_like(z))
+    rs = rootsmod.find_all_roots(probs, lambda z: np.ones_like(z), 0.0)
     assert validate_root_set(rs, sm.effective_capacity, jh) == []
     dumped = np.array([complex(report.parse_value(r[0]), report.parse_value(r[1]))
                        for r in rows])
@@ -267,6 +267,20 @@ def test_sweep_serial(tmp_path):
     assert len(back.stations) == 10
     # the swept label records the point
     assert back.label == "reference:gamma=0.2"
+
+
+def test_sweep_values_equal_to_six_digits_get_their_own_files(tmp_path):
+    # both values print as 0.123456 under %g, so each file keeps the exact value
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--param", "gamma", "--values", "0.1234561,0.1234562",
+                 "--out", str(out), "--jobs", "1"]) == EXIT_OK
+    names = {"0.1234561": "gamma_0.1234561.csv", "0.1234562": "gamma_0.1234562.csv"}
+    assert sorted(p.name for p in out.glob("gamma_*")) == sorted(names.values())
+    _, header, rows = report._read_csv_text((out / "index.csv").read_text())
+    value, report_file = header.index("value"), header.index("report_file")
+    assert len(rows) == 20
+    for row in rows:
+        assert row[report_file] == names[row[value]]
 
 
 def test_sweep_parallel_with_simulation(tmp_path):
@@ -341,7 +355,7 @@ def test_sweep_out_under_a_file_is_an_input_error(tmp_path, capsys):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers inherit the patched root finder only when forked")
 def test_parallel_sweep_reports_station_failure_like_serial(tmp_path, monkeypatch, capsys):
-    def failing_search(probs, y_handle, capacity, rho):
+    def failing_search(probs, y_handle, rho):
         raise rootsmod.RootSearchError("expected 34 roots, have 33", found=33,
                                        needed=34)
 

@@ -70,7 +70,7 @@ def test_root_set_accessors():
 def test_find_all_roots_of_unity_complete():
     C = 9
     jh_y = _unit_y
-    rs = find_all_roots(_point_mass_probs(C), jh_y, C, 0.0)
+    rs = find_all_roots(_point_mass_probs(C), jh_y, 0.0)
     assert len(rs) == C
     expected = _roots_of_unity(C)
     worst = max(np.min(np.abs(expected - z)) for z in rs.roots)
@@ -79,7 +79,7 @@ def test_find_all_roots_of_unity_complete():
 
 def test_validate_root_set_catches_each_defect():
     C = 6
-    jh = make_j_handle(_point_mass_probs(C), _unit_y, C)
+    jh = make_j_handle(_point_mass_probs(C), _unit_y)
     good = RootSet(tuple(_roots_of_unity(C)))
     assert validate_root_set(good, C, jh) == []
 
@@ -105,14 +105,14 @@ def test_validate_root_set_catches_each_defect():
     assert any("residual" in p for p in problems)
 
 
-def test_make_j_handle_log_space_branch_matches_direct():
-    # capacities past the overflow guard evaluate z^{-C} in log space;
-    # both branches must agree where the direct product is representable
-    C = 250
+@pytest.mark.parametrize("C", [34, 250])
+def test_make_j_handle_log_space_branch_matches_direct(C):
+    # J evaluates z^{-C} in log space at every capacity; it must agree with
+    # the direct product wherever that is representable
     probs = np.zeros(C + 1)
     probs[C] = 0.6
     probs[C - 3] = 0.4
-    handle = make_j_handle(probs, _unit_y, C)
+    handle = make_j_handle(probs, _unit_y)
     z = np.array([0.5 + 0.1j, 0.9 - 0.2j, 0.7 + 0.6j])
     direct = _unit_y(z) * np.polyval(probs, z) / z**C
     assert np.allclose(handle(z), direct, rtol=1e-10)
@@ -189,7 +189,7 @@ def test_polar_stall_scenarios_certify(row):
             continue
         _, hw, ceff, probs = _station_inputs(rep, idx)
         jh = make_j_handle(probs, lambda z, lam=sm.arrival_rate, hw=hw:
-                           headway.y_pgf(z, lam, hw), ceff)
+                           headway.y_pgf(z, lam, hw))
         assert validate_root_set(RootSet(sm.roots), ceff, jh) == []
         wind = oracles.char_winding(probs, sm.arrival_rate, hw, ceff)
         assert wind == pytest.approx(ceff, abs=0.01)
@@ -199,16 +199,16 @@ def test_polar_stall_scenarios_certify(row):
 
 def test_eigen_stage_completes_when_fixed_point_seeds_nothing(reference_report, monkeypatch):
     expected = find_all_roots(STACKED_S, lambda z: headway.y_pgf(z, STACKED_LAM, STACKED_MODEL),
-                              34, STACKED_RHO)
+                              STACKED_RHO)
     monkeypatch.setattr(rootsmod, "fixed_point_seeds", lambda *a, **k: np.empty(0))
     got = find_all_roots(STACKED_S, lambda z: headway.y_pgf(z, STACKED_LAM, STACKED_MODEL),
-                         34, STACKED_RHO)
+                         STACKED_RHO)
     assert min(abs(z - STACKED_ROOT) for z in got.roots) < 1e-9
     assert np.max(np.abs(got.as_array() - expected.as_array())) < 1e-12
     for idx in (0, 3, 8):
         sm, hw, ceff, probs = _station_inputs(reference_report, idx)
         rs = find_all_roots(probs, lambda z: headway.y_pgf(z, sm.arrival_rate, hw),
-                            ceff, sm.rho)
+                            sm.rho)
         assert np.max(np.abs(rs.as_array() - np.array(sm.roots))) < 1e-12
 
 
@@ -225,7 +225,7 @@ def test_eigen_stage_declines_a_slowly_decaying_series(monkeypatch):
         raise AssertionError("np.roots must not run on this series")
 
     monkeypatch.setattr(rootsmod.np, "roots", forbidden)
-    seeds = rootsmod.eigen_seeds(_point_mass_probs(34), slow_y, 34)
+    seeds = rootsmod.eigen_seeds(_point_mass_probs(34), slow_y)
     assert seeds.shape == (0,)
 
 
@@ -240,8 +240,8 @@ def test_eigen_stage_certifies_a_series_near_the_cap(monkeypatch):
         return (1.0 - q) / (1.0 - q * np.asarray(z, dtype=complex))
 
     monkeypatch.setattr(rootsmod, "fixed_point_seeds", lambda *a, **k: np.empty(0))
-    rs = find_all_roots(_point_mass_probs(cap), y, cap, q / (1.0 - q) / cap)
-    assert validate_root_set(rs, cap, make_j_handle(_point_mass_probs(cap), y, cap)) == []
+    rs = find_all_roots(_point_mass_probs(cap), y, q / (1.0 - q) / cap)
+    assert validate_root_set(rs, cap, make_j_handle(_point_mass_probs(cap), y)) == []
 
 
 def test_find_all_roots_raises_when_no_stage_certifies(monkeypatch):
@@ -250,7 +250,7 @@ def test_find_all_roots_raises_when_no_stage_certifies(monkeypatch):
                         lambda *a, **k: _roots_of_unity(C)[:3])
     monkeypatch.setattr(rootsmod, "eigen_seeds", lambda *a, **k: np.empty(0))
     with pytest.raises(RootSearchError, match="expected 6 roots") as err:
-        find_all_roots(_point_mass_probs(C), _unit_y, C, 0.0)
+        find_all_roots(_point_mass_probs(C), _unit_y, 0.0)
     assert err.value.needed == C
     assert err.value.found < C
     # the payload is the pooled set the last stage validated: z = 1 and the
@@ -268,7 +268,7 @@ def test_find_all_roots_error_carries_payload(monkeypatch):
     for stage in ("fixed_point_seeds", "eigen_seeds"):
         monkeypatch.setattr(rootsmod, stage, lambda *a, **k: np.empty(0))
     with pytest.raises(RootSearchError) as err:
-        find_all_roots(_point_mass_probs(C), _unit_y, C, 0.0)
+        find_all_roots(_point_mass_probs(C), _unit_y, 0.0)
     assert err.value.found == 1
     assert err.value.needed == C
     assert err.value.roots == (1.0 + 0j,)
@@ -278,7 +278,7 @@ def test_find_all_roots_error_carries_payload(monkeypatch):
 @pytest.mark.parametrize("rho", [-0.1, 1.0, math.nan])
 def test_find_all_roots_rejects_utilization_outside_unit_interval(rho):
     with pytest.raises(ValueError, match="0 <= rho < 1"):
-        find_all_roots(_point_mass_probs(4), _unit_y, 4, rho)
+        find_all_roots(_point_mass_probs(4), _unit_y, rho)
 
 
 def test_production_roots_sit_at_newton_fixed_point(reference_report):

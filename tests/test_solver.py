@@ -225,7 +225,7 @@ def test_queue_front_contour_agrees_with_direct():
     hm = headway.HeadwayModel(mu=4.0, sigma=1.5, zero_mass=float(ndtr(-4.0 / 1.5)))
     s = point_mass(C, C)
     ym = headway.y_moments(lam, hm)
-    rs = find_all_roots(s.probs, lambda z: headway.y_pgf(z, lam, hm), C, ym.mean / C)
+    rs = find_all_roots(s.probs, lambda z: headway.y_pgf(z, lam, hm), ym.mean / C)
     direct = oracles.queue_front(s, rs, ym)
     contour = queue_front_contour(s, rs, ym, lambda z: headway.y_pgf(z, lam, hm))
     assert np.max(np.abs(direct.q - contour.q)) < 1e-10
@@ -432,6 +432,19 @@ def test_station_solve_error_carries_station(monkeypatch):
         analyze_route(model.reference_scenario())
     assert err.value.station == 1
     assert isinstance(err.value, SolverError)
+
+
+def test_station_solve_error_on_den_residual(monkeypatch):
+    # the certified roots must also zero Den itself; a residual at or above
+    # 1e-8 stops the station before its queue front is solved
+    def far_from_zero(z, s, y_pgf_handle):
+        return np.full(np.shape(z), 1e-3 + 0j)
+
+    monkeypatch.setattr(solver, "den_eval", far_from_zero)
+    with pytest.raises(StationSolveError, match=r"\|Den\(root\)\|") as err:
+        analyze_route(model.reference_scenario())
+    assert str(err.value).startswith("station 1: ")
+    assert err.value.station == 1
 
 
 def test_exception_hierarchy():
