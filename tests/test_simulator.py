@@ -1,6 +1,7 @@
 """Simulator behaviour: reproducibility, conservation, and the comparison gate."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -100,6 +101,68 @@ def test_stats_carry_run_metadata(reference):
     assert (stats.runs, stats.seed, stats.warmup) == (250, 3, 0.2)
     assert stats.rng_layout == simulator.RNG_LAYOUT == 2
     assert [s.station for s in stats.stations] == list(range(1, 11))
+
+
+# exact results of reference, runs=2000, seed=7 (stream layout 2); any change
+# to the draws or to the order of a floating-point sum shows up here
+PINNED_STATIONS = (
+    "StationSimStats(station=1, q_mean=4.31, q_var=6.1084046692606995, "
+    "q_mean_se=0.0551227812487277, w_mean=3.869342010709484, w_var=6.3502482957087985, "
+    "w_mean_se=0.03639596006922823, headway_mean=7.2050153294593775, "
+    "headway_var=4.109867906920783, boarded=7758)",
+    "StationSimStats(station=2, q_mean=8.682222222222222, q_var=20.342540917793833, "
+    "q_mean_se=0.0729377488094929, w_mean=4.17034848428788, w_var=8.26484278756561, "
+    "w_mean_se=0.03829046787983116, headway_mean=7.2190924850058655, "
+    "headway_var=7.787306956692225, boarded=15616)",
+    "StationSimStats(station=3, q_mean=4.343333333333334, q_var=8.750316842690383, "
+    "q_mean_se=0.0540617346743932, w_mean=4.430266170902095, w_var=10.2741994730555, "
+    "w_mean_se=0.05615279231538435, headway_mean=7.239578569154691, "
+    "headway_var=11.877402046650335, boarded=7752)",
+    "StationSimStats(station=4, q_mean=22.80611111111111, q_var=98.28645512939289, "
+    "q_mean_se=0.3171074127733613, w_mean=6.020659660781388, w_var=14.57329968453477, "
+    "w_mean_se=0.09481424891355565, headway_mean=7.275303361660491, "
+    "headway_var=14.818161900522906, boarded=31463)",
+    "StationSimStats(station=5, q_mean=13.754444444444445, q_var=53.21704527206472, "
+    "q_mean_se=0.3486431576526024, w_mean=7.873826577474549, w_var=28.67383325642353, "
+    "w_mean_se=0.23266709840007657, headway_mean=7.32973330104514, "
+    "headway_var=18.05029275456225, boarded=15824)",
+    "StationSimStats(station=6, q_mean=5.883333333333334, q_var=19.065869927737637, "
+    "q_mean_se=0.06454972243679029, w_mean=5.134270594742128, w_var=14.612805382099952, "
+    "w_mean_se=0.06571243816704578, headway_mean=7.395617008540101, "
+    "headway_var=21.137002828149, boarded=10590)",
+    "StationSimStats(station=7, q_mean=4.453333333333333, q_var=13.768804891606448, "
+    "q_mean_se=0.05828170982788171, w_mean=5.415624463394114, w_var=16.19863120729088, "
+    "w_mean_se=0.07733684725106807, headway_mean=7.459931413943563, "
+    "headway_var=24.10280874142237, boarded=8012)",
+    "StationSimStats(station=8, q_mean=3.0366666666666666, q_var=7.368304613674264, "
+    "q_mean_se=0.04518339125433757, w_mean=5.578596819659455, w_var=17.367684504102797, "
+    "w_mean_se=0.08463559588520014, headway_mean=7.505588983604741, "
+    "headway_var=26.99330268888146, boarded=5429)",
+    "StationSimStats(station=9, q_mean=1.2261111111111112, q_var=1.9082672472361188, "
+    "q_mean_se=0.02824252078068435, w_mean=5.633089865949193, w_var=18.88287079193605, "
+    "w_mean_se=0.1263909316627298, headway_mean=7.5690796090227765, "
+    "headway_var=29.545024492471, boarded=2207)",
+    "StationSimStats(station=10, q_mean=0.0, q_var=0.0, q_mean_se=0.0, w_mean=nan, "
+    "w_var=nan, w_mean_se=nan, headway_mean=7.606951135930677, "
+    "headway_var=32.00791271212933, boarded=0)",
+)
+PINNED_TRACE_SHA256 = "75ab84089428f1b50c02ffb85473f1157d56e7fa3b3ee9ab658c668dd0a9d60a"
+
+
+def trace_digest(trace):
+    """SHA-256 over every trace entry's name, dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for key in sorted(trace):
+        arr = np.asarray(trace[key])
+        h.update(f"{key}:{arr.dtype.str}:{arr.shape};".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def test_reference_run_is_pinned(reference):
+    stats, trace = _simulate(reference, SimConfig(runs=2000, seed=7), keep_trace=True)
+    assert tuple(map(repr, stats.stations)) == PINNED_STATIONS
+    assert trace_digest(trace) == PINNED_TRACE_SHA256
 
 
 # ---------------------------------------------------------------------------
