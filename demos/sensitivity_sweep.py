@@ -30,7 +30,7 @@ def run_sweep(param, values):
             cells.append(f"{eq:6.2f}" if math.isfinite(eq) else "   inf")
         bad = [sm.station for sm in rep.stations if not sm.stable]
         print(f"  {val:6g} | " + " | ".join(cells) + f" | {bad or '-'}")
-        fname = f"{param}_{val:g}.csv"
+        fname = f"{param}_{model.value_tag(val)}.csv"
         report.write_route_report(rep, OUT / fname)
         entries.extend(report.sweep_entries(param, val, rep, fname))
     report.write_sweep_index(entries, OUT / f"{param}_index.csv", base.label)

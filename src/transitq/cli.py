@@ -15,7 +15,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -76,9 +75,7 @@ def _sweep_point(args, scenario: Scenario, value) -> list[dict]:
     Module-level so a process pool can pickle it.
     """
     route_report = analyze_route(scenario)
-    # %g only where it reads back as the same number, so no two values share a file
-    short = f"{value:g}"
-    stem = f"{args.param}_{short if float(short) == value else repr(value)}"
+    stem = f"{args.param}_{model.value_tag(value)}"
     report.write_route_report(route_report, Path(args.out) / f"{stem}.{args.format}",
                               args.format)
     if args.simulate:
@@ -109,6 +106,8 @@ def cmd_sweep(args) -> int:
     if jobs <= 1 or len(values) == 1:
         results = list(map(point, scenarios, values))
     else:
+        # imported here: only a parallel sweep pays for the process machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(point, scenarios, values))
 

@@ -162,12 +162,18 @@ def adjusted_headway(scenario: Scenario) -> float:
 SWEEPABLE = ("capacity", "gamma", "theta", "nominal_headway", "demand_factor")
 
 
+def value_tag(value: float) -> str:
+    """``%g`` where it reads back as the same number, else ``repr``: no two values share one."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
 def expand_grid(base: Scenario, parameter: str, values: Iterable[float]) -> list[Scenario]:
     """One scenario per value of the swept parameter, everything else untouched.
 
     ``parameter`` must be one of capacity | gamma | theta | nominal_headway |
     demand_factor (the external config-key names).  Labels get a
-    ``name=value`` suffix so downstream reports stay distinguishable.
+    ``name=value_tag(value)`` suffix so downstream reports stay distinguishable.
     """
     if parameter not in SWEEPABLE:
         raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEPABLE}")
@@ -181,7 +187,7 @@ def expand_grid(base: Scenario, parameter: str, values: Iterable[float]) -> list
             sc = replace(base, route=replace(base.route, capacity=int(val)))
         else:
             sc = replace(base, route=replace(base.route, **{parameter: float(val)}))
-        out.append(replace(sc, label=f"{base.label}:{parameter}={val:g}"))
+        out.append(replace(sc, label=f"{base.label}:{parameter}={value_tag(val)}"))
     return out
 
 

@@ -10,8 +10,9 @@ board up to the free space left after alighting.
 Random draws come from counter-based streams (Philox, stream layout 2): one
 stream per (seed, draw kind, station), its draws taken in vehicle order.
 Results are reproducible, and runs differing only in length share every
-draw of their common prefix of vehicles.  Each phase is a few array
-operations per station; the only Python loop is over stations.
+draw of their common prefix of vehicles.  The run makes one pass per
+station, a few array operations over all vehicles each, so memory is
+O(runs) plus one station's passenger arrival times.
 """
 
 from __future__ import annotations
@@ -105,10 +106,12 @@ def _poisson_process(rng: np.random.Generator, rate: float, horizon: float) -> n
         return np.empty(0)
     mean = rate * horizon
     gaps = rng.standard_exponential(int(mean + 6.0 * math.sqrt(mean)) + 16)
-    times = np.cumsum(gaps) / rate
-    while times[-1] <= horizon:
+    times = np.cumsum(gaps)
+    while times[-1] / rate <= horizon:
         gaps = np.concatenate([gaps, rng.standard_exponential(len(gaps))])
-        times = np.cumsum(gaps) / rate
+        times = np.cumsum(gaps)
+    del gaps
+    times /= rate
     return times[:np.searchsorted(times, horizon, side="right")]
 
 
@@ -129,17 +132,26 @@ def _queue_pass(k: np.ndarray, stay: np.ndarray, cap: int):
     return q_seen, q_seen - left, left
 
 
-def _fifo_waits(arrivals: np.ndarray, depart: np.ndarray, board: np.ndarray):
+def _fifo_waits(arrivals: np.ndarray, depart: np.ndarray, board: np.ndarray,
+                block: int = 4096):
     """Per-vehicle sum and sum of squares of the waits of its boarders.
 
     Passengers board in arrival order, so the i-th boarder overall is the
     i-th arrival and rides the vehicle whose cumulative boardings first
-    exceed i.
+    exceed i.  Vehicles go ``block`` at a time; each vehicle's boarders stay
+    in one block and in order, so the sums do not depend on the block size.
     """
-    rider = np.repeat(np.arange(len(board)), board)
-    w = depart[rider] - arrivals[:len(rider)]
-    return (np.bincount(rider, weights=w, minlength=len(board)),
-            np.bincount(rider, weights=w * w, minlength=len(board)))
+    w_sum, w_sq = np.zeros(len(board)), np.zeros(len(board))
+    first = 0
+    for lo in range(0, len(board), block):
+        hi = min(lo + block, len(board))
+        rider = np.repeat(np.arange(hi - lo), board[lo:hi])
+        w = depart[lo:hi][rider] - arrivals[first:first + len(rider)]
+        first += len(rider)
+        w_sum[lo:hi] = np.bincount(rider, weights=w, minlength=hi - lo)
+        w *= w
+        w_sq[lo:hi] = np.bincount(rider, weights=w, minlength=hi - lo)
+    return w_sum, w_sq
 
 
 def _simulate(scenario: Scenario, config: SimConfig, keep_trace: bool = False):
@@ -159,37 +171,38 @@ def _simulate(scenario: Scenario, config: SimConfig, keep_trace: bool = False):
     if runs - cut < 2:
         raise ValueError("warmup leaves fewer than 2 vehicles for statistics")
 
-    # Phase 1: cumulative incident delay of vehicles 0..runs at each station.
-    delay = np.empty((runs + 1, n_sta))
-    for n in range(n_sta):
-        counts = _stream(seed, _INCIDENT_COUNT, n).poisson(gamma * seg[n], size=runs + 1)
-        delay[:, n] = _stream(seed, _INCIDENT_SIZE, n).gamma(counts) / theta
-    delay = np.cumsum(delay, axis=1)
-
-    # Phase 2: rectified headways and departure times (vehicle rows 0..runs-1
-    # are vehicles 1..runs; the virtual vehicle departs everywhere at t=0).
-    headways = np.maximum(0.0, h_adj + delay[1:] - delay[:-1])
-    depart = np.cumsum(headways, axis=0)
-
-    # Phases 3-4, station by station: arrivals, alighting, queue, waits.
+    # One pass per station.  Every (seed, kind, station) stream is drawn on
+    # its own, so taking the stations in turn changes no draw.
+    delay = np.zeros(runs + 1)  # cumulative incident delay of vehicles 0..runs
     loads = np.zeros(runs, dtype=np.int64)
+    final_q = np.zeros(n_sta, dtype=np.int64)
+    if keep_trace:
+        headways = np.empty((runs, n_sta))
+        trace_arrivals = np.empty((runs, n_sta), dtype=np.int64)
+        trace_boardings = np.empty((runs, n_sta), dtype=np.int64)
     stats: list[StationSimStats] = []
-    trace_arrivals = np.zeros((runs, n_sta), dtype=np.int64)
-    trace_boardings = np.zeros((runs, n_sta), dtype=np.int64)
-    trace_final_q = np.zeros(n_sta, dtype=np.int64)
     load_max = 0
     for n in range(n_sta):
-        dep = depart[:, n]
+        # Rectified headways and departure times of vehicles 1..runs (the
+        # virtual vehicle 0 departs every station at t=0).
+        counts = _stream(seed, _INCIDENT_COUNT, n).poisson(gamma * seg[n], size=runs + 1)
+        delay += _stream(seed, _INCIDENT_SIZE, n).gamma(counts) / theta
+        h = np.maximum(0.0, h_adj + delay[1:] - delay[:-1])
+        dep = np.cumsum(h)
+
         arr = _poisson_process(_stream(seed, _ARRIVALS, n), lam[n], dep[-1])
         k = np.diff(np.searchsorted(arr, dep, side="right"), prepend=0)
         stay = loads - _stream(seed, _ALIGHTING, n).binomial(loads, alpha[n])
         q_seen, board, left = _queue_pass(k, stay, cap)
         w_sum, w_sq = _fifo_waits(arr, dep, board)
+        del arr  # before the next station draws its arrivals
         loads = stay + board
         load_max = max(load_max, int(loads.max()))
-        trace_arrivals[:, n] = k
-        trace_boardings[:, n] = board
-        trace_final_q[n] = left[-1]
+        final_q[n] = left[-1]
+        if keep_trace:
+            headways[:, n] = h
+            trace_arrivals[:, n] = k
+            trace_boardings[:, n] = board
 
         q_sel = q_seen[cut:]
         cnt = int(board[cut:].sum())
@@ -199,7 +212,7 @@ def _simulate(scenario: Scenario, config: SimConfig, keep_trace: bool = False):
                      if cnt > 1 else math.nan)
         else:
             w_mean = w_var = math.nan
-        h_sel = headways[cut:, n]
+        h_sel = h[cut:]
         stats.append(StationSimStats(
             station=n + 1,
             q_mean=float(q_sel.mean()), q_var=float(q_sel.var(ddof=1)),
@@ -218,7 +231,7 @@ def _simulate(scenario: Scenario, config: SimConfig, keep_trace: bool = False):
         "headways": headways,
         "arrived": trace_arrivals.sum(axis=0),
         "boarded": trace_boardings.sum(axis=0),
-        "final_queue": trace_final_q,
+        "final_queue": final_q,
         "load_max": load_max,
         "final_loads": loads,
         "vehicle_arrivals": trace_arrivals,

@@ -281,6 +281,8 @@ def test_sweep_values_equal_to_six_digits_get_their_own_files(tmp_path):
     assert len(rows) == 20
     for row in rows:
         assert row[report_file] == names[row[value]]
+    for val, name in names.items():
+        assert report.read_route_report(out / name).label == f"reference:gamma={val}"
 
 
 def test_sweep_parallel_with_simulation(tmp_path):
@@ -388,3 +390,11 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a parallel sweep needs concurrent.futures.process; it is imported there
+    code = "import sys, transitq.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -115,6 +115,19 @@ def test_adjusted_headway_hand_value(reference):
     assert model.adjusted_headway(no_inc) == 6.0
 
 
+def test_value_tag_is_short_and_lossless():
+    assert [model.value_tag(v) for v in (0.0, 0.2, 2.0, 34, 0.1234561)] == [
+        "0", "0.2", "2", "34", "0.1234561"]
+    assert model.value_tag(1 / 3) == "0.3333333333333333"
+    assert model.value_tag(12345678) == "12345678"
+
+
+def test_expand_grid_labels_values_equal_to_six_digits_apart(reference):
+    # both values print as 0.123456 under %g
+    a, b = model.expand_grid(reference, "gamma", [0.1234561, 0.1234562])
+    assert (a.label, b.label) == ("reference:gamma=0.1234561", "reference:gamma=0.1234562")
+
+
 def test_expand_grid_each_parameter(reference):
     for param, value in [("capacity", 30), ("gamma", 0.1), ("theta", 2.0),
                          ("nominal_headway", 4.0), ("demand_factor", 0.5)]:

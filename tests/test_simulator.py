@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,19 @@ def test_capacity_one_line_leaves_queue_behind():
     assert trace["final_queue"].sum() > 0
 
 
+def test_memory_grows_with_runs_not_passengers(reference):
+    # one pass per station keeps O(runs) plus one station's arrival times;
+    # a whole-run layout held ~21 MB here
+    run_simulation(reference, SimConfig(runs=200, seed=5))  # warm imports and caches
+    tracemalloc.start()
+    try:
+        run_simulation(reference, SimConfig(runs=20_000, seed=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
 class _ShortGaps:
     """Stands in for a Generator: gaps about half the mean, so that one chunk
     of draws never covers the horizon."""
@@ -267,6 +281,11 @@ def test_queue_pass_matches_vehicle_loop(cap, alpha, rate):
     w_sum, w_sq = _fifo_waits(arrivals, depart, board)
     np.testing.assert_allclose(w_sum, want_sum, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(w_sq, want_sq, rtol=1e-12, atol=0.0)
+    # blocks of whole vehicles add each vehicle's waits in the same order
+    for block in (1, 7, 1000):
+        b_sum, b_sq = _fifo_waits(arrivals, depart, board, block=block)
+        np.testing.assert_array_equal(b_sum, w_sum)
+        np.testing.assert_array_equal(b_sq, w_sq)
     if cap == 1 and rate > 0:
         assert left.max() > 0  # the one-seat line does build a queue
 
