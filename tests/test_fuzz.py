@@ -1,0 +1,55 @@
+"""A fixed, seeded corpus of scenarios across the working range.
+
+The corpus is drawn once from ``numpy.random.default_rng(3)``: 400 routes of
+1-7 stations with the capacity, demand, alighting, headway and incident
+ranges below.  Every draw must end in a report (whose root set, |Den|
+residual and queue front passed their checks) or in a ``StationSolveError``
+that names one of the route's stations.  The number of draws that give a
+report may not fall below the count recorded when the corpus was committed.
+"""
+
+import numpy as np
+
+from transitq import model, solver
+
+SEED = 3
+DRAWS = 400
+CAPACITIES = (1, 2, 3, 5, 10, 34, 60, 120, 250, 400)
+ALPHAS = (0.0, 5e-324, 2.2e-308, 1e-6, 0.05, 0.2, 0.5, 0.9, 1.0)
+HEADWAYS = (0.5, 1.0, 2.0, 4.0, 6.0, 10.0, 20.0)
+GAMMAS = (0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0)
+
+# draws of the corpus that gave a report when it was committed
+CERTIFIED = 363
+
+
+def corpus() -> list[model.Scenario]:
+    rng = np.random.default_rng(SEED)
+    out = []
+    for k in range(DRAWS):
+        stations = tuple(
+            model.StationParams(
+                arrival_rate=0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, 15.0)),
+                alight_prob=float(rng.choice(ALPHAS)))
+            for _ in range(int(rng.integers(1, 8))))
+        route = model.RouteConfig(stations=stations,
+                                  nominal_headway=float(rng.choice(HEADWAYS)),
+                                  capacity=int(rng.choice(CAPACITIES)))
+        incidents = model.IncidentParams(rate=float(rng.choice(GAMMAS)),
+                                         duration_rate=float(10.0 ** rng.uniform(-3.0, 3.0)))
+        out.append(model.Scenario(route=route, incidents=incidents, label=f"fuzz{k}"))
+    return out
+
+
+def test_corpus_ends_in_a_report_or_a_station_error():
+    certified = 0
+    for sc in corpus():
+        try:
+            rep = solver.analyze_route(sc)
+        except solver.StationSolveError as exc:
+            assert 1 <= exc.station <= sc.route.num_stations, (sc.label, str(exc))
+            assert str(exc).startswith(f"station {exc.station}: "), (sc.label, str(exc))
+            continue
+        assert rep.num_stations == sc.route.num_stations
+        certified += 1
+    assert certified >= CERTIFIED
