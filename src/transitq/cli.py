@@ -87,6 +87,8 @@ def _sweep_point(args, scenario: Scenario, value) -> list[dict]:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     scenario = _load_config(args.config)
     values = []
     for tok in filter(None, (t.strip() for t in args.values.split(","))):

@@ -205,15 +205,21 @@ def utilization(s: DiscreteDist, y: ArrivalMoments) -> tuple[float, bool]:
     return rho, rho < 1.0
 
 
-def den_eval(z, s, y_pgf_handle):
-    """Denominator z^C / Y(z) - sum_u s_u z^{C-u}; zero exactly at the C roots."""
+def den_eval(z, s, y_pgf_handle, space_poly=None):
+    """Denominator z^C / Y(z) - sum_u s_u z^{C-u}; zero exactly at the C roots.
+
+    ``space_poly`` is P(z) = sum_u s_u z^{C-u} at ``z`` when the caller
+    already has it; otherwise it is evaluated here by Horner's rule.
+    """
     probs = np.asarray(getattr(s, "probs", s), dtype=float)
     cap = len(probs) - 1
     arr = np.asarray(z, dtype=complex)
     y_vals = np.asarray(y_pgf_handle(arr), dtype=complex)
     if np.any(y_vals == 0):
         raise ArithmeticError("Y(z) = 0 at a denominator evaluation point")
-    out = arr**cap / y_vals - np.polyval(probs, arr)
+    if space_poly is None:
+        space_poly = np.polyval(probs, arr)
+    out = arr**cap / y_vals - space_poly
     return complex(out) if arr.ndim == 0 else out
 
 
@@ -275,7 +281,10 @@ def queue_front_contour(s: DiscreteDist, roots: RootSet, y: ArrivalMoments,
     The PGF is assembled in root-factored form
         Q(z) = (S_mean - Y_mean)(z - 1) prod(z - z_i) / [prod(1 - z_i) Den(z)]
     and integrated over the circle ``contour_size(C)`` inside the unit disk
-    via the FFT, with Den from ``den_eval``.  Unlike matching polynomial
+    via the FFT, with Den from ``den_eval``.  The root product is
+    accumulated one root at a time, and P on the circle is one real FFT of
+    its scaled coefficients, so no (points x roots) array is built and the
+    cost stays O(N C) at any capacity.  Unlike matching polynomial
     coefficients, whose triangular solve divides by s_C, this stays accurate
     when s_C is tiny.  Q has real coefficients and the validated inner roots
     are closed under conjugation, so Q(conj z) = conj Q(z): the samples on
@@ -298,9 +307,11 @@ def queue_front_contour(s: DiscreteDist, roots: RootSet, y: ArrivalMoments,
     theta = 2.0 * np.pi * np.arange(n_points // 2 + 1) / n_points
     z = radius * np.exp(1j * theta)
     num = scale * (z - 1.0)
-    if len(inner):
-        num = num * np.prod(z[:, None] - inner[None, :], axis=1)
-    den = den_eval(z, s, y_pgf_handle)
+    for root in inner:
+        num *= z - root
+    # P(z_j) = sum_k s_{C-k} r^k e^{+2 pi i jk/N}: the conjugate of one real FFT
+    space_poly = np.fft.rfft(s.probs[::-1] * radius ** np.arange(cap + 1), n_points).conj()
+    den = den_eval(z, s, y_pgf_handle, space_poly)
     # hfft(x, N) is the (real) forward FFT of the Hermitian extension of x
     coef = np.fft.hfft(num / den, n_points) / n_points
     q = coef[:cap] / radius ** np.arange(cap)

@@ -315,6 +315,16 @@ def test_sweep_empty_values(tmp_path, capsys):
     assert "no sweep values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    out = tmp_path / "s"
+    assert main(["sweep", "--param", "gamma", "--values", "0.1,0.2",
+                 "--out", str(out), "--jobs", jobs]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert not out.exists()
+
+
 def test_sweep_unknown_parameter(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--param", "bogus", "--values", "1",

@@ -212,6 +212,55 @@ def test_eigen_stage_completes_when_fixed_point_seeds_nothing(reference_report, 
         assert np.max(np.abs(rs.as_array() - np.array(sm.roots))) < 1e-12
 
 
+def _record_budgets(monkeypatch):
+    """Log (fixed-point passes or "eigen", Newton steps) of every attempt made."""
+    made = []
+    fixed_point, polish = rootsmod.fixed_point_seeds, rootsmod.newton_polish
+
+    def seeds(probs, y, passes):
+        made.append([passes])
+        return fixed_point(probs, y, passes)
+
+    def eigen(*args, **kwargs):
+        made.append(["eigen"])
+        return np.empty(0, dtype=complex)
+
+    def newton(z, probs, y, steps):
+        made[-1].append(steps)
+        return polish(z, probs, y, steps)
+
+    monkeypatch.setattr(rootsmod, "fixed_point_seeds", seeds)
+    monkeypatch.setattr(rootsmod, "eigen_seeds", eigen)
+    monkeypatch.setattr(rootsmod, "newton_polish", newton)
+    return made
+
+
+def test_full_attempt_certifies_when_the_cheap_one_fails(reference_report, monkeypatch):
+    # with no Newton step to spend, every cheap start comes back NaN; the
+    # full fixed-point attempt must then find the companion-matrix roots
+    # without reaching the eigenvalues
+    sm, hw, ceff, probs = _station_inputs(reference_report, 1)
+    made = _record_budgets(monkeypatch)
+    monkeypatch.setattr(rootsmod, "CHEAP_STEPS", 0)
+    got = find_all_roots(probs, lambda z: headway.y_pgf(z, sm.arrival_rate, hw), sm.rho)
+    assert made == [[rootsmod.CHEAP_PASSES, 0],
+                    [rootsmod.FULL_PASSES, rootsmod.FULL_STEPS]]
+    expected = oracles.poly_roots_in_disk(probs, sm.arrival_rate, hw, ceff)
+    assert len(got) == len(expected) == ceff
+    assert max(np.min(np.abs(expected - z)) for z in got.roots) < 1e-6
+    assert np.max(np.abs(got.as_array() - np.array(sm.roots))) < 1e-12
+
+
+def test_cheap_attempt_certifies_every_preset_station(monkeypatch):
+    made = _record_budgets(monkeypatch)
+    solves = 0
+    for name in model.PRESETS:
+        rep = solver.analyze_route(model.preset(name))
+        solves += sum(bool(sm.roots) for sm in rep.stations)
+    assert solves > 0
+    assert made == [[rootsmod.CHEAP_PASSES, rootsmod.CHEAP_STEPS]] * solves
+
+
 def test_eigen_stage_declines_a_slowly_decaying_series(monkeypatch):
     # one vehicle in a hundred meets a geometric batch of mean 999: Y's
     # coefficients stay above 1e-14 for some 20 000 terms (the mean, 10

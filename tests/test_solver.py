@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -328,6 +329,20 @@ def test_reference_line_solves_at_capacity_300():
     assert sm.eq == pytest.approx(mean, rel=1e-9)
     assert sm.varq == pytest.approx(var, rel=1e-9)
     assert np.max(np.abs(pi[:300] - sm.queue_front.q)) < 1e-10
+
+
+def test_capacity_300_solve_builds_no_roots_by_points_array():
+    # the contour front once multiplied out an (N/2 + 1) x (C - 1) matrix of
+    # z - z_i, 4097 x 299 complex entries at C = 300: a 20 MB peak here
+    sc = model.expand_grid(model.reference_scenario(), "capacity", [300])[0]
+    analyze_route(sc)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        analyze_route(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------
