@@ -2,11 +2,14 @@
 
 The queue front at each station is fixed by the in-disk zeros of
 Den(z) = z^C / Y(z) - sum_u s_u z^(C-u).  This script prints the root
-ring for a reference station, shows the argument-principle census that
-certifies completeness, and then walks a heavy-truncation scenario whose
-roots stack radially — a buried conjugate pair that an angular sweep along
-the ring cannot see, but that the fixed-point iteration reaches from its
-ray.
+ring for a reference station with the |Den| residual of each root, and
+then walks a heavy-truncation scenario whose roots stack radially — a
+buried conjugate pair that an angular sweep along the ring cannot see, but
+that the fixed-point iteration reaches from its ray.  Every set printed
+here passed ``validate_root_set``: exactly C roots, z = 1 among them, all
+in the closed disk, distinct, conjugate-closed, with |J - 1| and |Den|
+below 1e-8 at each.  The argument-principle census that counts Den's zeros
+independently runs in the test suite (acceptance criterion 4), not here.
 """
 
 import cmath
@@ -45,7 +48,7 @@ cap = 8
 unity = find_all_roots(solver.point_mass(cap, cap).probs,
                        lambda z: y_pgf(z, 0.0, hw), 0.0)
 gap = max(abs(z - np.exp(2j * np.pi * round(cmath.phase(z) * cap / (2 * np.pi)) / cap))
-          for z in unity.roots)
+          for z in unity)
 print(f"lambda = 0, fixed batch {cap}: roots are the {cap}th roots of unity "
       f"(max gap {gap:.1e})\n")
 
@@ -71,5 +74,5 @@ pair = sorted(sm2.roots, key=abs)[:2]
 print(f"  the buried conjugate pair: {pair[0]:.4f} and {pair[1]:.4f} "
       f"(radius {abs(pair[0]):.3f}, next root at {ring[2]:.3f})")
 print("Drop those two and the queue front would come out wrong with no warning —")
-print("which is why completeness is certified by winding the pole-free form")
-print("z^C - s(z) Y(z) around the disk and counting its zeros.")
+print("which is why no set is accepted unless it holds exactly C distinct roots,")
+print("each with |J - 1| and |Den| below 1e-8.")

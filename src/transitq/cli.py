@@ -164,7 +164,7 @@ def cmd_roots(args) -> int:
     y_handle = partial(y_pgf, lam=sm.arrival_rate, model=route_report.headway[sm.station - 1])
     # analyze_route stores the root set of every station with arrivals;
     # without arrivals Y = 1 and the roots are those of z^C = P(z)
-    roots = sm.roots or find_all_roots(s_eff.probs, y_handle, sm.rho).roots
+    roots = sm.roots or find_all_roots(s_eff.probs, y_handle, sm.rho)
     residuals = np.abs(den_eval(np.asarray(roots, dtype=complex), s_eff, y_handle))
     _emit(report.roots_to_csv(roots, residuals, route_report.label), args.out)
     return EXIT_OK

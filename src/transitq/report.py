@@ -208,10 +208,6 @@ def route_report_to_json(report: RouteReport) -> dict:
         for sm, hw in zip(report.stations, report.headway)))
 
 
-def route_report_to_csv(report: RouteReport) -> str:
-    return render(ROUTE, route_report_to_json(report))
-
-
 def write_route_report(report: RouteReport, path, fmt: str = "csv") -> None:
     Path(path).write_text(render(ROUTE, route_report_to_json(report), fmt), encoding="utf-8")
 
@@ -253,10 +249,6 @@ def sim_stats_to_json(stats: SimStats) -> dict:
         for st in stats.stations))
 
 
-def sim_stats_to_csv(stats: SimStats) -> str:
-    return render(SIM, sim_stats_to_json(stats))
-
-
 def write_sim_stats(stats: SimStats, path, fmt: str = "csv") -> None:
     Path(path).write_text(render(SIM, sim_stats_to_json(stats), fmt), encoding="utf-8")
 
@@ -293,10 +285,6 @@ def comparison_to_json(table: ComparisonTable) -> dict:
          r.q_sd_theory, r.q_sd_sim, r.q_sd_rel_gap,
          r.w_sd_theory, r.w_sd_sim, r.w_sd_rel_gap]
         for r in table.rows))
-
-
-def comparison_to_csv(table: ComparisonTable) -> str:
-    return render(COMPARISON, comparison_to_json(table))
 
 
 # ---------------------------------------------------------------------------

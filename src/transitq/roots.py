@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,22 +52,10 @@ class RootSearchError(RuntimeError):
         self.roots = tuple(roots)
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """Roots ordered with z=1 first, then by ascending polar angle."""
-
-    roots: tuple[complex, ...]
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.roots, dtype=complex)
-
-    def inner(self) -> np.ndarray:
-        """All roots except the unit root z=1."""
-        arr = self.as_array()
-        return arr[np.abs(arr - 1.0) > 1e-9]
+def inner_roots(roots: Sequence[complex]) -> np.ndarray:
+    """All roots of a set except the unit root z=1, as a complex array."""
+    arr = np.asarray(roots, dtype=complex)
+    return arr[np.abs(arr - 1.0) > 1e-9]
 
 
 def _ordered(roots: Sequence[complex]) -> tuple[complex, ...]:
@@ -79,45 +66,45 @@ def _ordered(roots: Sequence[complex]) -> tuple[complex, ...]:
     return tuple(unit + rest)
 
 
-def make_j_handle(s_probs, y_pgf_handle) -> Callable:
-    """Vectorized J(z) = Y(z) * sum_u s_u z^{-u}; J = 1 exactly at the roots.
+def validate_root_set(roots: Sequence[complex], s_probs, y_pgf_handle) -> list[str]:
+    """Every way ``roots`` falls short of Den's C in-disk zeros; empty when sound.
 
-    C is the last index of the space pmf ``s_probs``.  The z^{-C} factor is
-    taken in log space, so J stays finite at every capacity and radius.
-    ``validate_root_set`` checks |J(z) - 1| at every root through it.
+    C is the last index of the space pmf ``s_probs``.  The set must hold
+    exactly C roots, z = 1 among them, all in the closed unit disk, distinct
+    and closed under conjugation.  P and Y are evaluated once at the roots,
+    and both residuals must fall below 1e-8 there: |J(z) - 1|, with
+    J(z) = Y(z) sum_u s_u z^{-u} and its z^{-C} factor taken in log space so
+    J stays finite at every capacity and radius, and |Den(z)| =
+    |z^C / Y(z) - P(z)|.  A residual that is not finite fails its gate.
     """
-    probs = np.asarray(getattr(s_probs, "probs", s_probs), dtype=float)
+    probs = np.asarray(s_probs, dtype=float)
     capacity = len(probs) - 1
-
-    def j_handle(z):
-        z = np.asarray(z, dtype=complex)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.exp(np.log(np.polyval(probs, z)) - capacity * np.log(z))
-        return y_pgf_handle(z) * scale
-    return j_handle
-
-
-def validate_root_set(root_set: RootSet, capacity: int, j_handle=None) -> list[str]:
-    """Every violated RootSet invariant as a message; empty list when sound."""
+    arr = np.asarray(roots, dtype=complex)
     problems = []
-    arr = root_set.as_array()
     if len(arr) != capacity:
         problems.append(f"expected {capacity} roots, have {len(arr)}")
-    if len(arr) and np.min(np.abs(arr - 1.0)) > 1e-9:
+    if not len(arr):
+        return problems
+    if np.min(np.abs(arr - 1.0)) > 1e-9:
         problems.append("unit root z=1 missing")
     if np.any(np.abs(arr) > 1.0 + 1e-8):
         problems.append("root outside the closed unit disk")
     close = np.triu(np.abs(arr[:, None] - arr[None, :]) < 1e-6, k=1)
     for i, k in zip(*np.nonzero(close)):
         problems.append(f"roots {i} and {k} coincide within 1e-6")
-    if len(arr):
-        partner_gap = np.min(np.abs(arr.conj()[:, None] - arr[None, :]), axis=1)
-        for i in np.flatnonzero((np.abs(arr.imag) > 1e-8) & (partner_gap > 1e-8)):
-            problems.append(f"root {i} has no conjugate partner")
-    if j_handle is not None and len(arr):
-        resid = np.abs(np.asarray(j_handle(arr), dtype=complex) - 1.0)
-        if np.max(resid) >= 1e-8:
-            problems.append(f"max |J(z)-1| residual {np.max(resid):.3e} >= 1e-8")
+    partner_gap = np.min(np.abs(arr.conj()[:, None] - arr[None, :]), axis=1)
+    for i in np.flatnonzero((np.abs(arr.imag) > 1e-8) & (partner_gap > 1e-8)):
+        problems.append(f"root {i} has no conjugate partner")
+    y_vals = np.asarray(y_pgf_handle(arr), dtype=complex)
+    space_poly = np.polyval(probs, arr)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        j_resid = np.max(np.abs(
+            y_vals * np.exp(np.log(space_poly) - capacity * np.log(arr)) - 1.0))
+        den_resid = np.max(np.abs(arr**capacity / y_vals - space_poly))
+    if not j_resid < 1e-8:
+        problems.append(f"max |J(z)-1| residual {j_resid:.3e} >= 1e-8")
+    if not den_resid < 1e-8:
+        problems.append(f"max |Den(root)| = {den_resid:.3e} exceeds 1e-8")
     return problems
 
 
@@ -261,7 +248,7 @@ def _merge(z: np.ndarray) -> np.ndarray:
     return z[~close.any(axis=1)]
 
 
-def find_all_roots(s_probs, y_pgf_handle, rho: float) -> RootSet:
+def find_all_roots(s_probs, y_pgf_handle, rho: float) -> tuple[complex, ...]:
     """All C in-disk roots of Den, from the cheapest attempt that certifies.
 
     ``s_probs`` is the available-space pmf (index 0..C, so it fixes C);
@@ -269,15 +256,14 @@ def find_all_roots(s_probs, y_pgf_handle, rho: float) -> RootSet:
     station's utilization, which must lie in [0, 1) for the C roots to exist.
     The cheap fixed-point attempt, the full one and the companion-matrix
     eigenvalues (see the module docstring) are tried in that order; each
-    pools its Newton-polished candidates, and the pool is returned as soon
-    as it passes ``validate_root_set`` with exactly C roots.  Raises
-    RootSearchError when no attempt yields such a set.
+    pools its Newton-polished candidates, and the pool is returned, z = 1
+    first and the rest by ascending polar angle, as soon as it passes
+    ``validate_root_set``.  Raises RootSearchError when no attempt yields
+    such a set.
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"find_all_roots needs 0 <= rho < 1, got {rho}")
-    probs = np.asarray(getattr(s_probs, "probs", s_probs), dtype=float)
-    capacity = len(probs) - 1
-    j_handle = make_j_handle(probs, y_pgf_handle)
+    probs = np.asarray(s_probs, dtype=float)
 
     def attempts():
         # (seeds, Newton steps, whether they join the previous attempt's pool)
@@ -291,10 +277,9 @@ def find_all_roots(s_probs, y_pgf_handle, rho: float) -> RootSet:
         seeds = _upper(seeds[np.isfinite(seeds)])
         polished = newton_polish(seeds, probs, y_pgf_handle, steps)
         pool = _merge(np.concatenate([pool if joins else [1.0 + 0j], polished]))
-        full = np.concatenate([pool, pool[pool.imag > 0.0].conj()])
-        root_set = RootSet(_ordered(full))
-        problems = validate_root_set(root_set, capacity, j_handle)
+        roots = _ordered(np.concatenate([pool, pool[pool.imag > 0.0].conj()]))
+        problems = validate_root_set(roots, probs, y_pgf_handle)
         if not problems:
-            return root_set
+            return roots
     raise RootSearchError("root set validation failed: " + "; ".join(problems),
-                          found=len(root_set), needed=capacity, roots=root_set.roots)
+                          found=len(roots), needed=len(probs) - 1, roots=roots)

@@ -18,7 +18,7 @@ import numpy as np
 from .headway import (ArrivalMoments, HeadwayModel, truncated_headway,
                       y_moments, y_pgf)
 from .model import Scenario, require_valid
-from .roots import RootSearchError, RootSet, find_all_roots
+from .roots import RootSearchError, find_all_roots, inner_roots
 
 TRIM_EPS = 1e-12           # below this, top-of-range space mass counts as zero
 
@@ -54,7 +54,7 @@ class DiscreteDist:
     """Probability vector over passenger counts 0..C.
 
     Entries in [-1e-12, 0) are treated as roundoff and clamped to zero;
-    anything more negative signals a solver bug and raises.  The vector is
+    anything more negative, or not finite, signals a solver bug and raises.  The vector is
     renormalized exactly after the sum is confirmed within 1e-9 of one.
     """
 
@@ -64,6 +64,8 @@ class DiscreteDist:
         arr = np.array(probs, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("distribution must be a nonempty 1-D vector")
+        if not np.isfinite(arr).all():
+            raise ValueError("distribution has a non-finite entry")
         low = arr.min()
         if low < -1e-12:
             raise ValueError(f"distribution entry {low:.3e} below the -1e-12 clamp floor")
@@ -95,6 +97,8 @@ class QueueFront:
 
     def __init__(self, q):
         arr = np.array(q, dtype=float)
+        if not np.isfinite(arr).all():
+            raise ValueError("queue front has a non-finite entry")
         if arr.min() < 0.0:
             raise ValueError(f"queue-front entry {arr.min():.3e} negative")
         if arr.sum() > 1.0 + 1e-9:
@@ -209,14 +213,15 @@ def den_eval(z, s, y_pgf_handle, space_poly=None):
     """Denominator z^C / Y(z) - sum_u s_u z^{C-u}; zero exactly at the C roots.
 
     ``space_poly`` is P(z) = sum_u s_u z^{C-u} at ``z`` when the caller
-    already has it; otherwise it is evaluated here by Horner's rule.
+    already has it; otherwise it is evaluated here by Horner's rule.  Raises
+    SolverError where Y(z) = 0, which happens once Y underflows.
     """
     probs = np.asarray(getattr(s, "probs", s), dtype=float)
     cap = len(probs) - 1
     arr = np.asarray(z, dtype=complex)
     y_vals = np.asarray(y_pgf_handle(arr), dtype=complex)
     if np.any(y_vals == 0):
-        raise ArithmeticError("Y(z) = 0 at a denominator evaluation point")
+        raise SolverError("Y(z) = 0 at a denominator evaluation point")
     if space_poly is None:
         space_poly = np.polyval(probs, arr)
     out = arr**cap / y_vals - space_poly
@@ -250,6 +255,9 @@ def normalization_gap(s, q, s_mean: float, y_mean: float) -> float:
 
 
 def _front_diagnostics(raw_q: np.ndarray, s, s_mean: float, y_mean: float) -> np.ndarray:
+    bad = np.count_nonzero(~np.isfinite(raw_q))
+    if bad:
+        raise FrontPrecisionError(f"{bad} of {len(raw_q)} queue-front entries are not finite")
     if raw_q.min() < -1e-9:
         raise FrontPrecisionError(f"queue-front entry {raw_q.min():.3e} below -1e-9")
     q = np.clip(raw_q, 0.0, None)
@@ -274,7 +282,7 @@ def contour_size(capacity: int) -> tuple[float, int]:
     return radius, 1 << math.ceil(math.log2(need))
 
 
-def queue_front_contour(s: DiscreteDist, roots: RootSet, y: ArrivalMoments,
+def queue_front_contour(s: DiscreteDist, roots: tuple[complex, ...], y: ArrivalMoments,
                         y_pgf_handle) -> QueueFront:
     """Extract q_0..q_{C-1} as power-series coefficients of the queue PGF.
 
@@ -296,7 +304,7 @@ def queue_front_contour(s: DiscreteDist, roots: RootSet, y: ArrivalMoments,
     if s_mean <= y.mean:
         raise UnstableStationError(
             f"mean free space {s_mean:.6g} does not exceed mean arrivals {y.mean:.6g}")
-    inner = roots.inner()
+    inner = inner_roots(roots)
     if len(inner) != cap - 1:
         raise ValueError(f"expected {cap - 1} non-unit roots, got {len(inner)}")
     scale = (s_mean - y.mean) / _real_checked(
@@ -306,15 +314,17 @@ def queue_front_contour(s: DiscreteDist, roots: RootSet, y: ArrivalMoments,
     radius, n_points = contour_size(cap)
     theta = 2.0 * np.pi * np.arange(n_points // 2 + 1) / n_points
     z = radius * np.exp(1j * theta)
-    num = scale * (z - 1.0)
-    for root in inner:
-        num *= z - root
-    # P(z_j) = sum_k s_{C-k} r^k e^{+2 pi i jk/N}: the conjugate of one real FFT
-    space_poly = np.fft.rfft(s.probs[::-1] * radius ** np.arange(cap + 1), n_points).conj()
-    den = den_eval(z, s, y_pgf_handle, space_poly)
-    # hfft(x, N) is the (real) forward FFT of the Hermitian extension of x
-    coef = np.fft.hfft(num / den, n_points) / n_points
-    q = coef[:cap] / radius ** np.arange(cap)
+    # an overflow here leaves a non-finite front, which the diagnostics reject
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        num = scale * (z - 1.0)
+        for root in inner:
+            num *= z - root
+        # P(z_j) = sum_k s_{C-k} r^k e^{+2 pi i jk/N}: the conjugate of one real FFT
+        space_poly = np.fft.rfft(s.probs[::-1] * radius ** np.arange(cap + 1), n_points).conj()
+        den = den_eval(z, s, y_pgf_handle, space_poly)
+        # hfft(x, N) is the (real) forward FFT of the Hermitian extension of x
+        coef = np.fft.hfft(num / den, n_points) / n_points
+        q = coef[:cap] / radius ** np.arange(cap)
     return QueueFront(_front_diagnostics(q, s, s_mean, y.mean))
 
 
@@ -323,7 +333,7 @@ def queue_front_contour(s: DiscreteDist, roots: RootSet, y: ArrivalMoments,
 
 
 def queue_moments(s_mom: tuple[float, float, float], y: ArrivalMoments,
-                  roots: RootSet) -> tuple[float, float]:
+                  roots: tuple[complex, ...]) -> tuple[float, float]:
     """Mean and variance of the queue at vehicle arrival, central-moment form.
 
     Each expression splits into a moment part and a sum over the non-unit
@@ -335,7 +345,7 @@ def queue_moments(s_mom: tuple[float, float, float], y: ArrivalMoments,
     if drift <= 0:
         return UNBOUNDED, UNBOUNDED
     cap = len(roots)
-    inner = roots.inner()
+    inner = inner_roots(roots)
     sum1 = _real_checked(complex(np.sum(1.0 / (1.0 - inner))) if len(inner) else 0j,
                          "first root sum")
     sum2 = _real_checked(complex(np.sum(inner / (1.0 - inner) ** 2)) if len(inner) else 0j,
@@ -397,9 +407,6 @@ def _solve_station(base: StationMetrics, model: HeadwayModel) -> StationMetrics:
     y_handle = partial(y_pgf, lam=lam, model=model)
     try:
         roots = find_all_roots(s_eff.probs, y_handle, base.rho)
-        resid = np.max(np.abs(den_eval(roots.as_array(), s_eff, y_handle)))
-        if resid >= 1e-8:
-            raise SolverError(f"max |Den(root)| = {resid:.3e} exceeds 1e-8")
         front = queue_front_contour(s_eff, roots, y, y_handle)
     except (RootSearchError, SolverError) as exc:
         raise StationSolveError(n, str(exc)) from exc
@@ -408,7 +415,7 @@ def _solve_station(base: StationMetrics, model: HeadwayModel) -> StationMetrics:
     ew, varw = wait_moments(eq, varq, y, lam)
     padded = np.zeros(s.top_index)
     padded[: len(front.q)] = front.q
-    return replace(base, eq=eq, varq=varq, ew=ew, varw=varw, roots=tuple(roots.roots),
+    return replace(base, eq=eq, varq=varq, ew=ew, varw=varw, roots=roots,
                    queue_front=QueueFront(padded), effective_capacity=s_eff.top_index)
 
 

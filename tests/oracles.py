@@ -15,7 +15,7 @@ import numpy as np
 
 from transitq.headway import ArrivalMoments, HeadwayModel, y_pgf
 from transitq.model import Scenario, adjusted_headway, travel_time_to
-from transitq.roots import RootSet
+from transitq.roots import inner_roots
 from transitq.solver import (TRIM_EPS, UNBOUNDED, DiscreteDist, FrontPrecisionError,
                              QueueFront, UnstableStationError, _front_diagnostics,
                              _real_checked, contour_size, dist_moments)
@@ -208,7 +208,7 @@ def full_circle_front(s, roots, y, y_pgf_handle) -> np.ndarray:
     """
     probs = s.probs
     cap = len(probs) - 1
-    inner = roots.inner()
+    inner = inner_roots(roots)
     scale = (dist_moments(s)[0] - y.mean) / complex(np.prod(1.0 - inner)).real
     radius, n_points = contour_size(cap)
     z = radius * np.exp(1j * TWO_PI * np.arange(n_points) / n_points)
@@ -218,7 +218,7 @@ def full_circle_front(s, roots, y, y_pgf_handle) -> np.ndarray:
     return (coef[:cap] / radius ** np.arange(cap)).real
 
 
-def queue_front(s: DiscreteDist, roots: RootSet, y: ArrivalMoments) -> QueueFront:
+def queue_front(s: DiscreteDist, roots: tuple[complex, ...], y: ArrivalMoments) -> QueueFront:
     """Solve q_0..q_{C-1} by matching polynomial coefficients.
 
     q_0 comes from the product over non-unit roots; the remaining entries
@@ -239,7 +239,7 @@ def queue_front(s: DiscreteDist, roots: RootSet, y: ArrivalMoments) -> QueueFron
     if s_mean <= y.mean:
         raise UnstableStationError(
             f"mean free space {s_mean:.6g} does not exceed mean arrivals {y.mean:.6g}")
-    inner = roots.inner()
+    inner = inner_roots(roots)
     if len(inner) != cap - 1:
         raise ValueError(f"expected {cap - 1} non-unit roots, got {len(inner)}")
 
@@ -261,7 +261,7 @@ def queue_front(s: DiscreteDist, roots: RootSet, y: ArrivalMoments) -> QueueFron
 
 
 def queue_moments_raw(s_raw: tuple[float, float, float], y_raw: tuple[float, float, float],
-                      roots: RootSet) -> tuple[float, float]:
+                      roots: tuple[complex, ...]) -> tuple[float, float]:
     """``solver.queue_moments`` written in raw (non-central) moments.
 
     Algebraically identical to the production form; kept as an independent
@@ -273,7 +273,7 @@ def queue_moments_raw(s_raw: tuple[float, float, float], y_raw: tuple[float, flo
     if d <= 0:
         return UNBOUNDED, UNBOUNDED
     cap = len(roots)
-    inner = roots.inner()
+    inner = inner_roots(roots)
     sum1 = _real_checked(complex(np.sum(1.0 / (1.0 - inner))) if len(inner) else 0j,
                          "first root sum")
     sum2 = _real_checked(complex(np.sum(inner / (1.0 - inner) ** 2)) if len(inner) else 0j,

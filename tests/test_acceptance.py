@@ -245,7 +245,7 @@ def test_criterion_5_degenerate_closed_forms(capsys, reference):
     cap0 = 8
     rs0 = find_all_roots(point_mass(cap0, cap0).probs,
                          lambda z: y_pgf(z, 0.0, hw1), 0.0)
-    got = np.sort_complex(rs0.as_array())
+    got = np.sort_complex(np.array(rs0))
     want = np.sort_complex(np.exp(2j * np.pi * np.arange(cap0) / cap0))
     gap0 = float(np.max(np.abs(got - want)))
     ok_zero = gap0 < 1e-10

@@ -241,12 +241,11 @@ def test_roots_station_without_arrivals(tmp_path):
     assert max(report.parse_value(r[4]) for r in rows) < 1e-12
     # the dump (9 significant digits) is a certified root set
     probs = sm.service_dist.probs[: sm.effective_capacity + 1]
-    jh = rootsmod.make_j_handle(probs, lambda z: np.ones_like(z))
     rs = rootsmod.find_all_roots(probs, lambda z: np.ones_like(z), 0.0)
-    assert validate_root_set(rs, sm.effective_capacity, jh) == []
+    assert validate_root_set(rs, probs, lambda z: np.ones_like(z)) == []
     dumped = np.array([complex(report.parse_value(r[0]), report.parse_value(r[1]))
                        for r in rows])
-    assert np.max(np.abs(dumped - rs.as_array())) < 1e-8
+    assert np.max(np.abs(dumped - np.array(rs))) < 1e-8
 
 
 # ---------------------------------------------------------------------------

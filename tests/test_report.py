@@ -188,7 +188,7 @@ def test_json_without_record_list_rejected(tmp_path):
 
 
 def test_route_csv_shape(reference_report):
-    text = report.route_report_to_csv(reference_report)
+    text = report.render(report.ROUTE, report.route_report_to_json(reference_report))
     comments, header, rows = report._read_csv_text(text)
     assert comments["label"] == "reference"
     assert header == ROUTE_COLUMNS
@@ -245,7 +245,7 @@ def test_sim_stats_round_trip(small_stats, tmp_path, fmt):
 
 def test_sim_csv_layout(small_stats):
     comments, header, rows = report._read_csv_text(
-        report.sim_stats_to_csv(small_stats))
+        report.render(report.SIM, report.sim_stats_to_json(small_stats)))
     assert header == SIM_COLUMNS
     assert comments["runs"] == "300"
     assert comments["seed"] == "17"
@@ -263,7 +263,8 @@ def small_table(reference_report, small_stats):
 
 
 def test_comparison_csv(small_table):
-    comments, header, rows = report._read_csv_text(report.comparison_to_csv(small_table))
+    comments, header, rows = report._read_csv_text(
+        report.render(report.COMPARISON, report.comparison_to_json(small_table)))
     assert header == COMPARISON_COLUMNS
     assert comments["tol_mean"] == "0.5"
     assert comments["passed"] in ("true", "false")

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,9 +13,8 @@ from transitq import roots as rootsmod
 from transitq.headway import HeadwayModel
 from transitq.roots import (
     RootSearchError,
-    RootSet,
     find_all_roots,
-    make_j_handle,
+    inner_roots,
     validate_root_set,
 )
 
@@ -58,64 +58,70 @@ STACKED_S = np.array([
 ])
 
 
-def test_root_set_accessors():
-    rs = RootSet((1.0 + 0j, 0.5j, -0.5j))
-    assert len(rs) == 3
-    assert rs.as_array().dtype == complex
-    inner = rs.inner()
-    assert len(inner) == 2
-    assert np.all(np.abs(inner - 1.0) > 1e-9)
+def test_inner_roots_drops_only_the_unit_root():
+    inner = inner_roots((1.0 + 0j, 0.5j, -0.5j))
+    assert inner.dtype == complex
+    assert list(inner) == [0.5j, -0.5j]
 
 
 def test_find_all_roots_of_unity_complete():
     C = 9
     jh_y = _unit_y
     rs = find_all_roots(_point_mass_probs(C), jh_y, 0.0)
+    assert isinstance(rs, tuple)
     assert len(rs) == C
     expected = _roots_of_unity(C)
-    worst = max(np.min(np.abs(expected - z)) for z in rs.roots)
+    worst = max(np.min(np.abs(expected - z)) for z in rs)
     assert worst < 1e-8
 
 
 def test_validate_root_set_catches_each_defect():
     C = 6
-    jh = make_j_handle(_point_mass_probs(C), _unit_y)
-    good = RootSet(tuple(_roots_of_unity(C)))
-    assert validate_root_set(good, C, jh) == []
+    probs = _point_mass_probs(C)
+    good = tuple(_roots_of_unity(C))
+    assert validate_root_set(good, probs, _unit_y) == []
 
-    short = RootSet(tuple(_roots_of_unity(C)[:4]))
-    assert any("expected 6 roots" in p for p in validate_root_set(short, C))
+    short = tuple(_roots_of_unity(C)[:4])
+    assert any("expected 6 roots" in p for p in validate_root_set(short, probs, _unit_y))
 
-    no_unit = RootSet(tuple(_roots_of_unity(C) * cmath.exp(0.3j)))
-    assert any("unit root" in p for p in validate_root_set(no_unit, C))
+    no_unit = tuple(_roots_of_unity(C) * cmath.exp(0.3j))
+    assert any("unit root" in p for p in validate_root_set(no_unit, probs, _unit_y))
 
-    outside = RootSet(tuple(_roots_of_unity(C) * 1.001))
-    assert any("outside" in p for p in validate_root_set(outside, C))
+    outside = tuple(_roots_of_unity(C) * 1.001)
+    assert any("outside" in p for p in validate_root_set(outside, probs, _unit_y))
 
     arr = _roots_of_unity(C).copy()
     arr[2] = arr[1]
-    dup = RootSet(tuple(arr))
-    assert any("coincide" in p for p in validate_root_set(dup, C))
+    dup = tuple(arr)
+    assert any("coincide" in p for p in validate_root_set(dup, probs, _unit_y))
 
     arr = _roots_of_unity(C).copy()
     arr[2] = 0.3 + 0.4j  # breaks conjugate pairing (and is no root)
-    lopsided = RootSet(tuple(arr))
-    problems = validate_root_set(lopsided, C, jh)
+    problems = validate_root_set(tuple(arr), probs, _unit_y)
     assert any("conjugate" in p for p in problems)
-    assert any("residual" in p for p in problems)
+    assert any("|J(z)-1| residual" in p for p in problems)
+    assert any("|Den(root)|" in p and "exceeds 1e-8" in p for p in problems)
+
+    # a residual that is not a number fails both gates instead of slipping past
+    def nan_at_unit(z):
+        return np.where(np.abs(z - 1.0) < 1e-9, np.nan, 1.0) + 0j
+
+    problems = validate_root_set(good, probs, nan_at_unit)
+    assert any("|J(z)-1| residual nan" in p for p in problems)
+    assert any("|Den(root)| = nan" in p for p in problems)
 
 
 @pytest.mark.parametrize("C", [34, 250])
-def test_make_j_handle_log_space_branch_matches_direct(C):
-    # J evaluates z^{-C} in log space at every capacity; it must agree with
-    # the direct product wherever that is representable
+def test_validate_root_set_j_residual_matches_direct(C):
+    # the J gate takes z^{-C} in log space at every capacity; the residual it
+    # reports must agree with the direct product wherever that is representable
     probs = np.zeros(C + 1)
     probs[C] = 0.6
     probs[C - 3] = 0.4
-    handle = make_j_handle(probs, _unit_y)
     z = np.array([0.5 + 0.1j, 0.9 - 0.2j, 0.7 + 0.6j])
-    direct = _unit_y(z) * np.polyval(probs, z) / z**C
-    assert np.allclose(handle(z), direct, rtol=1e-10)
+    direct = np.max(np.abs(_unit_y(z) * np.polyval(probs, z) / z**C - 1.0))
+    (message,) = [p for p in validate_root_set(z, probs, _unit_y) if "|J(z)-1|" in p]
+    assert float(message.split()[3]) == pytest.approx(direct, rel=1e-3)
 
 
 def test_find_all_roots_matches_companion_matrix(reference_report):
@@ -188,9 +194,8 @@ def test_polar_stall_scenarios_certify(row):
         if not sm.stable or sm.arrival_rate == 0.0:
             continue
         _, hw, ceff, probs = _station_inputs(rep, idx)
-        jh = make_j_handle(probs, lambda z, lam=sm.arrival_rate, hw=hw:
-                           headway.y_pgf(z, lam, hw))
-        assert validate_root_set(RootSet(sm.roots), ceff, jh) == []
+        y = partial(headway.y_pgf, lam=sm.arrival_rate, model=hw)
+        assert validate_root_set(sm.roots, probs, y) == []
         wind = oracles.char_winding(probs, sm.arrival_rate, hw, ceff)
         assert wind == pytest.approx(ceff, abs=0.01)
         solved += 1
@@ -203,13 +208,13 @@ def test_eigen_stage_completes_when_fixed_point_seeds_nothing(reference_report, 
     monkeypatch.setattr(rootsmod, "fixed_point_seeds", lambda *a, **k: np.empty(0))
     got = find_all_roots(STACKED_S, lambda z: headway.y_pgf(z, STACKED_LAM, STACKED_MODEL),
                          STACKED_RHO)
-    assert min(abs(z - STACKED_ROOT) for z in got.roots) < 1e-9
-    assert np.max(np.abs(got.as_array() - expected.as_array())) < 1e-12
+    assert min(abs(z - STACKED_ROOT) for z in got) < 1e-9
+    assert np.max(np.abs(np.array(got) - np.array(expected))) < 1e-12
     for idx in (0, 3, 8):
         sm, hw, ceff, probs = _station_inputs(reference_report, idx)
         rs = find_all_roots(probs, lambda z: headway.y_pgf(z, sm.arrival_rate, hw),
                             sm.rho)
-        assert np.max(np.abs(rs.as_array() - np.array(sm.roots))) < 1e-12
+        assert np.max(np.abs(np.array(rs) - np.array(sm.roots))) < 1e-12
 
 
 def _record_budgets(monkeypatch):
@@ -247,8 +252,8 @@ def test_full_attempt_certifies_when_the_cheap_one_fails(reference_report, monke
                     [rootsmod.FULL_PASSES, rootsmod.FULL_STEPS]]
     expected = oracles.poly_roots_in_disk(probs, sm.arrival_rate, hw, ceff)
     assert len(got) == len(expected) == ceff
-    assert max(np.min(np.abs(expected - z)) for z in got.roots) < 1e-6
-    assert np.max(np.abs(got.as_array() - np.array(sm.roots))) < 1e-12
+    assert max(np.min(np.abs(expected - z)) for z in got) < 1e-6
+    assert np.max(np.abs(np.array(got) - np.array(sm.roots))) < 1e-12
 
 
 def test_cheap_attempt_certifies_every_preset_station(monkeypatch):
@@ -290,7 +295,7 @@ def test_eigen_stage_certifies_a_series_near_the_cap(monkeypatch):
 
     monkeypatch.setattr(rootsmod, "fixed_point_seeds", lambda *a, **k: np.empty(0))
     rs = find_all_roots(_point_mass_probs(cap), y, q / (1.0 - q) / cap)
-    assert validate_root_set(rs, cap, make_j_handle(_point_mass_probs(cap), y)) == []
+    assert validate_root_set(rs, _point_mass_probs(cap), y) == []
 
 
 def test_find_all_roots_raises_when_no_stage_certifies(monkeypatch):

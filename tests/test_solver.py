@@ -73,6 +73,9 @@ def test_discrete_dist_clamps_roundoff_but_rejects_real_negatives():
         DiscreteDist(np.array([0.5, -1e-6, 0.5]))
     with pytest.raises(ValueError):
         DiscreteDist(np.array([0.3, 0.3]))  # sum far from one
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            DiscreteDist(np.array([0.5, bad, 0.5]))
 
 
 def test_point_mass():
@@ -87,6 +90,9 @@ def test_queue_front_container_guards():
         QueueFront(np.array([-0.1, 0.6]))
     with pytest.raises(ValueError):
         QueueFront(np.array([0.8, 0.7]))  # sum over 1 + 1e-9
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            QueueFront(np.array([0.5, bad]))
 
 
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30).filter(lambda v: sum(v) > 1e-6))
@@ -190,7 +196,7 @@ def test_utilization_degenerate():
 
 def test_den_eval_rejects_zero_pgf(reference_report):
     sm = reference_report.stations[0]
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(SolverError, match=r"Y\(z\) = 0"):
         den_eval(np.array([0.5 + 0j]), sm.service_dist, lambda z: np.zeros_like(z))
 
 
@@ -219,7 +225,7 @@ def test_queue_front_matches_markov_chain(reference_report):
 def test_queue_front_contour_agrees_with_direct():
     # small capacity keeps the triangular route's numerator product clean
     # enough to pass its own residue gate, so both routes are comparable
-    from transitq.roots import RootSet, find_all_roots
+    from transitq.roots import find_all_roots
     from scipy.special import ndtr
 
     C, lam = 6, 1.1
@@ -236,14 +242,12 @@ def test_queue_front_direct_falls_back_at_full_capacity(reference_report):
     # at C = 34 the 34-factor numerator product accumulates enough imaginary
     # residue to trip the direct route's gate at every station; production
     # then serves the contour result, byte-identical to the stored front
-    from transitq.roots import RootSet
     sm = reference_report.stations[3]
     hm = reference_report.headway[3]
-    rs = RootSet(sm.roots)
     with pytest.raises(FrontPrecisionError):
-        oracles.queue_front(sm.service_dist, rs, sm.arrivals)
+        oracles.queue_front(sm.service_dist, sm.roots, sm.arrivals)
     contour = queue_front_contour(
-        sm.service_dist, rs, sm.arrivals,
+        sm.service_dist, sm.roots, sm.arrivals,
         lambda z: headway.y_pgf(z, sm.arrival_rate, hm))
     assert np.max(np.abs(contour.q - sm.queue_front.q)) == 0.0
 
@@ -252,14 +256,13 @@ def test_queue_front_direct_falls_back_at_full_capacity(reference_report):
 def test_half_circle_front_matches_full_circle(reference, capacity):
     # production evaluates the upper half circle and relies on conjugate
     # symmetry; the oracle samples and inverts the whole circle
-    from transitq.roots import RootSet
     rep = analyze_route(model.expand_grid(reference, "capacity", [capacity])[0])
     checked = 0
     for sm, hm in zip(rep.stations, rep.headway):
         if not sm.stable or sm.arrival_rate == 0.0:
             continue
         full = oracles.full_circle_front(
-            sm.service_dist, RootSet(sm.roots), sm.arrivals,
+            sm.service_dist, sm.roots, sm.arrivals,
             lambda z: headway.y_pgf(z, sm.arrival_rate, hm))
         assert np.max(np.abs(full - sm.queue_front.q)) < 1e-13
         checked += 1
@@ -268,30 +271,27 @@ def test_half_circle_front_matches_full_circle(reference, capacity):
 
 def test_queue_front_rejects_degenerate_top(reference_report):
     sm = reference_report.stations[0]
-    from transitq.roots import RootSet
     probs = np.zeros(35)
     probs[0] = 1.0 - 1e-13
     probs[34] = 1e-13
     with pytest.raises(ValueError, match="numerically zero"):
-        oracles.queue_front(DiscreteDist(probs), RootSet(sm.roots), sm.arrivals)
+        oracles.queue_front(DiscreteDist(probs), sm.roots, sm.arrivals)
 
 
 def test_queue_front_rejects_unstable_load(reference_report):
     sm = reference_report.stations[0]
-    from transitq.roots import RootSet
     hm = reference_report.headway[0]
     heavy = headway.ArrivalMoments(mean=40.0, central2=40.0, central3=40.0)
     with pytest.raises(UnstableStationError):
-        queue_front_contour(sm.service_dist, RootSet(sm.roots), heavy,
+        queue_front_contour(sm.service_dist, sm.roots, heavy,
                             lambda z: headway.y_pgf(z, sm.arrival_rate, hm))
 
 
 def test_queue_front_requires_full_root_set(reference_report):
     sm = reference_report.stations[0]
-    from transitq.roots import RootSet
     hm = reference_report.headway[0]
     with pytest.raises(ValueError, match="non-unit roots"):
-        queue_front_contour(sm.service_dist, RootSet(sm.roots[:5]), sm.arrivals,
+        queue_front_contour(sm.service_dist, sm.roots[:5], sm.arrivals,
                             lambda z: headway.y_pgf(z, sm.arrival_rate, hm))
 
 
@@ -360,7 +360,6 @@ def test_queue_moments_match_markov_chain(reference_report):
 
 
 def test_queue_moment_forms_cross_validate(reference_report):
-    from transitq.roots import RootSet
     for sm in reference_report.stations:
         if not sm.roots:
             continue
@@ -370,9 +369,8 @@ def test_queue_moment_forms_cross_validate(reference_report):
         m = sm.arrivals.mean
         y_raw2 = sm.arrivals.central2 + m * m
         y_raw3 = sm.arrivals.central3 + 3.0 * m * y_raw2 - 2.0 * m**3
-        rs = RootSet(sm.roots)
-        eq_a, varq_a = queue_moments(dist_moments(sm.service_dist), sm.arrivals, rs)
-        eq_b, varq_b = oracles.queue_moments_raw(s_raw, (m, y_raw2, y_raw3), rs)
+        eq_a, varq_a = queue_moments(dist_moments(sm.service_dist), sm.arrivals, sm.roots)
+        eq_b, varq_b = oracles.queue_moments_raw(s_raw, (m, y_raw2, y_raw3), sm.roots)
         assert eq_a == pytest.approx(eq_b, rel=1e-8)
         assert varq_a == pytest.approx(varq_b, rel=1e-7)
 
@@ -450,15 +448,45 @@ def test_station_solve_error_carries_station(monkeypatch):
 
 
 def test_station_solve_error_on_den_residual(monkeypatch):
-    # the certified roots must also zero Den itself; a residual at or above
-    # 1e-8 stops the station before its queue front is solved
-    def far_from_zero(z, s, y_pgf_handle):
-        return np.full(np.shape(z), 1e-3 + 0j)
+    # every attempt's roots land a relative 1e-7 inside Den's true zeros, so
+    # no attempt may certify them: the station fails before its queue front
+    # is solved, naming the |Den| gate
+    from transitq import roots as rootsmod
+    polish = rootsmod.newton_polish
 
-    monkeypatch.setattr(solver, "den_eval", far_from_zero)
-    with pytest.raises(StationSolveError, match=r"\|Den\(root\)\|") as err:
+    def off_root(z, probs, y_pgf_handle, steps):
+        return polish(z, probs, y_pgf_handle, steps) * (1.0 - 1e-7)
+
+    monkeypatch.setattr(rootsmod, "newton_polish", off_root)
+    with pytest.raises(StationSolveError,
+                       match=r"max \|Den\(root\)\| = \S+ exceeds 1e-8") as err:
         analyze_route(model.reference_scenario())
     assert str(err.value).startswith("station 1: ")
+    assert err.value.station == 1
+
+
+def _line(rates, alphas, capacity, headway_min):
+    stations = tuple(model.StationParams(arrival_rate=lam, alight_prob=a)
+                     for lam, a in zip(rates, alphas))
+    route = model.RouteConfig(stations=stations, capacity=capacity,
+                              nominal_headway=headway_min)
+    return model.Scenario(route=route, incidents=model.IncidentParams(0.0, 1.0))
+
+
+def test_station_solve_error_on_non_finite_front():
+    # at C = 500 and 360 arrivals a headway, z^C / Y(z) overflows on the
+    # contour circle and every front entry comes out NaN; the diagnostics
+    # must stop the station instead of passing the NaNs downstream
+    with pytest.raises(StationSolveError, match="not finite") as err:
+        analyze_route(_line((60.0, 1.0), (1.0, 0.5), 500, 6.0))
+    assert err.value.station == 1
+
+
+def test_station_solve_error_on_zero_pgf_on_the_contour():
+    # Y underflows to zero on the contour circle: den_eval's error reaches
+    # the caller tagged with the station, like every other solver failure
+    with pytest.raises(StationSolveError, match=r"station 1: Y\(z\) = 0") as err:
+        analyze_route(_line((40.0,), (1.0,), 500, 10.0))
     assert err.value.station == 1
 
 
