@@ -54,8 +54,9 @@ class DiscreteDist:
     """Probability vector over passenger counts 0..C.
 
     Entries in [-1e-12, 0) are treated as roundoff and clamped to zero;
-    anything more negative, or not finite, signals a solver bug and raises.  The vector is
-    renormalized exactly after the sum is confirmed within 1e-9 of one.
+    anything more negative, or not finite, signals a solver bug and raises.
+    The vector is renormalized exactly after the sum is confirmed within 1e-9
+    of one.
     """
 
     __slots__ = ("probs",)

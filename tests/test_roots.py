@@ -112,16 +112,20 @@ def test_validate_root_set_catches_each_defect():
 
 
 @pytest.mark.parametrize("C", [34, 250])
-def test_validate_root_set_j_residual_matches_direct(C):
-    # the J gate takes z^{-C} in log space at every capacity; the residual it
-    # reports must agree with the direct product wherever that is representable
+def test_validate_root_set_j_gate_at_each_point(C):
+    # the J gate takes z^{-C} in log space at every capacity; a Y built to give
+    # J = 1 + d exactly must pass the 1e-8 gate at d = 5e-9 and fail it at
+    # d = 2e-8, one point at a time, so J is checked to about 1e-9 near 1
     probs = np.zeros(C + 1)
     probs[C] = 0.6
     probs[C - 3] = 0.4
-    z = np.array([0.5 + 0.1j, 0.9 - 0.2j, 0.7 + 0.6j])
-    direct = np.max(np.abs(_unit_y(z) * np.polyval(probs, z) / z**C - 1.0))
-    (message,) = [p for p in validate_root_set(z, probs, _unit_y) if "|J(z)-1|" in p]
-    assert float(message.split()[3]) == pytest.approx(direct, rel=1e-3)
+    for z in (0.5 + 0.1j, 0.9 - 0.2j, 0.7 + 0.6j):
+        for d, fails in ((5e-9, False), (-5e-9, False), (2e-8, True), (-2e-8, True)):
+            def y_with_residual(w, d=d):
+                return (1.0 + d) * w**C / np.polyval(probs, w)
+
+            problems = validate_root_set(np.array([z]), probs, y_with_residual)
+            assert any("|J(z)-1|" in p for p in problems) == fails, (z, d, problems)
 
 
 def test_find_all_roots_matches_companion_matrix(reference_report):
