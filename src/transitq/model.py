@@ -7,6 +7,7 @@ construction, so scenarios can be shared freely across threads or processes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -80,9 +81,32 @@ class Scenario:
 
 
 def validate(scenario: Scenario) -> list[str]:
-    """Check every schema invariant; returns human-readable violations (empty = valid)."""
-    v: list[str] = []
+    """Check every schema invariant; returns human-readable violations (empty = valid).
+
+    NaN and infinite numbers are reported alone: the range checks assume
+    finite values.
+    """
     route = scenario.route
+    inc = scenario.incidents
+    numbers = [("interstation_time", route.interstation_time),
+               ("cycle_time", route.cycle_time),
+               ("nominal_headway", route.nominal_headway),
+               ("capacity", route.capacity),
+               ("demand_factor", route.demand_factor),
+               ("incident rate (gamma)", inc.rate),
+               ("theta", inc.duration_rate)]
+    v: list[str] = []
+    for idx, st in enumerate(route.stations, start=1):
+        for name, value in (("arrival rate (lambda)", st.arrival_rate),
+                            ("alighting probability (alpha)", st.alight_prob)):
+            if not math.isfinite(value):
+                v.append(f"station {idx}: {name} must be finite, got {value}")
+    v += [f"{name} must be finite, got {value}"
+          for name, value in numbers if not math.isfinite(value)]
+    v += [f"segment_times entry {idx} must be finite, got {t}"
+          for idx, t in enumerate(route.segment_times or (), start=1) if not math.isfinite(t)]
+    if v:
+        return v
     if not route.stations:
         v.append("route must have at least one station")
     for idx, st in enumerate(route.stations, start=1):
@@ -115,7 +139,6 @@ def validate(scenario: Scenario) -> list[str]:
                 f"travel time to the last station ({total:g} min) exceeds half "
                 f"the cycle time ({route.cycle_time / 2:g} min)"
             )
-    inc = scenario.incidents
     if inc.rate < 0:
         v.append(f"incident rate (gamma) must be >= 0, got {inc.rate}")
     if inc.duration_rate <= 0:
@@ -225,7 +248,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             rate=float(doc["incidents"]["gamma"]),
             duration_rate=float(doc["incidents"]["theta"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed scenario document: missing or bad field {exc}") from exc
     return Scenario(route=route, incidents=inc, label=str(doc.get("label", "")))
 

@@ -11,8 +11,10 @@ Random draws come from counter-based streams (Philox, stream layout 2): one
 stream per (seed, draw kind, station), its draws taken in vehicle order.
 Results are reproducible, and runs differing only in length share every
 draw of their common prefix of vehicles.  The run makes one pass per
-station, a few array operations over all vehicles each, so memory is
-O(runs) plus one station's passenger arrival times.
+station.  Headways and alighting take a few array operations over all
+vehicles; passenger arrivals are drawn on demand and streamed through the
+queue in blocks of vehicles.  Memory is O(runs) plus one block's arrivals
+plus the queue left behind, which stays bounded only at stable stations.
 """
 
 from __future__ import annotations
@@ -94,64 +96,107 @@ def _ratio_se(row_sums: np.ndarray, row_counts: np.ndarray) -> float:
     return float(np.std(means, ddof=1) / math.sqrt(len(means)))
 
 
-def _poisson_process(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
-    """Sorted event times of a rate-``rate`` Poisson process on (0, horizon].
+class _ArrivalStream:
+    """One station's Poisson arrival times, drawn on demand in chunks.
 
-    The times are prefix sums of exponential gaps, so a longer horizon only
-    appends events.  Gaps are drawn in chunks until the sum passes the
-    horizon; the prefix sum always runs over the joined gaps, so the times
-    do not depend on where the chunks were cut.
+    ``times[head:]`` holds the passengers who have not boarded yet, then the
+    times drawn beyond the last departure covered.  Each chunk's exponential
+    gaps continue the unscaled running sum of the chunks before it, so every
+    time equals the whole-run ``cumsum(gaps) / rate`` bit for bit whatever
+    the chunk sizes.  Only drawing a chunk copies the buffer.
     """
-    if rate <= 0.0 or horizon <= 0.0:
-        return np.empty(0)
-    mean = rate * horizon
-    gaps = rng.standard_exponential(int(mean + 6.0 * math.sqrt(mean)) + 16)
-    times = np.cumsum(gaps)
-    while times[-1] / rate <= horizon:
-        gaps = np.concatenate([gaps, rng.standard_exponential(len(gaps))])
-        times = np.cumsum(gaps)
-    del gaps
-    times /= rate
-    return times[:np.searchsorted(times, horizon, side="right")]
+
+    def __init__(self, rng: np.random.Generator, rate: float):
+        self.rng, self.rate = rng, rate
+        self.times = np.empty(0)
+        self.head = 0
+        self._sum = 0.0
+
+    def draw(self, size: int) -> None:
+        """Append the next ``size`` arrival times and drop the boarded ones."""
+        gaps = self.rng.standard_exponential(size)
+        gaps[0] += self._sum
+        np.cumsum(gaps, out=gaps)
+        self._sum = gaps[-1]
+        gaps /= self.rate
+        self.times = np.concatenate((self.times[self.head:], gaps))
+        self.head = 0
+
+    def cover(self, horizon: float) -> None:
+        """Draw until the buffer holds every arrival time up to ``horizon``.
+
+        A chunk is sized like a whole-run draw over the uncovered span, its
+        expected count plus six standard deviations plus 16, and is at least
+        as long as the queue it carries: a queue that grows without bound
+        at an unstable station is then copied a bounded number of times per
+        passenger.
+        """
+        if self.rate <= 0.0:
+            return
+        while not (len(self.times) and self.times[-1] > horizon):
+            last = self.times[-1] if len(self.times) else 0.0
+            mean = self.rate * (horizon - last)
+            self.draw(max(int(mean + 6.0 * math.sqrt(mean)) + 16,
+                          len(self.times) - self.head))
 
 
-def _queue_pass(k: np.ndarray, stay: np.ndarray, cap: int):
-    """Bulk-service FIFO queue of one station over all vehicles at once.
+def _queue_pass(k: np.ndarray, stay: np.ndarray, cap: int, x0: int = 0):
+    """Bulk-service FIFO queue of one station over a run of vehicles at once.
 
     ``k[j]`` passengers arrive during vehicle j's headway window and
     ``stay[j]`` riders remain on board after alighting, leaving room
-    ``cap - stay[j]``.  Returns ``(q_seen, board, left)``: the queue the
-    vehicle finds, how many of it board, and the queue left behind.  The
-    leftover follows the Lindley recursion x_j = max(0, x_{j-1} + k_j -
-    room_j) with x_0 = 0, which is S - min(0, running minimum of S) for
-    S the prefix sum of k - room.
+    ``cap - stay[j]``.  ``x0`` is the queue the vehicle before the run left
+    behind.  Returns ``(q_seen, board, left)``: the queue the vehicle
+    finds, how many of it board, and the queue left behind.  The leftover
+    follows the Lindley recursion x_j = max(0, x_{j-1} + k_j - room_j),
+    which is S - min(0, running minimum of S) for S the prefix sum of
+    k - room started at x0 >= 0.
     """
-    s = np.cumsum(k - (cap - stay))
+    s = x0 + np.cumsum(k - (cap - stay))
     left = s - np.minimum(np.minimum.accumulate(s), 0)
-    q_seen = k + np.concatenate(([0], left[:-1]))
+    q_seen = k + np.concatenate(([x0], left[:-1]))
     return q_seen, q_seen - left, left
 
 
-def _fifo_waits(arrivals: np.ndarray, depart: np.ndarray, board: np.ndarray,
-                block: int = 4096):
-    """Per-vehicle sum and sum of squares of the waits of its boarders.
+def _station_pass(arrivals: _ArrivalStream, dep: np.ndarray, stay: np.ndarray,
+                  cap: int, max_vehicles: int = 4096, max_arrivals: int = 16384):
+    """One station's queue and FIFO waits, in blocks of vehicles.
 
-    Passengers board in arrival order, so the i-th boarder overall is the
-    i-th arrival and rides the vehicle whose cumulative boardings first
-    exceed i.  Vehicles go ``block`` at a time; each vehicle's boarders stay
-    in one block and in order, so the sums do not depend on the block size.
+    The run is cut into equal blocks of at most ``max_vehicles`` vehicles
+    and about ``max_arrivals`` expected passengers.  Each block draws the
+    arrivals up to its last departure, counts them against its departures,
+    runs the Lindley recursion from the queue the block before left, and
+    sums the waits of its boarders, who are the next arrivals in the
+    stream.  Returns ``(k, q_seen, board, left, w_sum, w_sq)``: per vehicle
+    the arrivals, queue found and boardings, ``left`` the queue the last
+    vehicle left behind, then per vehicle the sum and sum of squares of its
+    boarders' waits.  Each vehicle's boarders stay in one block and in
+    order, so no output depends on the block size.
     """
-    w_sum, w_sq = np.zeros(len(board)), np.zeros(len(board))
-    first = 0
-    for lo in range(0, len(board), block):
-        hi = min(lo + block, len(board))
-        rider = np.repeat(np.arange(hi - lo), board[lo:hi])
-        w = depart[lo:hi][rider] - arrivals[first:first + len(rider)]
-        first += len(rider)
+    runs = len(dep)
+    blocks = max(math.ceil(runs / max_vehicles),
+                 math.ceil(arrivals.rate * dep[-1] / max_arrivals))
+    block = -(-runs // blocks)
+    k = np.empty(runs, dtype=np.int64)
+    q_seen = np.empty(runs, dtype=np.int64)
+    board = np.empty(runs, dtype=np.int64)
+    w_sum, w_sq = np.empty(runs), np.empty(runs)
+    left = 0
+    for lo in range(0, runs, block):
+        hi = min(lo + block, runs)
+        arrivals.cover(dep[hi - 1])
+        seen = np.searchsorted(arrivals.times, dep[lo:hi], side="right")
+        k[lo:hi] = np.diff(seen, prepend=arrivals.head + left)
+        q, b, x = _queue_pass(k[lo:hi], stay[lo:hi], cap, left)
+        q_seen[lo:hi], board[lo:hi], left = q, b, int(x[-1])
+        rider = np.repeat(np.arange(hi - lo), b)
+        w = dep[lo:hi][rider]
+        w -= arrivals.times[arrivals.head:arrivals.head + len(rider)]
+        arrivals.head += len(rider)
         w_sum[lo:hi] = np.bincount(rider, weights=w, minlength=hi - lo)
         w *= w
         w_sq[lo:hi] = np.bincount(rider, weights=w, minlength=hi - lo)
-    return w_sum, w_sq
+    return k, q_seen, board, left, w_sum, w_sq
 
 
 def _simulate(scenario: Scenario, config: SimConfig, keep_trace: bool = False):
@@ -190,15 +235,11 @@ def _simulate(scenario: Scenario, config: SimConfig, keep_trace: bool = False):
         h = np.maximum(0.0, h_adj + delay[1:] - delay[:-1])
         dep = np.cumsum(h)
 
-        arr = _poisson_process(_stream(seed, _ARRIVALS, n), lam[n], dep[-1])
-        k = np.diff(np.searchsorted(arr, dep, side="right"), prepend=0)
         stay = loads - _stream(seed, _ALIGHTING, n).binomial(loads, alpha[n])
-        q_seen, board, left = _queue_pass(k, stay, cap)
-        w_sum, w_sq = _fifo_waits(arr, dep, board)
-        del arr  # before the next station draws its arrivals
+        k, q_seen, board, final_q[n], w_sum, w_sq = _station_pass(
+            _ArrivalStream(_stream(seed, _ARRIVALS, n), lam[n]), dep, stay, cap)
         loads = stay + board
         load_max = max(load_max, int(loads.max()))
-        final_q[n] = left[-1]
         if keep_trace:
             headways[:, n] = h
             trace_arrivals[:, n] = k
@@ -222,6 +263,8 @@ def _simulate(scenario: Scenario, config: SimConfig, keep_trace: bool = False):
             headway_mean=float(h_sel.mean()), headway_var=float(h_sel.var(ddof=1)),
             boarded=cnt,
         ))
+        # before the next station allocates its own
+        del counts, h, dep, stay, k, q_seen, board, w_sum, w_sq, q_sel, h_sel
 
     result = SimStats(label=scenario.label, runs=runs, seed=seed,
                       warmup=config.warmup, stations=tuple(stats), rng_layout=RNG_LAYOUT)

@@ -355,6 +355,21 @@ def test_config_directory_is_an_input_error(tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["simulate", "--runs", "200"]])
+@pytest.mark.parametrize("key, value", [("lambda", "NaN"), ("capacity", "Infinity"),
+                                        ("nominal_headway", "NaN"),
+                                        ("demand_factor", "-Infinity")])
+def test_non_finite_config_is_an_input_error(command, key, value, tmp_path, capsys):
+    doc = model.scenario_to_dict(model.reference_scenario())
+    target = doc["route"]["stations"][0] if key == "lambda" else doc["route"]
+    target[key] = "@"
+    path = tmp_path / "non-finite.json"
+    path.write_text(json.dumps(doc).replace('"@"', value))  # json reads these back
+    assert main(command + ["--config", str(path)]) == EXIT_INPUT
+    err = _assert_one_error_line(capsys)
+    assert ("must be finite" in err) != (key == "capacity")
+
+
 def test_sweep_out_under_a_file_is_an_input_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

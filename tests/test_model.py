@@ -59,6 +59,55 @@ def test_validate_flags_each_field(reference, patch, fragment):
         model.require_valid(sc)
 
 
+@pytest.mark.parametrize("section, field", [
+    ("station", "arrival_rate"), ("station", "alight_prob"),
+    ("route", "interstation_time"), ("route", "cycle_time"),
+    ("route", "nominal_headway"), ("route", "capacity"), ("route", "demand_factor"),
+    ("route", "segment_times"), ("incidents", "rate"), ("incidents", "duration_rate"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_validate_flags_each_non_finite_field(reference, section, field, value):
+    sc = reference
+    if section == "station":
+        st0 = dataclasses.replace(sc.route.stations[0], **{field: value})
+        sc = dataclasses.replace(
+            sc, route=dataclasses.replace(sc.route, stations=(st0,) + sc.route.stations[1:]))
+    elif field == "segment_times":
+        sc = dataclasses.replace(
+            sc, route=dataclasses.replace(sc.route, segment_times=(4.0,) * 9 + (value,)))
+    elif section == "route":
+        sc = dataclasses.replace(sc, route=dataclasses.replace(sc.route, **{field: value}))
+    else:
+        sc = dataclasses.replace(
+            sc, incidents=dataclasses.replace(sc.incidents, **{field: value}))
+    assert model.validate(sc) == [
+        f"{name} must be finite, got {value}" for name in {
+            "arrival_rate": ["station 1: arrival rate (lambda)"],
+            "alight_prob": ["station 1: alighting probability (alpha)"],
+            "segment_times": ["segment_times entry 10"],
+            "rate": ["incident rate (gamma)"],
+            "duration_rate": ["theta"],
+        }.get(field, [field])]
+    with pytest.raises(model.InvalidScenarioError):
+        model.require_valid(sc)
+
+
+def test_non_finite_config_values_load_and_fail_validation(tmp_path, reference):
+    doc = model.scenario_to_dict(reference)
+    doc["route"]["stations"][3]["lambda"] = math.nan
+    doc["incidents"]["gamma"] = math.inf
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # json writes NaN and Infinity and reads them back
+    assert model.validate(model.load_scenario(str(path))) == [
+        "station 4: arrival rate (lambda) must be finite, got nan",
+        "incident rate (gamma) must be finite, got inf",
+    ]
+    doc["route"]["capacity"] = math.inf
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="malformed scenario document"):
+        model.load_scenario(str(path))
+
+
 def test_validate_empty_route():
     sc = model.Scenario(route=model.RouteConfig(stations=()),
                         incidents=model.IncidentParams(rate=0.0, duration_rate=1.0))

@@ -17,9 +17,10 @@ from transitq.simulator import (
     StationSimStats,
     compare,
     run_simulation,
-    _fifo_waits,
+    _ArrivalStream,
     _queue_pass,
     _simulate,
+    _station_pass,
 )
 
 
@@ -166,6 +167,32 @@ def test_reference_run_is_pinned(reference):
     assert trace_digest(trace) == PINNED_TRACE_SHA256
 
 
+def capacity_one(scenario):
+    route = dataclasses.replace(scenario.route, capacity=1)
+    return dataclasses.replace(scenario, route=route, label="cap-1")
+
+
+# runs=9000, seed=7: many blocks of vehicles per station, so these carry the
+# arrival stream, the queue left behind and the waits across block edges;
+# the capacity-1 line leaves a queue that grows through the whole run.
+# SHA-256 of the stations' reprs joined by newlines, then of the trace.
+PINNED_MULTI_BLOCK = {
+    "reference": ("aaf84a67295b7fa757a4f96c9bf0578b3e3894c8690c13a6eeb2404c8bf90949",
+                  "c4affb2aff27a0544a5b84fce4f35ac9e63d86304000675ee6e03ecf06eb9266"),
+    "cap-1": ("fd63b1b3a625d018641f6dd2eb25efa7dce468fcbf7dc2eaa0fe02d5a699ecf8",
+              "228b6a9f36493fdfb351106eff3ce952887e884172816a481c02587420a45ee0"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_MULTI_BLOCK))
+def test_multi_block_run_is_pinned(reference, label):
+    sc = reference if label == "reference" else capacity_one(reference)
+    stats, trace = _simulate(sc, SimConfig(runs=9000, seed=7), keep_trace=True)
+    stations = "\n".join(map(repr, stats.stations)).encode()
+    assert (hashlib.sha256(stations).hexdigest(), trace_digest(trace)) == \
+        PINNED_MULTI_BLOCK[label]
+
+
 # ---------------------------------------------------------------------------
 # physics of a run
 
@@ -217,25 +244,37 @@ def test_terminal_station_empties_vehicles(reference):
 
 
 def test_capacity_one_line_leaves_queue_behind():
-    sc = model.reference_scenario()
-    route = dataclasses.replace(sc.route, capacity=1)
-    sc = dataclasses.replace(sc, route=route, label="cap-1")
+    sc = capacity_one(model.reference_scenario())
     _, trace = _simulate(sc, SimConfig(runs=300, seed=31), keep_trace=True)
     assert trace["load_max"] <= 1
     assert trace["final_queue"].sum() > 0
 
 
-def test_memory_grows_with_runs_not_passengers(reference):
-    # one pass per station keeps O(runs) plus one station's arrival times;
-    # a whole-run layout held ~21 MB here
-    run_simulation(reference, SimConfig(runs=200, seed=5))  # warm imports and caches
+def traced_peak(scenario, runs):
+    run_simulation(scenario, SimConfig(runs=200, seed=5))  # warm imports and caches
     tracemalloc.start()
     try:
-        run_simulation(reference, SimConfig(runs=20_000, seed=5))
-        peak = tracemalloc.get_traced_memory()[1]
+        run_simulation(scenario, SimConfig(runs=runs, seed=5))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+
+
+def test_memory_grows_with_runs_not_passengers(reference):
+    # O(runs) plus one block of arrivals; a whole-run arrival buffer held
+    # ~7.7 MB here and a whole-run layout ~21 MB
+    assert traced_peak(reference, 20_000) < 4e6
+
+
+def test_memory_does_not_grow_with_passengers(reference, reference_report):
+    # doubling the demand of a stable line adds ~173k arrivals at station 4
+    # over 20k vehicles; a whole-run arrival buffer grew by 16 bytes each
+    low = dataclasses.replace(
+        reference, route=dataclasses.replace(reference.route, demand_factor=0.4))
+    assert all(st.stable for st in reference_report.stations)
+    assert all(st.stable for st in solver.analyze_route(low).stations)
+    assert reference.route.demand_factor == 0.8
+    assert abs(traced_peak(reference, 20_000) - traced_peak(low, 20_000)) < 0.4e6
 
 
 class _ShortGaps:
@@ -248,16 +287,35 @@ class _ShortGaps:
 
     def standard_exponential(self, size):
         self.drawn.append(0.5 + 0.01 * self.rng.random(size))
-        return self.drawn[-1]
+        return self.drawn[-1].copy()
+
+
+def philox(seed):
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def test_poisson_process_cumsum_spans_chunks():
     gen = _ShortGaps()
-    times = simulator._poisson_process(gen, 2.0, 500.0)
+    stream = _ArrivalStream(gen, 2.0)
+    stream.cover(500.0)
     assert len(gen.drawn) >= 2
     want = np.cumsum(np.concatenate(gen.drawn)) / 2.0
-    np.testing.assert_array_equal(times, want[want <= 500.0])
-    assert want[-1] > 500.0
+    np.testing.assert_array_equal(stream.times, want)
+    assert want[-len(gen.drawn[-1]) - 1] <= 500.0 < want[-1]  # no chunk too many
+    # any chunk sizes give the whole-run cumsum(gaps) / rate bit for bit
+    whole = np.cumsum(philox(9).standard_exponential(3000)) / 0.7
+    for sizes in ([3000], [1, 2999], [7, 1000, 3, 1990], [16] * 187 + [8]):
+        stream = _ArrivalStream(philox(9), 0.7)
+        for size in sizes:
+            stream.draw(size)
+        np.testing.assert_array_equal(stream.times, whole)
+    # boarders leave the buffer when the next chunk is drawn, nobody else does
+    stream = _ArrivalStream(philox(9), 0.7)
+    stream.draw(1000)
+    stream.head = 600
+    stream.draw(2000)
+    assert stream.head == 0
+    np.testing.assert_array_equal(stream.times, whole[600:])
 
 
 @pytest.mark.parametrize("cap,alpha,rate", [
@@ -268,7 +326,11 @@ def test_queue_pass_matches_vehicle_loop(cap, alpha, rate):
     rng = np.random.default_rng(1000 * cap + int(10 * rate))
     runs = 3000
     depart = np.cumsum(np.maximum(0.0, rng.normal(6.0, 4.0, runs)))  # some zero headways
-    arrivals = np.sort(rng.uniform(0.0, depart[-1], rng.poisson(rate * depart[-1])))
+    arrivals = np.empty(0)
+    if rate > 0:
+        arrivals = np.cumsum(philox(cap).standard_exponential(
+            int(rate * depart[-1] * 1.2) + 100)) / rate
+        assert arrivals[-1] > depart[-1]
     k = np.diff(np.searchsorted(arrivals, depart, side="right"), prepend=0)
     loads = rng.integers(0, cap + 1, runs)
     stay = loads - rng.binomial(loads, alpha)
@@ -278,14 +340,25 @@ def test_queue_pass_matches_vehicle_loop(cap, alpha, rate):
     np.testing.assert_array_equal(q_seen, want_q)
     np.testing.assert_array_equal(board, want_board)
     np.testing.assert_array_equal(left, want_left)
-    w_sum, w_sq = _fifo_waits(arrivals, depart, board)
+    # the run split anywhere, the second part started from the carried queue
+    for cut in (1, 1234, runs - 1):
+        head = _queue_pass(k[:cut], stay[:cut], cap)
+        tail = _queue_pass(k[cut:], stay[cut:], cap, head[2][-1])
+        for part, want in zip(zip(head, tail), (want_q, want_board, want_left)):
+            np.testing.assert_array_equal(np.concatenate(part), want)
+    # streamed in blocks of vehicles: blocks of whole vehicles add each
+    # vehicle's waits in the same order, whatever the block size
+    passes = [_station_pass(_ArrivalStream(philox(cap), rate), depart, stay, cap, *blocks)
+              for blocks in ((4096, 16384), (1, 16384), (7, 16384), (1000, 16384),
+                             (4096, 1), (4096, 100))]
+    s_k, s_q, s_board, s_left, w_sum, w_sq = passes[0]
+    for got, want in zip((s_k, s_q, s_board, s_left), (k, want_q, want_board, want_left[-1])):
+        np.testing.assert_array_equal(got, want)
     np.testing.assert_allclose(w_sum, want_sum, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(w_sq, want_sq, rtol=1e-12, atol=0.0)
-    # blocks of whole vehicles add each vehicle's waits in the same order
-    for block in (1, 7, 1000):
-        b_sum, b_sq = _fifo_waits(arrivals, depart, board, block=block)
-        np.testing.assert_array_equal(b_sum, w_sum)
-        np.testing.assert_array_equal(b_sq, w_sq)
+    for other in passes[1:]:
+        for got, want in zip(other, passes[0]):
+            np.testing.assert_array_equal(got, want)
     if cap == 1 and rate > 0:
         assert left.max() > 0  # the one-seat line does build a queue
 
