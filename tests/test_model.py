@@ -26,6 +26,18 @@ def test_presets():
     assert set(model.PRESETS) == {"reference", "reference-h4"}
 
 
+def with_field(sc, section, field, value):
+    """``sc`` with one station-1, route or incident field replaced."""
+    if section == "station":
+        st0 = dataclasses.replace(sc.route.stations[0], **{field: value})
+        return dataclasses.replace(
+            sc, route=dataclasses.replace(sc.route, stations=(st0,) + sc.route.stations[1:]))
+    if section == "route":
+        return dataclasses.replace(sc, route=dataclasses.replace(sc.route, **{field: value}))
+    return dataclasses.replace(
+        sc, incidents=dataclasses.replace(sc.incidents, **{field: value}))
+
+
 @pytest.mark.parametrize(
     "patch, fragment",
     [
@@ -41,17 +53,7 @@ def test_presets():
     ],
 )
 def test_validate_flags_each_field(reference, patch, fragment):
-    sc = reference
-    if patch["section"] == "station":
-        st0 = dataclasses.replace(sc.route.stations[0], **{patch["field"]: patch["value"]})
-        sc = dataclasses.replace(
-            sc, route=dataclasses.replace(sc.route, stations=(st0,) + sc.route.stations[1:]))
-    elif patch["section"] == "route":
-        sc = dataclasses.replace(
-            sc, route=dataclasses.replace(sc.route, **{patch["field"]: patch["value"]}))
-    else:
-        sc = dataclasses.replace(
-            sc, incidents=dataclasses.replace(sc.incidents, **{patch["field"]: patch["value"]}))
+    sc = with_field(reference, patch["section"], patch["field"], patch["value"])
     problems = model.validate(sc)
     assert problems, f"expected a violation for {patch}"
     assert any(fragment in p for p in problems)
@@ -67,27 +69,16 @@ def test_validate_flags_each_field(reference, patch, fragment):
 ])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_validate_flags_each_non_finite_field(reference, section, field, value):
-    sc = reference
-    if section == "station":
-        st0 = dataclasses.replace(sc.route.stations[0], **{field: value})
-        sc = dataclasses.replace(
-            sc, route=dataclasses.replace(sc.route, stations=(st0,) + sc.route.stations[1:]))
-    elif field == "segment_times":
-        sc = dataclasses.replace(
-            sc, route=dataclasses.replace(sc.route, segment_times=(4.0,) * 9 + (value,)))
-    elif section == "route":
-        sc = dataclasses.replace(sc, route=dataclasses.replace(sc.route, **{field: value}))
-    else:
-        sc = dataclasses.replace(
-            sc, incidents=dataclasses.replace(sc.incidents, **{field: value}))
-    assert model.validate(sc) == [
-        f"{name} must be finite, got {value}" for name in {
-            "arrival_rate": ["station 1: arrival rate (lambda)"],
-            "alight_prob": ["station 1: alighting probability (alpha)"],
-            "segment_times": ["segment_times entry 10"],
-            "rate": ["incident rate (gamma)"],
-            "duration_rate": ["theta"],
-        }.get(field, [field])]
+    patched = (4.0,) * 9 + (value,) if field == "segment_times" else value
+    sc = with_field(reference, section, field, patched)
+    name = {
+        "arrival_rate": "station 1: arrival rate (lambda)",
+        "alight_prob": "station 1: alighting probability (alpha)",
+        "segment_times": "segment_times entry 10",
+        "rate": "incident rate (gamma)",
+        "duration_rate": "theta",
+    }.get(field, field)
+    assert model.validate(sc) == [f"{name} must be finite, got {value}"]
     with pytest.raises(model.InvalidScenarioError):
         model.require_valid(sc)
 

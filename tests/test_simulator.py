@@ -261,14 +261,14 @@ def traced_peak(scenario, runs):
 
 
 def test_memory_grows_with_runs_not_passengers(reference):
-    # O(runs) plus one block of arrivals; a whole-run arrival buffer held
-    # ~7.7 MB here and a whole-run layout ~21 MB
+    # O(runs) plus one block of arrivals, ~2.5 MB; holding station 4's
+    # whole-run arrival times and gaps would add ~5 MB
     assert traced_peak(reference, 20_000) < 4e6
 
 
 def test_memory_does_not_grow_with_passengers(reference, reference_report):
     # doubling the demand of a stable line adds ~173k arrivals at station 4
-    # over 20k vehicles; a whole-run arrival buffer grew by 16 bytes each
+    # over 20k vehicles; holding them at 8 bytes each would take 1.4 MB
     low = dataclasses.replace(
         reference, route=dataclasses.replace(reference.route, demand_factor=0.4))
     assert all(st.stable for st in reference_report.stations)
