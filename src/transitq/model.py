@@ -84,7 +84,9 @@ def validate(scenario: Scenario) -> list[str]:
     """Check every schema invariant; returns human-readable violations (empty = valid).
 
     NaN and infinite numbers are reported alone: the range checks assume
-    finite values.
+    finite values.  The quantities derived from valid fields, the scaled
+    arrival rates, the adjusted headway and the headway variance, are
+    checked last, since they can still overflow.
     """
     route = scenario.route
     inc = scenario.incidents
@@ -143,7 +145,19 @@ def validate(scenario: Scenario) -> list[str]:
         v.append(f"incident rate (gamma) must be >= 0, got {inc.rate}")
     if inc.duration_rate <= 0:
         v.append(f"theta must be positive (incident duration rate), got {inc.duration_rate}")
-    return v
+    if v:
+        return v
+    # where theta^2 over- or underflows the headway model cannot evaluate it
+    try:
+        h_var = 4.0 * _total_travel_time(route) * inc.rate / inc.duration_rate**2
+    except ArithmeticError:
+        h_var = math.nan
+    v = [f"station {idx}: scaled arrival rate (lambda * demand_factor) must be finite, got {rate}"
+         for idx, rate in enumerate(route.arrival_rates(), start=1) if not math.isfinite(rate)]
+    return v + [f"{name} must be finite, got {value}"
+                for name, value in (("adjusted headway", adjusted_headway(scenario)),
+                                    ("headway variance 4*T_N*gamma/theta^2", h_var))
+                if not math.isfinite(value)]
 
 
 def _total_travel_time(route: RouteConfig) -> float:
@@ -235,12 +249,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
             for st in r["stations"]
         )
         seg = r.get("segment_times")
+        capacity = int(r["capacity"])
+        if capacity != float(r["capacity"]):  # int() would truncate 34.5 to a valid 34
+            raise ValueError(f"'capacity': {r['capacity']!r} is not a whole number")
         route = RouteConfig(
             stations=stations,
             interstation_time=float(r.get("interstation_time", 5.0)),
             cycle_time=float(r["cycle_time"]),
             nominal_headway=float(r["nominal_headway"]),
-            capacity=int(r["capacity"]),
+            capacity=capacity,
             demand_factor=float(r.get("demand_factor", 1.0)),
             segment_times=tuple(float(t) for t in seg) if seg is not None else None,
         )

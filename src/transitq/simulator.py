@@ -20,7 +20,7 @@ plus the queue left behind, which stays bounded only at stable stations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,6 +47,8 @@ class SimConfig:
             raise ValueError(f"need at least 100 vehicles, got {self.runs}")
         if not 0.0 <= self.warmup < 1.0:
             raise ValueError(f"warmup fraction must lie in [0, 1), got {self.warmup}")
+        if self.runs - math.ceil(self.warmup * self.runs) < 2:
+            raise ValueError("warmup leaves fewer than 2 vehicles for statistics")
 
 
 @dataclass(frozen=True)
@@ -78,15 +80,11 @@ def _stream(seed: int, kind: int, station: int) -> np.random.Generator:
         key=((seed & _MASK64) << 64) | (kind << 32) | station))
 
 
-def _series_se(values: np.ndarray) -> float:
-    n_batches = min(_BATCHES, len(values))
-    if n_batches < 2:
-        return math.nan
-    means = [chunk.mean() for chunk in np.array_split(values, n_batches)]
-    return float(np.std(means, ddof=1) / math.sqrt(n_batches))
-
-
 def _ratio_se(row_sums: np.ndarray, row_counts: np.ndarray) -> float:
+    """Batch-means standard error of sum(row_sums) / sum(row_counts).
+
+    The mean of a series is the ratio with unit counts.
+    """
     n_batches = min(_BATCHES, len(row_sums))
     sums = np.array_split(row_sums, n_batches)
     counts = np.array_split(row_counts, n_batches)
@@ -199,53 +197,54 @@ def _station_pass(arrivals: _ArrivalStream, dep: np.ndarray, stay: np.ndarray,
     return k, q_seen, board, left, w_sum, w_sq
 
 
-def _simulate(scenario: Scenario, config: SimConfig, keep_trace: bool = False):
-    require_valid(scenario)
+def _station_passes(scenario: Scenario, config: SimConfig):
+    """Simulate a valid scenario one station at a time, in route order.
+
+    Yields per station ``(h, k, q_seen, board, loads, left, w_sum, w_sq)``:
+    per vehicle the departure headway, the arrivals, the queue found, the
+    boardings and the load on departure, then the queue the last vehicle
+    left behind, then per vehicle the sum and sum of squares of its
+    boarders' waits.  Only the cumulative delays and the loads carry on to
+    the next station; a consumer that drops each pass before asking for the
+    next holds one station's arrays at a time.  Every (seed, kind, station)
+    stream is drawn on its own, so taking the stations in turn changes no
+    draw.
+    """
     route = scenario.route
-    n_sta = route.num_stations
     runs, seed = config.runs, config.seed
-    cap = route.capacity
     lam = route.arrival_rates()
     alpha = route.alight_probs()
     seg = (route.segment_times if route.segment_times is not None
-           else (route.interstation_time,) * n_sta)
+           else (route.interstation_time,) * route.num_stations)
     gamma, theta = scenario.incidents.rate, scenario.incidents.duration_rate
     h_adj = adjusted_headway(scenario)
 
-    cut = int(math.ceil(config.warmup * runs))
-    if runs - cut < 2:
-        raise ValueError("warmup leaves fewer than 2 vehicles for statistics")
-
-    # One pass per station.  Every (seed, kind, station) stream is drawn on
-    # its own, so taking the stations in turn changes no draw.
     delay = np.zeros(runs + 1)  # cumulative incident delay of vehicles 0..runs
     loads = np.zeros(runs, dtype=np.int64)
-    final_q = np.zeros(n_sta, dtype=np.int64)
-    if keep_trace:
-        headways = np.empty((runs, n_sta))
-        trace_arrivals = np.empty((runs, n_sta), dtype=np.int64)
-        trace_boardings = np.empty((runs, n_sta), dtype=np.int64)
-    stats: list[StationSimStats] = []
-    load_max = 0
-    for n in range(n_sta):
+    for n in range(route.num_stations):
         # Rectified headways and departure times of vehicles 1..runs (the
         # virtual vehicle 0 departs every station at t=0).
-        counts = _stream(seed, _INCIDENT_COUNT, n).poisson(gamma * seg[n], size=runs + 1)
-        delay += _stream(seed, _INCIDENT_SIZE, n).gamma(counts) / theta
+        delay += _stream(seed, _INCIDENT_SIZE, n).gamma(
+            _stream(seed, _INCIDENT_COUNT, n).poisson(gamma * seg[n], size=runs + 1)) / theta
         h = np.maximum(0.0, h_adj + delay[1:] - delay[:-1])
         dep = np.cumsum(h)
 
         stay = loads - _stream(seed, _ALIGHTING, n).binomial(loads, alpha[n])
-        k, q_seen, board, final_q[n], w_sum, w_sq = _station_pass(
-            _ArrivalStream(_stream(seed, _ARRIVALS, n), lam[n]), dep, stay, cap)
+        k, q_seen, board, left, w_sum, w_sq = _station_pass(
+            _ArrivalStream(_stream(seed, _ARRIVALS, n), lam[n]), dep, stay, route.capacity)
         loads = stay + board
-        load_max = max(load_max, int(loads.max()))
-        if keep_trace:
-            headways[:, n] = h
-            trace_arrivals[:, n] = k
-            trace_boardings[:, n] = board
+        yield h, k, q_seen, board, loads, left, w_sum, w_sq
+        # before the next station allocates its own
+        del h, dep, stay, k, q_seen, board, w_sum, w_sq
 
-        q_sel = q_seen[cut:]
+
+def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimStats:
+    config = config or SimConfig()
+    require_valid(scenario)
+    cut = math.ceil(config.warmup * config.runs)
+    stats: list[StationSimStats] = []
+    for h, _, q_seen, board, _, _, w_sum, w_sq in _station_passes(scenario, config):
+        q_sel, h_sel = q_seen[cut:], h[cut:]
         cnt = int(board[cut:].sum())
         if cnt:
             w_mean = float(w_sum[cut:].sum()) / cnt
@@ -253,39 +252,19 @@ def _simulate(scenario: Scenario, config: SimConfig, keep_trace: bool = False):
                      if cnt > 1 else math.nan)
         else:
             w_mean = w_var = math.nan
-        h_sel = h[cut:]
         stats.append(StationSimStats(
-            station=n + 1,
+            station=len(stats) + 1,
             q_mean=float(q_sel.mean()), q_var=float(q_sel.var(ddof=1)),
-            q_mean_se=_series_se(q_sel),
+            q_mean_se=_ratio_se(q_sel, np.ones_like(q_sel)),
             w_mean=w_mean, w_var=w_var,
             w_mean_se=_ratio_se(w_sum[cut:], board[cut:]),
             headway_mean=float(h_sel.mean()), headway_var=float(h_sel.var(ddof=1)),
             boarded=cnt,
         ))
-        # before the next station allocates its own
-        del counts, h, dep, stay, k, q_seen, board, w_sum, w_sq, q_sel, h_sel
-
-    result = SimStats(label=scenario.label, runs=runs, seed=seed,
-                      warmup=config.warmup, stations=tuple(stats), rng_layout=RNG_LAYOUT)
-    if not keep_trace:
-        return result, None
-    trace = {
-        "headways": headways,
-        "arrived": trace_arrivals.sum(axis=0),
-        "boarded": trace_boardings.sum(axis=0),
-        "final_queue": final_q,
-        "load_max": load_max,
-        "final_loads": loads,
-        "vehicle_arrivals": trace_arrivals,
-        "vehicle_boardings": trace_boardings,
-    }
-    return result, trace
-
-
-def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimStats:
-    stats, _ = _simulate(scenario, config or SimConfig())
-    return stats
+        # before the next station is drawn
+        del h, q_seen, board, w_sum, w_sq, q_sel, h_sel
+    return SimStats(label=scenario.label, runs=config.runs, seed=config.seed,
+                    warmup=config.warmup, stations=tuple(stats), rng_layout=RNG_LAYOUT)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +273,13 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimSt
 _REL_MEAN_DEFAULT = 0.08
 _FLOOR_EQ = 0.3
 _FLOOR_EW = 0.2
+# the fields an excluded station reports as NaN, by status
+_EXCLUDED_NAN = {
+    "excluded-unstable": ("eq_gap", "eq_tol", "ew_gap", "ew_tol", "q_sd_theory",
+                          "q_sd_rel_gap", "w_sd_theory", "w_sd_sim", "w_sd_rel_gap"),
+    "excluded-no-arrivals": ("eq_tol", "ew_gap", "ew_tol", "q_sd_rel_gap",
+                             "w_sd_theory", "w_sd_sim", "w_sd_rel_gap"),
+}
 
 
 @dataclass(frozen=True)
@@ -344,25 +330,6 @@ def compare(report: RouteReport, stats: SimStats,
     scale = tol_mean / _REL_MEAN_DEFAULT
     rows = []
     for th, sim in zip(report.stations, stats.stations):
-        if not th.stable:
-            rows.append(ComparisonRow(
-                station=th.station, status="excluded-unstable",
-                eq_theory=th.eq, eq_sim=sim.q_mean, eq_gap=math.nan, eq_tol=math.nan,
-                ew_theory=th.ew, ew_sim=sim.w_mean, ew_gap=math.nan, ew_tol=math.nan,
-                q_sd_theory=math.nan, q_sd_sim=math.sqrt(max(sim.q_var, 0.0)),
-                q_sd_rel_gap=math.nan, w_sd_theory=math.nan, w_sd_sim=math.nan,
-                w_sd_rel_gap=math.nan))
-            continue
-        if th.arrival_rate == 0.0:
-            rows.append(ComparisonRow(
-                station=th.station, status="excluded-no-arrivals",
-                eq_theory=th.eq, eq_sim=sim.q_mean, eq_gap=abs(th.eq - sim.q_mean),
-                eq_tol=math.nan, ew_theory=th.ew, ew_sim=sim.w_mean,
-                ew_gap=math.nan, ew_tol=math.nan,
-                q_sd_theory=math.sqrt(max(th.varq, 0.0)),
-                q_sd_sim=math.sqrt(max(sim.q_var, 0.0)), q_sd_rel_gap=math.nan,
-                w_sd_theory=math.nan, w_sd_sim=math.nan, w_sd_rel_gap=math.nan))
-            continue
         eq_gap = abs(th.eq - sim.q_mean)
         eq_tol = max(_FLOOR_EQ * scale, tol_mean * abs(th.eq))
         ew_gap = abs(th.ew - sim.w_mean)
@@ -373,13 +340,21 @@ def compare(report: RouteReport, stats: SimStats,
         w_sd_sim = math.sqrt(max(sim.w_var, 0.0)) if not math.isnan(sim.w_var) else math.nan
         q_sd_gap = abs(q_sd_sim - q_sd_th) / q_sd_th if q_sd_th > 0 else math.inf
         w_sd_gap = abs(w_sd_sim - w_sd_th) / w_sd_th if w_sd_th > 0 else math.inf
-        ok = (eq_gap <= eq_tol and ew_gap <= ew_tol
-              and q_sd_gap <= tol_sd and w_sd_gap <= tol_sd)
-        rows.append(ComparisonRow(
-            station=th.station, status="pass" if ok else "fail",
+        if not th.stable:
+            status = "excluded-unstable"
+        elif th.arrival_rate == 0.0:
+            status = "excluded-no-arrivals"
+        elif (eq_gap <= eq_tol and ew_gap <= ew_tol
+              and q_sd_gap <= tol_sd and w_sd_gap <= tol_sd):
+            status = "pass"
+        else:
+            status = "fail"
+        row = ComparisonRow(
+            station=th.station, status=status,
             eq_theory=th.eq, eq_sim=sim.q_mean, eq_gap=eq_gap, eq_tol=eq_tol,
             ew_theory=th.ew, ew_sim=sim.w_mean, ew_gap=ew_gap, ew_tol=ew_tol,
             q_sd_theory=q_sd_th, q_sd_sim=q_sd_sim, q_sd_rel_gap=q_sd_gap,
-            w_sd_theory=w_sd_th, w_sd_sim=w_sd_sim, w_sd_rel_gap=w_sd_gap))
+            w_sd_theory=w_sd_th, w_sd_sim=w_sd_sim, w_sd_rel_gap=w_sd_gap)
+        rows.append(replace(row, **dict.fromkeys(_EXCLUDED_NAN.get(status, ()), math.nan)))
     return ComparisonTable(label=report.label, tol_mean=tol_mean, tol_sd=tol_sd,
                            rows=tuple(rows))

@@ -130,7 +130,6 @@ class RouteReport:
     label: str
     stations: tuple[StationMetrics, ...]
     headway: tuple[HeadwayModel, ...]
-    scenario: Scenario | None = None
 
     @property
     def num_stations(self) -> int:
@@ -456,4 +455,4 @@ def analyze_route(scenario: Scenario) -> RouteReport:
         metrics.append(sm)
 
     return RouteReport(label=scenario.label, stations=tuple(metrics),
-                       headway=tuple(models), scenario=scenario)
+                       headway=tuple(models))

@@ -355,20 +355,45 @@ def test_config_directory_is_an_input_error(tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
-@pytest.mark.parametrize("command", [["analyze"], ["simulate", "--runs", "200"]])
-@pytest.mark.parametrize("key, value", [("lambda", "NaN"), ("capacity", "Infinity"),
-                                        ("nominal_headway", "NaN"),
-                                        ("demand_factor", "-Infinity")])
-def test_non_finite_config_is_an_input_error(command, key, value, tmp_path, capsys):
+def _config_with(tmp_path, **fields):
+    """The reference config with route, station-1 or incident fields replaced."""
     doc = model.scenario_to_dict(model.reference_scenario())
-    target = doc["route"]["stations"][0] if key == "lambda" else doc["route"]
-    target[key] = "@"
-    path = tmp_path / "non-finite.json"
-    path.write_text(json.dumps(doc).replace('"@"', value))  # json reads these back
-    assert main(command + ["--config", str(path)]) == EXIT_INPUT
-    err = _assert_one_error_line(capsys)
+    sections = {"lambda": doc["route"]["stations"][0],
+                "gamma": doc["incidents"], "theta": doc["incidents"]}
+    for key, value in fields.items():
+        sections.get(key, doc["route"])[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))  # json writes NaN and Infinity and reads them back
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["simulate", "--runs", "200"]])
+@pytest.mark.parametrize("fields, fragment", [
+    pytest.param({"lambda": math.nan}, "must be finite", id="lambda-NaN"),
     # capacity is read as an integer, so the document itself is malformed
-    assert ("malformed scenario document" if key == "capacity" else "must be finite") in err
+    pytest.param({"capacity": math.inf}, "malformed scenario document",
+                 id="capacity-Infinity"),
+    pytest.param({"nominal_headway": math.nan}, "must be finite", id="nominal_headway-NaN"),
+    pytest.param({"demand_factor": -math.inf}, "must be finite",
+                 id="demand_factor--Infinity"),
+    # finite fields whose derived quantities are not
+    pytest.param({"lambda": 1e300, "demand_factor": 1e10},
+                 "scaled arrival rate (lambda * demand_factor) must be finite",
+                 id="scaled-rate-overflows"),
+    pytest.param({"theta": 1e-200}, "headway variance 4*T_N*gamma/theta^2 must be finite",
+                 id="theta-squared-underflows"),
+    pytest.param({"gamma": 1e300, "theta": 1e-10}, "adjusted headway must be finite",
+                 id="adjusted-headway-overflows"),
+])
+def test_non_finite_config_is_an_input_error(command, fields, fragment, tmp_path, capsys):
+    assert main(command + ["--config", _config_with(tmp_path, **fields)]) == EXIT_INPUT
+    assert fragment in _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["simulate", "--runs", "200"]])
+def test_fractional_capacity_is_an_input_error(command, tmp_path, capsys):
+    assert main(command + ["--config", _config_with(tmp_path, capacity=34.5)]) == EXIT_INPUT
+    assert "'capacity': 34.5 is not a whole number" in _assert_one_error_line(capsys)
 
 
 def test_sweep_out_under_a_file_is_an_input_error(tmp_path, capsys):

@@ -83,6 +83,45 @@ def test_validate_flags_each_non_finite_field(reference, section, field, value):
         model.require_valid(sc)
 
 
+@pytest.mark.parametrize("fields, problems", [
+    pytest.param([("station", "arrival_rate", 1e300), ("route", "demand_factor", 1e10)],
+                 ["station 1: scaled arrival rate (lambda * demand_factor) must be finite, "
+                  "got inf"], id="scaled-rate-overflows"),
+    pytest.param([("incidents", "duration_rate", 1e-200)],
+                 ["headway variance 4*T_N*gamma/theta^2 must be finite, got nan"],
+                 id="theta-squared-underflows"),
+    pytest.param([("incidents", "duration_rate", 1e200)],
+                 ["headway variance 4*T_N*gamma/theta^2 must be finite, got nan"],
+                 id="theta-squared-overflows"),
+    pytest.param([("incidents", "rate", 1e300), ("incidents", "duration_rate", 1e-10)],
+                 ["adjusted headway must be finite, got inf",
+                  "headway variance 4*T_N*gamma/theta^2 must be finite, got inf"],
+                 id="adjusted-headway-overflows"),
+])
+def test_validate_flags_non_finite_derived_quantities(reference, fields, problems):
+    sc = reference
+    for section, field, value in fields:
+        sc = with_field(sc, section, field, value)
+    assert model.validate(sc) == problems
+    with pytest.raises(model.InvalidScenarioError):
+        model.require_valid(sc)
+
+
+@pytest.mark.parametrize("capacity", [34, 34.0])
+def test_whole_capacity_loads_as_int(reference, capacity):
+    doc = model.scenario_to_dict(reference)
+    doc["route"]["capacity"] = capacity
+    cap = model.scenario_from_dict(doc).route.capacity
+    assert cap == 34 and type(cap) is int
+
+
+def test_fractional_capacity_is_malformed(reference):
+    doc = model.scenario_to_dict(reference)
+    doc["route"]["capacity"] = 34.5  # int() would truncate it to a valid 34
+    with pytest.raises(ValueError, match="'capacity': 34.5 is not a whole number"):
+        model.scenario_from_dict(doc)
+
+
 def test_non_finite_config_values_load_and_fail_validation(tmp_path, reference):
     doc = model.scenario_to_dict(reference)
     doc["route"]["stations"][3]["lambda"] = math.nan

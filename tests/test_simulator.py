@@ -19,9 +19,31 @@ from transitq.simulator import (
     run_simulation,
     _ArrivalStream,
     _queue_pass,
-    _simulate,
     _station_pass,
+    _station_passes,
 )
+
+
+def simulate_traced(scenario, config):
+    """``run_simulation``'s stats and a trace of the run, rebuilt from its station passes.
+
+    The trace holds per (vehicle, station) the headways, arrivals and
+    boardings, per station the passengers arrived and boarded and the queue
+    left behind, the largest load and the loads on leaving the last station.
+    """
+    h, k, _, board, loads, left, _, _ = zip(*_station_passes(scenario, config))
+    arrivals, boardings = np.column_stack(k), np.column_stack(board)
+    trace = {
+        "headways": np.column_stack(h),
+        "arrived": arrivals.sum(axis=0),
+        "boarded": boardings.sum(axis=0),
+        "final_queue": np.array(left, dtype=np.int64),
+        "load_max": max(int(x.max()) for x in loads),
+        "final_loads": loads[-1],
+        "vehicle_arrivals": arrivals,
+        "vehicle_boardings": boardings,
+    }
+    return run_simulation(scenario, config), trace
 
 
 def no_incident(scenario):
@@ -51,9 +73,10 @@ def test_config_rejects_bad_warmup(warmup):
         SimConfig(warmup=warmup)
 
 
-def test_warmup_must_leave_vehicles(reference):
+def test_warmup_must_leave_vehicles():
     with pytest.raises(ValueError, match="fewer than 2 vehicles"):
-        run_simulation(reference, SimConfig(runs=100, warmup=0.99))
+        SimConfig(runs=100, warmup=0.99)
+    assert SimConfig(runs=100, warmup=0.98).runs == 100
 
 
 def test_rejects_invalid_scenario(reference):
@@ -81,16 +104,16 @@ def test_different_seed_different_draws(reference):
 def test_longer_run_shares_prefix(reference):
     # counter-based streams, one per (draw kind, station), drawn in vehicle
     # order: extending the run must not disturb the vehicles already simulated
-    _, short = _simulate(reference, SimConfig(runs=300, seed=11), keep_trace=True)
-    _, full = _simulate(reference, SimConfig(runs=600, seed=11), keep_trace=True)
+    _, short = simulate_traced(reference, SimConfig(runs=300, seed=11))
+    _, full = simulate_traced(reference, SimConfig(runs=600, seed=11))
     np.testing.assert_array_equal(full["headways"][:300], short["headways"])
 
 
 def test_longer_run_shares_arrival_and_boarding_prefix(reference):
     # one stream per (draw kind, station), drawn in vehicle order: the first
     # 300 vehicles see the same passengers whatever follows them
-    _, short = _simulate(reference, SimConfig(runs=300, seed=11), keep_trace=True)
-    _, full = _simulate(reference, SimConfig(runs=600, seed=11), keep_trace=True)
+    _, short = simulate_traced(reference, SimConfig(runs=300, seed=11))
+    _, full = simulate_traced(reference, SimConfig(runs=600, seed=11))
     assert short["vehicle_arrivals"].shape == (300, reference.route.num_stations)
     assert short["vehicle_arrivals"].sum() > 0
     for key in ("vehicle_arrivals", "vehicle_boardings"):
@@ -162,7 +185,7 @@ def trace_digest(trace):
 
 
 def test_reference_run_is_pinned(reference):
-    stats, trace = _simulate(reference, SimConfig(runs=2000, seed=7), keep_trace=True)
+    stats, trace = simulate_traced(reference, SimConfig(runs=2000, seed=7))
     assert tuple(map(repr, stats.stations)) == PINNED_STATIONS
     assert trace_digest(trace) == PINNED_TRACE_SHA256
 
@@ -187,7 +210,7 @@ PINNED_MULTI_BLOCK = {
 @pytest.mark.parametrize("label", sorted(PINNED_MULTI_BLOCK))
 def test_multi_block_run_is_pinned(reference, label):
     sc = reference if label == "reference" else capacity_one(reference)
-    stats, trace = _simulate(sc, SimConfig(runs=9000, seed=7), keep_trace=True)
+    stats, trace = simulate_traced(sc, SimConfig(runs=9000, seed=7))
     stations = "\n".join(map(repr, stats.stations)).encode()
     assert (hashlib.sha256(stations).hexdigest(), trace_digest(trace)) == \
         PINNED_MULTI_BLOCK[label]
@@ -199,7 +222,7 @@ def test_multi_block_run_is_pinned(reference, label):
 
 def test_zero_incident_headways_are_exact(reference):
     sc = no_incident(reference)
-    stats, trace = _simulate(sc, SimConfig(runs=300, seed=5), keep_trace=True)
+    stats, trace = simulate_traced(sc, SimConfig(runs=300, seed=5))
     assert np.all(trace["headways"] == sc.route.nominal_headway)
     for st in stats.stations:
         assert st.headway_mean == sc.route.nominal_headway
@@ -227,7 +250,7 @@ def test_realized_headway_tracks_truncated_mean(reference):
 
 
 def test_passenger_conservation(reference):
-    _, trace = _simulate(reference, SimConfig(runs=500, seed=13), keep_trace=True)
+    _, trace = simulate_traced(reference, SimConfig(runs=500, seed=13))
     assert np.all(trace["boarded"] <= trace["arrived"])
     np.testing.assert_array_equal(
         trace["arrived"] - trace["boarded"], trace["final_queue"])
@@ -236,7 +259,7 @@ def test_passenger_conservation(reference):
 
 def test_terminal_station_empties_vehicles(reference):
     # everyone alights at the last stop and nobody boards there
-    stats, trace = _simulate(reference, SimConfig(runs=300, seed=29), keep_trace=True)
+    stats, trace = simulate_traced(reference, SimConfig(runs=300, seed=29))
     assert np.all(trace["final_loads"] == 0)
     last = stats.stations[-1]
     assert last.boarded == 0
@@ -245,7 +268,7 @@ def test_terminal_station_empties_vehicles(reference):
 
 def test_capacity_one_line_leaves_queue_behind():
     sc = capacity_one(model.reference_scenario())
-    _, trace = _simulate(sc, SimConfig(runs=300, seed=31), keep_trace=True)
+    _, trace = simulate_traced(sc, SimConfig(runs=300, seed=31))
     assert trace["load_max"] <= 1
     assert trace["final_queue"].sum() > 0
 
@@ -261,9 +284,10 @@ def traced_peak(scenario, runs):
 
 
 def test_memory_grows_with_runs_not_passengers(reference):
-    # O(runs) plus one block of arrivals, ~2.5 MB; holding station 4's
-    # whole-run arrival times and gaps would add ~5 MB
-    assert traced_peak(reference, 20_000) < 4e6
+    # O(runs) plus one block of arrivals, ~2.3 MB; holding station 4's
+    # whole-run arrival times and gaps would add ~5 MB, and keeping the
+    # previous station's pass while the next is drawn ~0.8 MB
+    assert traced_peak(reference, 20_000) < 2.8e6
 
 
 def test_memory_does_not_grow_with_passengers(reference, reference_report):
