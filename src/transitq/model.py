@@ -85,8 +85,9 @@ def validate(scenario: Scenario) -> list[str]:
 
     NaN and infinite numbers are reported alone: the range checks assume
     finite values.  The quantities derived from valid fields, the scaled
-    arrival rates, the adjusted headway and the headway variance, are
-    checked last, since they can still overflow.
+    arrival rates, the adjusted headway, the headway variance and each
+    station's arrival-count moments, are checked last, since they can still
+    overflow.
     """
     route = scenario.route
     inc = scenario.incidents
@@ -154,10 +155,22 @@ def validate(scenario: Scenario) -> list[str]:
         h_var = math.nan
     v = [f"station {idx}: scaled arrival rate (lambda * demand_factor) must be finite, got {rate}"
          for idx, rate in enumerate(route.arrival_rates(), start=1) if not math.isfinite(rate)]
-    return v + [f"{name} must be finite, got {value}"
-                for name, value in (("adjusted headway", adjusted_headway(scenario)),
-                                    ("headway variance 4*T_N*gamma/theta^2", h_var))
-                if not math.isfinite(value)]
+    v += [f"{name} must be finite, got {value}"
+          for name, value in (("adjusted headway", adjusted_headway(scenario)),
+                              ("headway variance 4*T_N*gamma/theta^2", h_var))
+          if not math.isfinite(value)]
+    if v:
+        return v
+    from .headway import truncated_headway, y_moments  # headway imports this module
+    for idx, rate in enumerate(route.arrival_rates(), start=1):
+        try:  # the cube of the headway mean or of the rate may overflow
+            y = y_moments(rate, truncated_headway(scenario, idx))
+            finite = all(map(math.isfinite, (y.mean, y.central2, y.central3)))
+        except ArithmeticError:
+            finite = False
+        if not finite:
+            v.append(f"station {idx}: arrival-count moments per headway must be finite")
+    return v
 
 
 def _total_travel_time(route: RouteConfig) -> float:

@@ -1,7 +1,9 @@
 """Analytical pipeline: alighting/boarding recursions, queue-front solve, moments.
 
 Stations are processed in order; the load distribution leaving station n
-becomes the arriving-load distribution at n+1.  Per station the available
+becomes the arriving-load distribution at n+1.  ``alight`` thins it
+binomially and ``board`` refills it from the queue front, both on pmf
+vectors, with no transition matrix.  Per station the available
 space S (capacity minus surviving load) and arrival count Y define a
 bulk-service queue whose steady state at vehicle arrivals is recovered from
 the C in-disk roots of the PGF denominator.
@@ -140,54 +142,35 @@ class RouteReport:
 # Station-to-station recursions
 
 
-def alighting_matrix(alpha: float, capacity: int) -> np.ndarray:
-    """Row-stochastic load-thinning matrix: entry (i, j) = P(j of i stay onboard).
+def alight(v: np.ndarray, alpha: float) -> np.ndarray:
+    """Surviving-load pmf after each rider alights independently w.p. ``alpha``.
 
-    Row i is the Binomial(i, 1 - alpha) pmf, built by the recurrence
-    P_i(j) = alpha * P_{i-1}(j) + (1 - alpha) * P_{i-1}(j - 1): the i-th
-    rider alights or stays.  Every term is non-negative, so nothing cancels;
-    subnormal alpha and alpha in {0, 1} need no special case.
+    Binomial thinning G(z) = V(alpha + (1 - alpha) z), by Horner's rule over
+    the load pmf ``v``: acc <- alpha * acc + (1 - alpha) * shift(acc), then
+    acc_0 += v_i.  Every term is non-negative, so nothing cancels; subnormal
+    alpha and alpha in {0, 1} need no special case.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alighting probability must lie in [0, 1], got {alpha}")
-    mat = np.zeros((capacity + 1, capacity + 1))
-    mat[0, 0] = 1.0
-    for i in range(1, capacity + 1):
-        mat[i, :i] = alpha * mat[i - 1, :i]
-        mat[i, 1:i + 1] += (1.0 - alpha) * mat[i - 1, :i]
-    return mat
+    acc = np.zeros(len(v))
+    for vi in v[::-1]:
+        acc[1:] = alpha * acc[1:] + (1.0 - alpha) * acc[:-1]
+        acc[0] = alpha * acc[0] + vi
+    return acc
 
 
-def step_alighting(v_prev: DiscreteDist, alpha: float, capacity: int
-                   ) -> tuple[DiscreteDist, DiscreteDist]:
-    """Thin the arriving load by alighting; mirror into available space.
+def board(g: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Departing-load pmf from the surviving load ``g`` and the queue front ``q``.
 
-    Returns (g, s): g is the surviving-load pmf, s the free-space pmf with
-    s_k = g_{C-k}.
+    From load i < C the vehicle leaves with j < C when exactly j - i riders
+    were queued, a truncated convolution, and leaves full when at least
+    C - i were.  That tail is clamped at zero, since the front's own roundoff
+    allowance (mass within 1e-9 above one) may push it a hair below.  ``q``
+    holds the C entries q_0..q_{C-1}.
     """
-    g = DiscreteDist(v_prev.probs @ alighting_matrix(alpha, capacity))
-    s = DiscreteDist(g.probs[::-1])
-    return g, s
-
-
-def boarding_matrix(queue_front: QueueFront, capacity: int) -> np.ndarray:
-    """Row-stochastic load-refill matrix from the queue-front distribution.
-
-    From post-alighting load i the vehicle leaves with j < C whenever exactly
-    j - i passengers were queued, and leaves full when at least C - i were.
-    """
-    q = np.zeros(capacity)
-    qq = np.asarray(queue_front.q, dtype=float)
-    q[: len(qq)] = qq[:capacity]
-    mat = np.zeros((capacity + 1, capacity + 1))
-    for i in range(capacity):
-        take = capacity - i
-        mat[i, i:capacity] = q[:take]
-        # tail probability; the front's own roundoff allowance (sum within
-        # 1e-9 above one) may push the difference a hair below zero
-        mat[i, capacity] = max(0.0, 1.0 - q[:take].sum())
-    mat[capacity, capacity] = 1.0
-    return mat
+    cap = len(g) - 1
+    v = np.empty(cap + 1)
+    v[:cap] = np.convolve(g[:cap], q)[:cap]
+    v[cap] = g[:cap] @ np.maximum(0.0, 1.0 - np.cumsum(q))[::-1] + g[cap]
+    return v
 
 
 def dist_moments(d) -> tuple[float, float, float]:
@@ -440,7 +423,8 @@ def analyze_route(scenario: Scenario) -> RouteReport:
         lam = rates[n - 1]
         model = truncated_headway(scenario, n)
         models.append(model)
-        g, s = step_alighting(v, alphas[n - 1], capacity)
+        g = DiscreteDist(alight(v.probs, alphas[n - 1]))
+        s = DiscreteDist(g.probs[::-1])
         ym = y_moments(lam, model)
         rho, stable = utilization(s, ym)
         sm = StationMetrics(station=n, rho=rho, stable=stable,
@@ -449,7 +433,7 @@ def analyze_route(scenario: Scenario) -> RouteReport:
                             service_dist=s, arrivals=ym, arrival_rate=lam)
         if stable:
             sm = _solve_station(sm, model)
-            v = DiscreteDist(g.probs @ boarding_matrix(sm.queue_front, capacity))
+            v = DiscreteDist(board(g.probs, sm.queue_front.q))
         else:
             v = point_mass(capacity, capacity)
         metrics.append(sm)

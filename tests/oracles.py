@@ -1,10 +1,10 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately takes a different route than the production
-code: brute-force Markov chains, series inversion through the FFT, contour
-winding counts, companion-matrix polynomial roots, high-order finite
-differences, and Monte Carlo.  Slower and cruder, but with failure modes
-unrelated to the pipeline's, which is the point.
+code: brute-force Markov chains, dense transition matrices, series inversion
+through the FFT, contour winding counts, companion-matrix polynomial roots,
+high-order finite differences, and Monte Carlo.  Slower and cruder, but with
+failure modes unrelated to the pipeline's, which is the point.
 """
 
 from __future__ import annotations
@@ -127,6 +127,41 @@ def factorial_to_central(fm: list[float]) -> tuple[float, float, float]:
     var = raw2 - m1 * m1
     c3 = raw3 - 3.0 * m1 * raw2 + 2.0 * m1**3
     return m1, var, c3
+
+
+# ---------------------------------------------------------------------------
+# Station-to-station transition matrices
+
+
+def alighting_matrix(alpha: float, capacity: int) -> np.ndarray:
+    """Row-stochastic load-thinning matrix: entry (i, j) = P(j of i stay onboard).
+
+    Row i is the Binomial(i, 1 - alpha) pmf, built row by row from
+    P_i(j) = alpha * P_{i-1}(j) + (1 - alpha) * P_{i-1}(j - 1).  A load pmf
+    times this matrix is what ``solver.alight`` computes without it.
+    """
+    mat = np.zeros((capacity + 1, capacity + 1))
+    mat[0, 0] = 1.0
+    for i in range(1, capacity + 1):
+        mat[i, :i] = alpha * mat[i - 1, :i]
+        mat[i, 1:i + 1] += (1.0 - alpha) * mat[i - 1, :i]
+    return mat
+
+
+def boarding_matrix(q: np.ndarray, capacity: int) -> np.ndarray:
+    """Row-stochastic load-refill matrix from the queue front q_0..q_{C-1}.
+
+    From load i the vehicle leaves with j < C when exactly j - i riders were
+    queued and full when at least C - i were, that tail clamped at zero.  A
+    load pmf times this matrix is what ``solver.board`` computes without it.
+    """
+    mat = np.zeros((capacity + 1, capacity + 1))
+    for i in range(capacity):
+        take = capacity - i
+        mat[i, i:capacity] = q[:take]
+        mat[i, capacity] = max(0.0, 1.0 - q[:take].sum())
+    mat[capacity, capacity] = 1.0
+    return mat
 
 
 # ---------------------------------------------------------------------------

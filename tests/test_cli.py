@@ -384,6 +384,11 @@ def _config_with(tmp_path, **fields):
                  id="theta-squared-underflows"),
     pytest.param({"gamma": 1e300, "theta": 1e-10}, "adjusted headway must be finite",
                  id="adjusted-headway-overflows"),
+    # the cube of the headway mean, or of the rate, overflows in the arrival moments
+    pytest.param({"theta": 1e-150}, "station 1: arrival-count moments per headway",
+                 id="headway-cube-overflows"),
+    pytest.param({"lambda": 1e150}, "station 1: arrival-count moments per headway",
+                 id="rate-cube-overflows"),
 ])
 def test_non_finite_config_is_an_input_error(command, fields, fragment, tmp_path, capsys):
     assert main(command + ["--config", _config_with(tmp_path, **fields)]) == EXIT_INPUT

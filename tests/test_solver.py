@@ -20,9 +20,9 @@ from transitq.solver import (
     SolverError,
     StationSolveError,
     UnstableStationError,
-    alighting_matrix,
+    alight,
     analyze_route,
-    boarding_matrix,
+    board,
     contour_size,
     den_eval,
     dist_moments,
@@ -30,7 +30,6 @@ from transitq.solver import (
     point_mass,
     queue_front_contour,
     queue_moments,
-    step_alighting,
     trimmed_space,
     utilization,
     wait_moments,
@@ -110,20 +109,25 @@ def test_discrete_dist_moments_match_numpy(values):
 # Alighting / boarding propagation
 
 
-def test_alighting_matrix_is_binomial():
+def _alight_rows(alpha, C, loads=None):
+    """The survivor pmf from each load in ``loads`` (default 0..C): matrix rows."""
+    return np.array([alight(point_mass(k, C).probs, alpha)
+                     for k in (range(C + 1) if loads is None else loads)])
+
+
+def test_alight_is_binomial():
     C, alpha = 6, 0.3
-    mat = alighting_matrix(alpha, C)
-    assert mat.shape == (C + 1, C + 1)
-    assert np.allclose(mat.sum(axis=1), 1.0)
+    rows = _alight_rows(alpha, C)
+    assert np.allclose(rows.sum(axis=1), 1.0)
     for load in range(C + 1):
         for stay in range(load + 1):
             # `stay` survivors out of `load`, each leaving independently w.p. alpha
-            assert mat[load, stay] == pytest.approx(
+            assert rows[load, stay] == pytest.approx(
                 binom.pmf(load - stay, load, alpha), abs=1e-12)
-        assert np.all(mat[load, load + 1:] == 0.0)
+        assert np.all(rows[load, load + 1:] == 0.0)
 
 
-def test_alighting_matrix_matches_binomial_pmf():
+def test_alight_matches_binomial_pmf():
     rng = np.random.default_rng(5)
     alphas = np.r_[rng.random(40), np.logspace(-12, -1, 12), 1.0 - np.logspace(-12, -1, 12)]
     for C in (1, 2, 13, 34):
@@ -131,52 +135,76 @@ def test_alighting_matrix_matches_binomial_pmf():
         stay = np.arange(C + 1)[None, :]
         for alpha in alphas:
             want = np.where(stay <= load, binom.pmf(load - stay, load, alpha), 0.0)
-            assert np.max(np.abs(alighting_matrix(alpha, C) - want)) <= 1e-13
+            assert np.max(np.abs(_alight_rows(alpha, C) - want)) <= 1e-13
     # scipy itself errs near 1e-13 at tiny alpha; check those against exact rationals
     for alpha in (5e-324, 2.2e-308, 1e-224, 1e-30, 1.0 - 2.0 ** -53):
-        mat = alighting_matrix(alpha, 34)
+        rows = _alight_rows(alpha, 34)
         a = Fraction(alpha)
         for load in range(35):
             for stay in range(load + 1):
                 exact = math.comb(load, stay) * (1 - a) ** stay * a ** (load - stay)
-                assert abs(Fraction(mat[load, stay]) - exact) <= Fraction(1, 10 ** 13)
-    np.testing.assert_array_equal(alighting_matrix(0.0, 4), np.eye(5))
-    np.testing.assert_array_equal(alighting_matrix(1.0, 4)[:, 0], np.ones(5))
+                assert abs(Fraction(rows[load, stay]) - exact) <= Fraction(1, 10 ** 13)
+    np.testing.assert_array_equal(_alight_rows(0.0, 4), np.eye(5))
+    np.testing.assert_array_equal(_alight_rows(1.0, 4)[:, 0], np.ones(5))
     for alpha in np.r_[alphas[::4], 5e-324]:
-        rows = alighting_matrix(alpha, 300).sum(axis=1)
-        assert np.max(np.abs(rows - 1.0)) <= 1e-12
+        sums = _alight_rows(alpha, 300, loads=(0, 1, 2, 150, 299, 300)).sum(axis=1)
+        assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
 
-def test_step_alighting_reverses_for_space():
-    C = 5
-    v = point_mass(3, C)
-    g, s = step_alighting(v, 0.4, C)
-    assert g.probs.sum() == pytest.approx(1.0)
-    assert np.allclose(s.probs, g.probs[::-1])
-    # load 3, each alights w.p. 0.4: survivors Binomial(3, 0.6)
-    assert g.probs[2] == pytest.approx(binom.pmf(2, 3, 0.6), abs=1e-12)
+@pytest.mark.parametrize("C", [1, 2, 13, 34])
+def test_alight_and_board_match_the_transition_matrices(C):
+    rng = np.random.default_rng(C)
+    for _ in range(20):
+        v = rng.random(C + 1) * (rng.random(C + 1) < 0.7)
+        v[rng.integers(C + 1)] += 0.1
+        v /= v.sum()
+        alpha = float(rng.choice([0.0, 1.0, 5e-324, rng.random()]))
+        np.testing.assert_allclose(alight(v, alpha), v @ oracles.alighting_matrix(alpha, C),
+                                   rtol=1e-13, atol=1e-16)
+        q = rng.random(C) * rng.uniform(0.0, 1.0) / C
+        np.testing.assert_allclose(board(v, q), v @ oracles.boarding_matrix(q, C),
+                                   rtol=1e-13, atol=1e-16)
 
 
-def test_boarding_matrix_shape_and_mass():
+def test_board_small_capacities():
+    # C = 1: an empty vehicle takes the one rider unless none was queued
+    np.testing.assert_allclose(board(np.array([0.25, 0.75]), np.array([0.6])),
+                               [0.25 * 0.6, 0.25 * 0.4 + 0.75], rtol=1e-15)
+    g, q = np.array([0.5, 0.3, 0.2]), np.array([0.5, 0.3])
+    np.testing.assert_allclose(board(g, q), [0.5 * 0.5, 0.5 * 0.3 + 0.3 * 0.5,
+                                             0.5 * 0.2 + 0.3 * 0.5 + 0.2], rtol=1e-15)
+
+
+def test_board_mass_and_full_vehicle():
     C = 7
-    front = QueueFront(np.r_[0.3, 0.2, np.zeros(C - 2)])  # 0.5 mass beyond front
-    mat = boarding_matrix(front, C)
-    assert mat.shape == (C + 1, C + 1)
-    assert np.allclose(mat.sum(axis=1), 1.0)
-    assert np.all(mat >= 0.0)
-    assert mat[C, C] == 1.0  # full vehicle stays full
+    q = np.r_[0.3, 0.2, np.zeros(C - 2)]  # 0.5 mass beyond front
     # empty vehicle: P(load' = j) = q_j for j < C, remainder boards to full
-    assert mat[0, 0] == pytest.approx(0.3)
-    assert mat[0, 1] == pytest.approx(0.2)
-    assert mat[0, C] == pytest.approx(0.5)
+    np.testing.assert_allclose(board(point_mass(0, C).probs, q), np.r_[q, 0.5], rtol=1e-15)
+    np.testing.assert_array_equal(board(point_mass(C, C).probs, q), point_mass(C, C).probs)
+    for load in range(C + 1):
+        out = board(point_mass(load, C).probs, q)
+        assert np.all(out >= 0.0)
+        assert out.sum() == pytest.approx(1.0, abs=1e-15)
 
 
-def test_boarding_matrix_tail_clamp_handles_front_roundoff():
+def test_board_tail_clamp_handles_front_roundoff():
     C = 4
-    q = np.array([0.5, 0.5 + 9e-10, 0.0, 0.0])  # within the front's tolerance
-    mat = boarding_matrix(QueueFront(q), C)
-    assert np.all(mat >= 0.0)
-    assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
+    q = QueueFront(np.array([0.5, 0.5 + 9e-10, 0.0, 0.0])).q  # within the front's tolerance
+    for load in range(C + 1):
+        out = board(point_mass(load, C).probs, q)
+        assert np.all(out >= 0.0)
+        assert out.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_route_recursion_matches_the_transition_matrices(reference_report):
+    # the space pmf reversed is the surviving load; one station's departing
+    # load, thinned at the next, is the next station's surviving load
+    alphas = model.reference_scenario().route.alight_probs()
+    for prev, sm in zip(reference_report.stations, reference_report.stations[1:]):
+        g_prev = prev.service_dist.probs[::-1]
+        v = g_prev @ oracles.boarding_matrix(prev.queue_front.q, 34)
+        want = v @ oracles.alighting_matrix(alphas[sm.station - 1], 34)
+        assert np.max(np.abs(sm.service_dist.probs[::-1] - want)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +561,8 @@ def test_trimmed_space_cuts_at_effective_capacity():
 @settings(max_examples=30)
 def test_alighting_conserves_mass(load, alpha):
     C = 8
-    g, s = step_alighting(point_mass(load, C), alpha, C)
-    assert g.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    g = alight(point_mass(load, C).probs, alpha)
+    assert g.sum() == pytest.approx(1.0, abs=1e-12)
     mean_after = dist_moments(g)[0]
     assert mean_after == pytest.approx(load * (1.0 - alpha), abs=1e-9)
 
