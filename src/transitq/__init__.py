@@ -4,24 +4,30 @@ simulator for validating the analytical results.
 
 The package namespace carries the entry points; the building blocks stay in
 their modules (``transitq.headway``, ``transitq.roots``, ``transitq.solver``,
-``transitq.report`` and the rest).
+``transitq.report`` and the rest).  Names and submodules are imported on
+first access, so ``import transitq`` alone loads none of them.
 """
 
-from .model import (IncidentParams, InvalidScenarioError, RouteConfig, Scenario,
-                    StationParams, expand_grid, load_scenario, preset,
-                    reference_scenario, save_scenario)
-from .roots import RootSearchError
-from .simulator import ComparisonTable, SimConfig, SimStats, compare, run_simulation
-from .solver import (RouteReport, SolverError, StationMetrics, StationSolveError,
-                     analyze_route)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComparisonTable", "IncidentParams", "InvalidScenarioError",
-    "RootSearchError", "RouteConfig", "RouteReport", "Scenario", "SimConfig",
-    "SimStats", "SolverError", "StationMetrics", "StationParams",
-    "StationSolveError", "analyze_route", "compare", "expand_grid",
-    "load_scenario", "preset", "reference_scenario", "run_simulation",
-    "save_scenario",
-]
+# public name -> the module that defines it
+_HOMES = {name: module for module, names in (
+    ("model", "IncidentParams InvalidScenarioError RouteConfig Scenario StationParams "
+              "expand_grid load_scenario preset reference_scenario save_scenario"),
+    ("roots", "RootSearchError"),
+    ("simulator", "ComparisonTable SimConfig SimStats compare run_simulation"),
+    ("solver", "RouteReport SolverError StationMetrics StationSolveError analyze_route"),
+) for name in names.split()}
+_SUBMODULES = ("cli", "headway", "model", "report", "roots", "simulator", "solver")
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOMES:
+        return getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

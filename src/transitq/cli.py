@@ -6,7 +6,8 @@ and raise on failure; ``main`` maps each exception class to its code in one
 place and prints a single ``error:`` line.  I/O errors count as input errors,
 and a sweep station that fails in a worker process is reported exactly as in
 a serial sweep.  Every file or stdout document goes through the renderer of
-``transitq.report``.
+``transitq.report``.  Each command imports the modules it runs when it runs,
+so ``simulate`` never loads the solver and ``analyze`` never the simulator.
 """
 
 from __future__ import annotations
@@ -18,15 +19,8 @@ import sys
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import model, report
-from .headway import y_pgf
 from .model import Scenario, expand_grid
-from .roots import RootSearchError, find_all_roots
-from .simulator import SimConfig, SimStats, StationSimStats, compare, run_simulation
-from .solver import (SolverError, UnstableStationError, analyze_route, den_eval,
-                     trimmed_space)
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -54,6 +48,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from .solver import analyze_route
     route_report = analyze_route(_load_config(args.config))
     _emit(report.render(report.ROUTE, report.route_report_to_json(route_report),
                         args.format), args.out)
@@ -61,6 +56,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import SimConfig, run_simulation
     scenario = _load_config(args.config)
     stats = run_simulation(scenario, SimConfig(runs=args.runs, seed=args.seed,
                                                warmup=args.warmup))
@@ -74,11 +70,13 @@ def _sweep_point(args, scenario: Scenario, value) -> list[dict]:
 
     Module-level so a process pool can pickle it.
     """
+    from .solver import analyze_route
     route_report = analyze_route(scenario)
     stem = f"{args.param}_{model.value_tag(value)}"
     report.write_route_report(route_report, Path(args.out) / f"{stem}.{args.format}",
                               args.format)
     if args.simulate:
+        from .simulator import SimConfig, run_simulation
         stats = run_simulation(scenario, SimConfig(runs=args.runs, seed=args.seed,
                                                    warmup=args.warmup))
         report.write_sim_stats(stats, Path(args.out) / f"{stem}_sim.{args.format}",
@@ -103,6 +101,10 @@ def cmd_sweep(args) -> int:
     scenarios = expand_grid(scenario, args.param, values)
 
     Path(args.out).mkdir(parents=True, exist_ok=True)
+    # loaded before a pool forks, so that its workers inherit the modules
+    from . import solver  # noqa: F401
+    if args.simulate:
+        from . import simulator  # noqa: F401
     point = partial(_sweep_point, args)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs <= 1 or len(values) == 1:
@@ -118,12 +120,13 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _sim_stats_from_report(route_report) -> SimStats:
+def _sim_stats_from_report(route_report):
     """Adapt an analytical report into the simulation-stats shape.
 
     Lets `compare --sim` accept a theory report (the self-comparison case);
     standard errors are zero and realized-headway fields are undefined.
     """
+    from .simulator import SimStats, StationSimStats
     stations = [StationSimStats(
         station=sm.station, q_mean=sm.eq, q_var=sm.varq, q_mean_se=0.0,
         w_mean=sm.ew, w_var=sm.varw, w_mean_se=0.0,
@@ -133,7 +136,7 @@ def _sim_stats_from_report(route_report) -> SimStats:
                     stations=tuple(stations))
 
 
-def _load_sim_side(path: str) -> SimStats:
+def _load_sim_side(path: str):
     try:
         return report.read_sim_stats(path)
     except ValueError:
@@ -141,6 +144,7 @@ def _load_sim_side(path: str) -> SimStats:
 
 
 def cmd_compare(args) -> int:
+    from .simulator import compare
     theory = report.read_route_report(args.theory)
     sim = _load_sim_side(args.sim)
     if theory.label != sim.label:
@@ -153,6 +157,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_roots(args) -> int:
+    from .headway import y_pgf
+    from .roots import find_all_roots
+    from .solver import UnstableStationError, analyze_route, den_eval, trimmed_space
     route_report = analyze_route(_load_config(args.config))
     if not 1 <= args.station <= route_report.num_stations:
         raise ValueError(f"station {args.station} outside 1..{route_report.num_stations}")
@@ -165,7 +172,7 @@ def cmd_roots(args) -> int:
     # analyze_route stores the root set of every station with arrivals;
     # without arrivals Y = 1 and the roots are those of z^C = P(z)
     roots = sm.roots or find_all_roots(s_eff.probs, y_handle, sm.rho)
-    residuals = np.abs(den_eval(np.asarray(roots, dtype=complex), s_eff, y_handle))
+    residuals = abs(den_eval(roots, s_eff, y_handle))
     _emit(report.roots_to_csv(roots, residuals, route_report.label), args.out)
     return EXIT_OK
 
@@ -238,7 +245,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # InvalidScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SolverError, RootSearchError, ArithmeticError) as exc:
+    except Exception as exc:
+        from .roots import RootSearchError  # loaded only once an exception needs it
+        from .solver import SolverError
+        if not isinstance(exc, (SolverError, RootSearchError, ArithmeticError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -22,10 +22,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .headway import HeadwayModel
-from .simulator import ComparisonTable, SimStats, StationSimStats
-from .solver import RouteReport, StationMetrics
+if TYPE_CHECKING:
+    from .simulator import ComparisonTable, SimStats
+    from .solver import RouteReport
 
 ROUTE_COLUMNS = ["station", "rho", "stable", "e_queue", "var_queue",
                  "e_wait", "var_wait", "headway_mu", "headway_sigma", "zero_mass"]
@@ -219,6 +220,8 @@ def read_route_report(path) -> RouteReport:
     not serialized, so the result is suitable for comparisons and plotting
     but not for resuming a solve.
     """
+    from .headway import HeadwayModel
+    from .solver import RouteReport, StationMetrics
     meta, records = read_table(ROUTE, path)
     stations: list[StationMetrics] = []
     models: list[HeadwayModel] = []
@@ -258,6 +261,7 @@ def read_sim_stats(path) -> SimStats:
 
     Files that predate the ``rng_layout`` field read back with layout 0.
     """
+    from .simulator import SimStats, StationSimStats
     meta, records = read_table(SIM, path)
     stations = tuple(StationSimStats(
         station=rec["station"], q_mean=rec["e_queue_sim"],

@@ -21,14 +21,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import Scenario, adjusted_headway, require_valid
-from .solver import RouteReport
+
+if TYPE_CHECKING:
+    from .solver import RouteReport
 
 _MASK64 = (1 << 64) - 1
 _BATCHES = 100
+# the largest mean numpy's Poisson sampler accepts: int64 max less ten sd
+_POISSON_MEAN_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 # Version of the random-stream layout: 1 gave every vehicle its own Philox
 # stream; 2 gives every (seed, draw kind, station) one, drawn in vehicle order.
@@ -83,12 +88,17 @@ def _stream(seed: int, kind: int, station: int) -> np.random.Generator:
 def _ratio_se(row_sums: np.ndarray, row_counts: np.ndarray) -> float:
     """Batch-means standard error of sum(row_sums) / sum(row_counts).
 
-    The mean of a series is the ratio with unit counts.
+    The mean of a series is the ratio with unit counts.  The batches are
+    those of ``np.array_split``, each summed as a row of its own, and a batch
+    without counts is skipped.
     """
     n_batches = min(_BATCHES, len(row_sums))
-    sums = np.array_split(row_sums, n_batches)
-    counts = np.array_split(row_counts, n_batches)
-    means = [s.sum() / c.sum() for s, c in zip(sums, counts) if c.sum() > 0]
+    size, extra = divmod(len(row_sums), n_batches)
+    head = extra * (size + 1)  # the first `extra` batches hold one row more
+    sums, counts = (np.concatenate((x[:head].reshape(extra, size + 1).sum(axis=1),
+                                    x[head:].reshape(n_batches - extra, size).sum(axis=1)))
+                    for x in (row_sums, row_counts))
+    means = sums[counts > 0] / counts[counts > 0]
     if len(means) < 2:
         return math.nan
     return float(np.std(means, ddof=1) / math.sqrt(len(means)))
@@ -218,6 +228,11 @@ def _station_passes(scenario: Scenario, config: SimConfig):
            else (route.interstation_time,) * route.num_stations)
     gamma, theta = scenario.incidents.rate, scenario.incidents.duration_rate
     h_adj = adjusted_headway(scenario)
+    for n, t in enumerate(seg, start=1):
+        if gamma * t > _POISSON_MEAN_MAX:
+            raise ValueError(f"station {n}: the incident-count draw needs a Poisson mean "
+                             f"gamma * T = {gamma * t:.3g}, above numpy's limit "
+                             f"{_POISSON_MEAN_MAX:.3g}")
 
     delay = np.zeros(runs + 1)  # cumulative incident delay of vehicles 0..runs
     loads = np.zeros(runs, dtype=np.int64)

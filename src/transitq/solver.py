@@ -40,16 +40,18 @@ class FrontPrecisionError(SolverError):
 
 
 class StationSolveError(SolverError):
-    """Numeric failure inside analyze_route, tagged with the 1-based station."""
+    """Numeric failure inside analyze_route, tagged with the 1-based station
+    and the stage that failed: "roots", "front" or "moments"."""
 
-    def __init__(self, station: int, message: str):
+    def __init__(self, station: int, message: str, stage: str):
         super().__init__(f"station {station}: {message}")
         self.station = station
         self.message = message
+        self.stage = stage
 
     def __reduce__(self):
-        # rebuilt from both arguments, so it crosses a process pool intact
-        return type(self), (self.station, self.message)
+        # rebuilt from every argument, so it crosses a process pool intact
+        return type(self), (self.station, self.message, self.stage)
 
 
 class DiscreteDist:
@@ -376,7 +378,7 @@ def _solve_station(base: StationMetrics, model: HeadwayModel) -> StationMetrics:
 
     With no arrivals the queue is empty and the wait undefined (NaN, not
     zero); otherwise the roots, the queue front and the moments are solved,
-    and any failure of those stages is raised tagged with the station.
+    and any failure of those stages is raised tagged with the station and stage.
     """
     n, s, y, lam = base.station, base.service_dist, base.arrivals, base.arrival_rate
     s_eff = trimmed_space(s)
@@ -385,16 +387,20 @@ def _solve_station(base: StationMetrics, model: HeadwayModel) -> StationMetrics:
                        queue_front=QueueFront(np.r_[1.0, np.zeros(s.top_index - 1)]),
                        effective_capacity=s_eff.top_index)
     if s_eff.top_index < 1:
-        raise StationSolveError(n, "available space distribution is numerically degenerate")
+        raise StationSolveError(n, "available space distribution is numerically degenerate",
+                                "roots")
 
     y_handle = partial(y_pgf, lam=lam, model=model)
+    stage = "roots"
     try:
         roots = find_all_roots(s_eff.probs, y_handle, base.rho)
+        stage = "front"
         front = queue_front_contour(s_eff, roots, y, y_handle)
+        stage = "moments"
+        eq, varq = queue_moments(dist_moments(s_eff), y, roots)
     except (RootSearchError, SolverError) as exc:
-        raise StationSolveError(n, str(exc)) from exc
+        raise StationSolveError(n, str(exc), stage) from exc
 
-    eq, varq = queue_moments(dist_moments(s_eff), y, roots)
     ew, varw = wait_moments(eq, varq, y, lam)
     padded = np.zeros(s.top_index)
     padded[: len(front.q)] = front.q

@@ -368,6 +368,18 @@ def sample_arrival_counts(rng: np.random.Generator, lam: float,
     return rng.poisson(lam * h)
 
 
+def ratio_se_split(row_sums: np.ndarray, row_counts: np.ndarray, batches: int = 100) -> float:
+    """Batch-means standard error of sum(row_sums) / sum(row_counts), one
+    ``np.array_split`` batch at a time; batches without counts are skipped."""
+    n_batches = min(batches, len(row_sums))
+    sums = np.array_split(row_sums, n_batches)
+    counts = np.array_split(row_counts, n_batches)
+    means = [s.sum() / c.sum() for s, c in zip(sums, counts) if c.sum() > 0]
+    if len(means) < 2:
+        return math.nan
+    return float(np.std(means, ddof=1) / math.sqrt(len(means)))
+
+
 def batch_moment_se(samples: np.ndarray, stat, batches: int = 100) -> tuple[float, float]:
     """(estimate, standard error) of ``stat`` over equal sample batches."""
     n = len(samples) // batches * batches

@@ -395,6 +395,16 @@ def test_non_finite_config_is_an_input_error(command, fields, fragment, tmp_path
     assert fragment in _assert_one_error_line(capsys)
 
 
+def test_simulate_refuses_an_incident_mean_numpy_cannot_draw(tmp_path, capsys):
+    # gamma * T = 1e100 * 5 min is above the largest Poisson mean numpy
+    # accepts (about 9.22e18); the refusal names the station and the draw
+    config = _config_with(tmp_path, gamma=1e100, theta=1.0)
+    assert main(["simulate", "--runs", "200", "--config", config]) == EXIT_INPUT
+    assert _assert_one_error_line(capsys) == (
+        "error: station 1: the incident-count draw needs a Poisson mean "
+        "gamma * T = 5e+100, above numpy's limit 9.22e+18\n")
+
+
 @pytest.mark.parametrize("command", [["analyze"], ["simulate", "--runs", "200"]])
 def test_fractional_capacity_is_an_input_error(command, tmp_path, capsys):
     assert main(command + ["--config", _config_with(tmp_path, capacity=34.5)]) == EXIT_INPUT
@@ -453,3 +463,46 @@ def test_cli_import_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    code += "\nimport sys; print(' '.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_package_import_loads_no_submodule():
+    loaded = _modules_after("import transitq")
+    assert sorted(m for m in loaded if m.startswith("transitq.")) == []
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["simulate", "--runs", "100"], {"transitq.solver", "transitq.roots"}),
+    (["analyze"], {"transitq.simulator", "numpy.random"}),
+], ids=["simulate", "analyze"])
+def test_command_loads_only_what_it_runs(argv, absent):
+    loaded = _modules_after(f"from transitq.cli import main\nassert main({argv!r}) == 0")
+    assert "transitq.cli" in loaded
+    assert loaded.isdisjoint(absent), sorted(loaded & absent)
+
+
+def test_package_names_resolve_on_access():
+    # in a fresh interpreter, so that every name goes through the package's
+    # lazy lookup rather than an attribute an earlier import has set
+    code = """
+import importlib, transitq
+for sub in ("cli", "headway", "model", "report", "roots", "simulator", "solver"):
+    assert getattr(transitq, sub) is importlib.import_module("transitq." + sub), sub
+for name in transitq.__all__:
+    value = getattr(transitq, name)
+    assert value is getattr(importlib.import_module("transitq." + transitq._HOMES[name]), name)
+try:
+    transitq.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "module 'transitq' has no attribute 'no_such_name'\n"

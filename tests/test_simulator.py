@@ -387,6 +387,24 @@ def test_queue_pass_matches_vehicle_loop(cap, alpha, rate):
         assert left.max() > 0  # the one-seat line does build a queue
 
 
+@pytest.mark.parametrize("length", [2, 99, 100, 101, 900, 45_000])
+def test_ratio_se_matches_array_split_batches(length):
+    # the batch sums are taken as reshaped rows, not one np.array_split batch
+    # at a time; each row is summed like its batch, so the result is the same
+    # float, for float and int sums and with batches that have no counts
+    rng = np.random.default_rng(length)
+    waits = rng.exponential(3.0, length) * rng.integers(0, 5, length)
+    queue = rng.integers(0, 80, length)
+    board = rng.integers(0, 4, length)
+    board[: length // 2] = 0  # the first half of the batches count nobody
+    cases = [(queue, np.ones_like(queue)), (waits, board), (queue, board),
+             (waits, np.ones(length, dtype=np.int64))]
+    for sums, counts in cases:
+        # exact equality; NaN (fewer than two batches with counts) equals NaN
+        np.testing.assert_equal(simulator._ratio_se(sums, counts),
+                                oracles.ratio_se_split(sums, counts))
+
+
 # ---------------------------------------------------------------------------
 # theory-vs-simulation comparison
 

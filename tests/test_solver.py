@@ -471,8 +471,22 @@ def test_station_solve_error_carries_station(monkeypatch):
     monkeypatch.setattr(solver, "find_all_roots", boom)
     with pytest.raises(StationSolveError, match="station 1: forced failure") as err:
         analyze_route(model.reference_scenario())
-    assert err.value.station == 1
+    assert (err.value.station, err.value.stage) == (1, "roots")
     assert isinstance(err.value, SolverError)
+
+
+@pytest.mark.parametrize("stage, target", [("front", "queue_front_contour"),
+                                           ("moments", "queue_moments")])
+def test_station_solve_error_names_the_stage(stage, target, monkeypatch):
+    # a front check that fails inside queue_moments (an imaginary residue in
+    # a root sum) is tagged like a failure of the roots or the front
+    def boom(*args, **kwargs):
+        raise FrontPrecisionError("forced failure")
+
+    monkeypatch.setattr(solver, target, boom)
+    with pytest.raises(StationSolveError, match="station 1: forced failure") as err:
+        analyze_route(model.reference_scenario())
+    assert (err.value.station, err.value.stage) == (1, stage)
 
 
 def test_station_solve_error_on_den_residual(monkeypatch):
@@ -529,13 +543,13 @@ def test_exception_hierarchy():
     SolverError("front failed"),
     UnstableStationError("rho >= 1"),
     FrontPrecisionError("normalization gap 1e-3"),
-    StationSolveError(4, "expected 34 roots, have 33"),
+    StationSolveError(4, "expected 34 roots, have 33", "roots"),
     RootSearchError("expected 6 roots, have 2", found=2, needed=6,
                     roots=(1.0 + 0j, 0.5 - 0.25j)),
 ], ids=lambda exc: type(exc).__name__)
 def test_errors_survive_pickling(exc):
     # a sweep worker process sends its failure back to the parent pickled;
-    # the attributes (station, found/needed/roots) must come back intact
+    # the attributes (station and stage, found/needed/roots) must come back intact
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is type(exc)
     assert str(back) == str(exc)
