@@ -245,6 +245,13 @@ def expand_grid(base: Scenario, parameter: str, values: Iterable[float]) -> list
 # JSON config document
 
 
+def _number(value, field: str) -> float:
+    """A JSON number as a float; JSON's true and false are not numbers."""
+    if isinstance(value, bool):  # float(True) would read it as 1.0
+        raise ValueError(f"{field!r}: {json.dumps(value)} is not a number")
+    return float(value)
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a Scenario from the JSON config schema.
 
@@ -258,25 +265,27 @@ def scenario_from_dict(doc: dict) -> Scenario:
     try:
         r = doc["route"]
         stations = tuple(
-            StationParams(arrival_rate=float(st["lambda"]), alight_prob=float(st["alpha"]))
+            StationParams(arrival_rate=_number(st["lambda"], "lambda"),
+                          alight_prob=_number(st["alpha"], "alpha"))
             for st in r["stations"]
         )
         seg = r.get("segment_times")
-        capacity = int(r["capacity"])
+        capacity = int(_number(r["capacity"], "capacity"))
         if capacity != float(r["capacity"]):  # int() would truncate 34.5 to a valid 34
             raise ValueError(f"'capacity': {r['capacity']!r} is not a whole number")
         route = RouteConfig(
             stations=stations,
-            interstation_time=float(r.get("interstation_time", 5.0)),
-            cycle_time=float(r["cycle_time"]),
-            nominal_headway=float(r["nominal_headway"]),
+            interstation_time=_number(r.get("interstation_time", 5.0), "interstation_time"),
+            cycle_time=_number(r["cycle_time"], "cycle_time"),
+            nominal_headway=_number(r["nominal_headway"], "nominal_headway"),
             capacity=capacity,
-            demand_factor=float(r.get("demand_factor", 1.0)),
-            segment_times=tuple(float(t) for t in seg) if seg is not None else None,
+            demand_factor=_number(r.get("demand_factor", 1.0), "demand_factor"),
+            segment_times=(tuple(_number(t, "segment_times") for t in seg)
+                           if seg is not None else None),
         )
         inc = IncidentParams(
-            rate=float(doc["incidents"]["gamma"]),
-            duration_rate=float(doc["incidents"]["theta"]),
+            rate=_number(doc["incidents"]["gamma"], "gamma"),
+            duration_rate=_number(doc["incidents"]["theta"], "theta"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed scenario document: missing or bad field {exc}") from exc

@@ -2,20 +2,17 @@
 
 The denominator Den(z) = z^C / Y(z) - P(z), with P(z) = sum_u s_u z^{C-u},
 has exactly C zeros in the closed unit disk for a stable station, z = 1
-among them.  ``find_all_roots`` gathers candidates from two seed sources,
-polishes every candidate with complex Newton on Den, merges conjugates and
-duplicates, and accepts a set only once ``validate_root_set`` passes:
+among them.  ``find_all_roots`` seeds complex Newton on Den from the
+fixed-point iteration z <- w (P(z) Y(z))^{1/C}, one start on each ray
+w = e^{i pi k / C}, k = 1..C, of the upper half-plane; it merges conjugates
+and duplicates, and accepts a set only once ``validate_root_set`` passes.
 
-1. the fixed-point iteration z <- w (P(z) Y(z))^{1/C}, one start on each
-   ray w = e^{i pi k / C}, k = 1..C, of the upper half-plane;
-2. the eigenvalues of the truncated polynomial z^C - P(z) Y^(z), where Y^
-   is the power series of Y read off an FFT on the unit circle.
-
-Up to three attempts run, cheapest first, until one certifies: source 1
-on a small budget (``CHEAP_PASSES`` fixed-point passes, at most
-``CHEAP_STEPS`` Newton steps) in a pool of its own; source 1 on the full
-budget in a fresh pool; and source 2, merged into that pool.  The last two
-are the whole search on their own, so the cheap attempt never costs a
+Up to three attempts run, cheapest first, until one certifies: a small
+budget (``CHEAP_PASSES`` fixed-point passes, at most ``CHEAP_STEPS`` Newton
+steps) in a pool of its own; the full budget in a fresh pool; and, for
+starts that keep landing on roots already found, the full attempt's seeds
+again, with Newton deflated against its pool and the new roots merged into
+it.  The last two do not depend on the cheap attempt, so it never costs a
 certification.  Every function here reads C off the space pmf s_0..s_C it
 is given (C = len(probs) - 1); none takes the capacity separately.
 """
@@ -29,10 +26,6 @@ from typing import Sequence
 import numpy as np
 
 _TWO_PI = 2.0 * math.pi
-
-# Longest power series of Y that ``eigen_seeds`` turns into a polynomial;
-# the criterion-4 grid needs at most 267 terms.
-EIGEN_MAX_SERIES = 512
 
 # Fixed-point passes and Newton steps of the cheap attempt and of the full
 # one.  On the criterion-4 grid, 9 in 10 cheap starts still moving after six
@@ -155,52 +148,22 @@ def fixed_point_seeds(probs: np.ndarray, y_pgf_handle, passes: int) -> np.ndarra
     return z
 
 
-def eigen_seeds(probs: np.ndarray, y_pgf_handle) -> np.ndarray:
-    """Zeros of the polynomial z^C - P(z) Y^(z) in |z| <= 1.05.
-
-    Y^ is Y's power series from a 4096-point FFT on the unit circle, cut
-    where it sinks into the FFT rounding noise (entries of a few 1e-16
-    scatter up to the last bin, and an uncut series would make the
-    polynomial thousands of degrees long).  A series that is still above
-    the cut past ``EIGEN_MAX_SERIES`` terms yields no seeds: its tail
-    aliases in a 4096-point FFT, and ``np.roots`` costs O(degree^3), which
-    the cap holds at degree C + EIGEN_MAX_SERIES.  High-degree coefficients
-    whose size at |z| = 1.05 is below 1e-17 of the largest are dropped
-    before ``np.roots``: a tiny s_0 makes the leading coefficient tiny, and
-    left in place it ruins the companion matrix and loses roots crowding
-    the unit circle.
-    """
-    points, radius = 4096, 1.05
-    t = np.arange(points) * (2.0 * math.pi / points)
-    y_hat = np.fft.fft(np.asarray(y_pgf_handle(np.exp(1j * t)), dtype=complex)).real
-    y_hat /= points
-    above = np.flatnonzero(np.abs(y_hat) > 1e-14)
-    if len(above) and above[-1] >= EIGEN_MAX_SERIES:
-        return np.empty(0, dtype=complex)
-    y_hat = y_hat[: above[-1] + 1] if len(above) else y_hat[:1]
-    coeffs = -np.convolve(probs[::-1], y_hat)  # ascending powers of z
-    coeffs[len(probs) - 1] += 1.0
-    weight = np.abs(coeffs) * radius ** np.arange(len(coeffs))
-    keep = np.flatnonzero(weight >= 1e-17 * weight.max())
-    coeffs = coeffs[: keep[-1] + 1]
-    try:
-        cand = np.roots(coeffs[::-1])
-    except np.linalg.LinAlgError:  # eigenvalues did not converge: no seeds
-        return np.empty(0, dtype=complex)
-    return cand[np.abs(cand) <= radius]
-
-
-def newton_polish(z, probs: np.ndarray, y_pgf_handle, steps: int) -> np.ndarray:
+def newton_polish(z, probs: np.ndarray, y_pgf_handle, steps: int,
+                  known=()) -> np.ndarray:
     """Complex Newton on Den(z) = z^C / Y(z) - P(z) from every start at once.
 
     Y' is central-differenced (step 1e-6, one batched Y call per step); its
     error only slows the final convergence, which ends once a step falls to
     1e-15 or stops shrinking at the rounding floor.  Starts whose step turns
     non-finite, or that have not converged after ``steps`` steps, come back
-    as NaN.
+    as NaN.  Given ``known`` roots, Newton runs on Den(z) / prod(z - z_k)
+    without forming it, with the step Den / (Den' - Den sum 1/(z - z_k))
+    (Maehly's implicit deflation, Z. Angew. Math. Phys. 5, 1954), so that
+    no start can converge to a known root.
     """
     capacity = len(probs) - 1
     z = np.array(z, dtype=complex)
+    known = np.asarray(known, dtype=complex)
     h = 1e-6
     last = np.full(len(z), np.inf)
     active = np.arange(len(z))
@@ -217,6 +180,8 @@ def newton_polish(z, probs: np.ndarray, y_pgf_handle, steps: int) -> np.ndarray:
             zc = za ** (capacity - 1)
             den = za * zc / y0 - p_val
             slope = (capacity * zc - za * zc * dy / y0) / y0 - p_slope
+            if len(known):
+                slope = slope - den * np.sum(1.0 / (za[:, None] - known), axis=1)
             step = den / slope
             size = np.abs(step)
             bad = ~np.isfinite(size)
@@ -254,28 +219,31 @@ def find_all_roots(s_probs, y_pgf_handle, rho: float) -> tuple[complex, ...]:
     ``s_probs`` is the available-space pmf (index 0..C, so it fixes C);
     ``y_pgf_handle`` must accept complex ndarray arguments; ``rho`` is the
     station's utilization, which must lie in [0, 1) for the C roots to exist.
-    The cheap fixed-point attempt, the full one and the companion-matrix
-    eigenvalues (see the module docstring) are tried in that order; each
-    pools its Newton-polished candidates, and the pool is returned, z = 1
-    first and the rest by ascending polar angle, as soon as it passes
-    ``validate_root_set``.  Raises RootSearchError when no attempt yields
-    such a set.
+    The cheap fixed-point attempt, the full one and the full one's seeds
+    deflated against its pool (see the module docstring) are tried in that
+    order; each pools its Newton-polished candidates, and the pool is
+    returned, z = 1 first and the rest by ascending polar angle, as soon as
+    it passes ``validate_root_set``.  Raises RootSearchError when no attempt
+    yields such a set.
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"find_all_roots needs 0 <= rho < 1, got {rho}")
     probs = np.asarray(s_probs, dtype=float)
 
     def attempts():
-        # (seeds, Newton steps, whether they join the previous attempt's pool)
+        # (seeds, Newton steps, whether they deflate against and join the
+        # previous attempt's pool); the full seeds are drawn only when the
+        # cheap attempt has failed
         yield fixed_point_seeds(probs, y_pgf_handle, CHEAP_PASSES), CHEAP_STEPS, False
-        yield fixed_point_seeds(probs, y_pgf_handle, FULL_PASSES), FULL_STEPS, False
-        yield eigen_seeds(probs, y_pgf_handle), FULL_STEPS, True
+        seeds = fixed_point_seeds(probs, y_pgf_handle, FULL_PASSES)
+        yield seeds, FULL_STEPS, False
+        yield seeds, FULL_STEPS, True
 
     pool = np.array([1.0 + 0j])
     for seeds, steps, joins in attempts():
         seeds = np.asarray(seeds, dtype=complex)
         seeds = _upper(seeds[np.isfinite(seeds)])
-        polished = newton_polish(seeds, probs, y_pgf_handle, steps)
+        polished = newton_polish(seeds, probs, y_pgf_handle, steps, pool if joins else ())
         pool = _merge(np.concatenate([pool if joins else [1.0 + 0j], polished]))
         roots = _ordered(np.concatenate([pool, pool[pool.imag > 0.0].conj()]))
         problems = validate_root_set(roots, probs, y_pgf_handle)

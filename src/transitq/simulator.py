@@ -34,6 +34,12 @@ _MASK64 = (1 << 64) - 1
 _BATCHES = 100
 # the largest mean numpy's Poisson sampler accepts: int64 max less ten sd
 _POISSON_MEAN_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+# the most passengers a station's run may be expected to leave queued, its
+# expected arrivals less what its vehicles can carry (runs * C).  Each keeps
+# an 8-byte arrival time, so the limit holds that queue near 0.8 GB; a
+# 50k-vehicle reference run stays 8e5 below capacity, and a capacity-1 line
+# at eight times its demand 7e6 above.
+_ARRIVAL_SURPLUS_MAX = 1e8
 
 # Version of the random-stream layout: 1 gave every vehicle its own Philox
 # stream; 2 gives every (seed, draw kind, station) one, drawn in vehicle order.
@@ -243,6 +249,12 @@ def _station_passes(scenario: Scenario, config: SimConfig):
             _stream(seed, _INCIDENT_COUNT, n).poisson(gamma * seg[n], size=runs + 1)) / theta
         h = np.maximum(0.0, h_adj + delay[1:] - delay[:-1])
         dep = np.cumsum(h)
+        expected = lam[n] * dep[-1]
+        if expected - runs * route.capacity > _ARRIVAL_SURPLUS_MAX:
+            raise ValueError(f"station {n + 1}: the arrival draw expects {expected:.3g} "
+                             f"passengers, more than {_ARRIVAL_SURPLUS_MAX:.3g} beyond the "
+                             f"{runs * route.capacity} that {runs} vehicles of capacity "
+                             f"{route.capacity} can carry")
 
         stay = loads - _stream(seed, _ALIGHTING, n).binomial(loads, alpha[n])
         k, q_seen, board, left, w_sum, w_sq = _station_pass(

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import resource
 import subprocess
 import sys
 
@@ -405,10 +406,39 @@ def test_simulate_refuses_an_incident_mean_numpy_cannot_draw(tmp_path, capsys):
         "gamma * T = 5e+100, above numpy's limit 9.22e+18\n")
 
 
+def _cap_address_space():
+    """Run in a child process before exec: at most 1 GiB of address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+
+def test_simulate_refuses_a_queue_beyond_memory(tmp_path):
+    # at theta = 1e-6 an incident lasts about 1e6 minutes, so 200 vehicles
+    # that carry 6,800 passengers take about 2.9e8 minutes to pass station 1,
+    # where 1.7e8 passengers arrive.  Their arrival times would take 1.4 GB;
+    # the command must stop before drawing any, and it runs in a child whose
+    # address space is capped at 1 GiB so that a missing refusal fails fast
+    config = _config_with(tmp_path, theta=1e-6)
+    proc = subprocess.run(
+        [sys.executable, "-m", "transitq.cli", "simulate", "--runs", "200", "--config", config],
+        capture_output=True, text=True, preexec_fn=_cap_address_space, timeout=120)
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert proc.stderr == ("error: station 1: the arrival draw expects 1.71e+08 passengers, "
+                           "more than 1e+08 beyond the 6800 that 200 vehicles of capacity 34 "
+                           "can carry\n")
+
+
 @pytest.mark.parametrize("command", [["analyze"], ["simulate", "--runs", "200"]])
 def test_fractional_capacity_is_an_input_error(command, tmp_path, capsys):
     assert main(command + ["--config", _config_with(tmp_path, capacity=34.5)]) == EXIT_INPUT
     assert "'capacity': 34.5 is not a whole number" in _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["simulate", "--runs", "200"]])
+@pytest.mark.parametrize("field", ["capacity", "lambda"])
+def test_boolean_number_is_an_input_error(command, field, tmp_path, capsys):
+    config = _config_with(tmp_path, **{field: True})
+    assert main(command + ["--config", config]) == EXIT_INPUT
+    assert f"'{field}': true is not a number" in _assert_one_error_line(capsys)
 
 
 def test_sweep_out_under_a_file_is_an_input_error(tmp_path, capsys):

@@ -122,6 +122,24 @@ def test_fractional_capacity_is_malformed(reference):
         model.scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("keys, value", [
+    (("route", "capacity"), True),  # float(True) would read it as capacity 1
+    (("route", "stations", 0, "lambda"), True),
+    (("route", "stations", 3, "alpha"), False),
+    (("route", "nominal_headway"), True),
+    (("incidents", "theta"), False),
+], ids=["capacity", "lambda", "alpha", "nominal_headway", "theta"])
+def test_boolean_number_is_malformed(reference, keys, value):
+    doc = model.scenario_to_dict(reference)
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    with pytest.raises(ValueError, match=f"malformed scenario document: .*'{keys[-1]}': "
+                                         f"{json.dumps(value)} is not a number"):
+        model.scenario_from_dict(doc)
+
+
 def test_non_finite_config_values_load_and_fail_validation(tmp_path, reference):
     doc = model.scenario_to_dict(reference)
     doc["route"]["stations"][3]["lambda"] = math.nan

@@ -206,23 +206,9 @@ def test_polar_stall_scenarios_certify(row):
     assert solved >= 8
 
 
-def test_eigen_stage_completes_when_fixed_point_seeds_nothing(reference_report, monkeypatch):
-    expected = find_all_roots(STACKED_S, lambda z: headway.y_pgf(z, STACKED_LAM, STACKED_MODEL),
-                              STACKED_RHO)
-    monkeypatch.setattr(rootsmod, "fixed_point_seeds", lambda *a, **k: np.empty(0))
-    got = find_all_roots(STACKED_S, lambda z: headway.y_pgf(z, STACKED_LAM, STACKED_MODEL),
-                         STACKED_RHO)
-    assert min(abs(z - STACKED_ROOT) for z in got) < 1e-9
-    assert np.max(np.abs(np.array(got) - np.array(expected))) < 1e-12
-    for idx in (0, 3, 8):
-        sm, hw, ceff, probs = _station_inputs(reference_report, idx)
-        rs = find_all_roots(probs, lambda z: headway.y_pgf(z, sm.arrival_rate, hw),
-                            sm.rho)
-        assert np.max(np.abs(np.array(rs) - np.array(sm.roots))) < 1e-12
-
-
 def _record_budgets(monkeypatch):
-    """Log (fixed-point passes or "eigen", Newton steps) of every attempt made."""
+    """Log [fixed-point passes, Newton steps] of every attempt made; an attempt
+    that deflates against known roots logs ["deflated", Newton steps]."""
     made = []
     fixed_point, polish = rootsmod.fixed_point_seeds, rootsmod.newton_polish
 
@@ -230,16 +216,13 @@ def _record_budgets(monkeypatch):
         made.append([passes])
         return fixed_point(probs, y, passes)
 
-    def eigen(*args, **kwargs):
-        made.append(["eigen"])
-        return np.empty(0, dtype=complex)
-
-    def newton(z, probs, y, steps):
+    def newton(z, probs, y, steps, known=()):
+        if len(known):
+            made.append(["deflated"])
         made[-1].append(steps)
-        return polish(z, probs, y, steps)
+        return polish(z, probs, y, steps, known)
 
     monkeypatch.setattr(rootsmod, "fixed_point_seeds", seeds)
-    monkeypatch.setattr(rootsmod, "eigen_seeds", eigen)
     monkeypatch.setattr(rootsmod, "newton_polish", newton)
     return made
 
@@ -247,7 +230,7 @@ def _record_budgets(monkeypatch):
 def test_full_attempt_certifies_when_the_cheap_one_fails(reference_report, monkeypatch):
     # with no Newton step to spend, every cheap start comes back NaN; the
     # full fixed-point attempt must then find the companion-matrix roots
-    # without reaching the eigenvalues
+    # without deflating
     sm, hw, ceff, probs = _station_inputs(reference_report, 1)
     made = _record_budgets(monkeypatch)
     monkeypatch.setattr(rootsmod, "CHEAP_STEPS", 0)
@@ -270,43 +253,76 @@ def test_cheap_attempt_certifies_every_preset_station(monkeypatch):
     assert made == [[rootsmod.CHEAP_PASSES, rootsmod.CHEAP_STEPS]] * solves
 
 
-def test_eigen_stage_declines_a_slowly_decaying_series(monkeypatch):
-    # one vehicle in a hundred meets a geometric batch of mean 999: Y's
-    # coefficients stay above 1e-14 for some 20 000 terms (the mean, 10
-    # arrivals, is well below C = 34), and the stage gives up before np.roots
-    q = 0.999
-
-    def slow_y(z):
-        return 0.99 + 0.01 * (1.0 - q) / (1.0 - q * np.asarray(z, dtype=complex))
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("np.roots must not run on this series")
-
-    monkeypatch.setattr(rootsmod.np, "roots", forbidden)
-    seeds = rootsmod.eigen_seeds(_point_mass_probs(34), slow_y)
-    assert seeds.shape == (0,)
+def test_deflation_steers_newton_off_known_roots():
+    # z^6 = 1 (Y = 1, all six seats free): from next to z = 1, plain Newton
+    # returns to it, and deflated against z = 1 it finds another sixth root
+    probs, start = _point_mass_probs(6), [1.02 + 0.01j]
+    plain = rootsmod.newton_polish(start, probs, _unit_y, 40)
+    assert abs(plain[0] - 1.0) < 1e-12
+    deflated = rootsmod.newton_polish(start, probs, _unit_y, 40, known=[1.0])
+    gaps = np.abs(_roots_of_unity(6) - deflated[0])
+    assert np.argmin(gaps) != 0 and np.min(gaps) < 1e-12
 
 
-def test_eigen_stage_certifies_a_series_near_the_cap(monkeypatch):
-    # a series of almost EIGEN_MAX_SERIES terms still goes to np.roots, and
-    # its seeds alone give the certified root set (mean 15.7 arrivals, C = 40)
+# The criterion-4 routes with a solve (station 6) that no fixed-point attempt
+# certifies: both pool all roots but one conjugate pair, because Newton takes
+# every start to a root another start has already found.
+DEFLATED_SCENARIOS = [
+    (34, 1.0 / 3.0, 0.5, 2.0, 1.0),
+    (38, 0.1, 0.5, 7.0, 0.8),
+    (38, 1.0 / 3.0, 0.5, 4.0, 0.8),
+]
+
+
+@pytest.mark.parametrize("row", DEFLATED_SCENARIOS)
+def test_one_deflated_attempt_certifies_each_stalling_route(row, monkeypatch):
+    made = _record_budgets(monkeypatch)
+    solver.analyze_route(_grid_scenario(*row))  # raises unless every station certifies
+    deflated = [k for k, attempt in enumerate(made) if attempt[0] == "deflated"]
+    assert len(deflated) == 1
+    k = deflated[0]
+    assert made[k - 2:k + 1] == [[rootsmod.CHEAP_PASSES, rootsmod.CHEAP_STEPS],
+                                 [rootsmod.FULL_PASSES, rootsmod.FULL_STEPS],
+                                 ["deflated", rootsmod.FULL_STEPS]]
+
+
+def test_stacked_pair_certifies_without_deflation(monkeypatch):
+    made = _record_budgets(monkeypatch)
+    y = partial(headway.y_pgf, lam=STACKED_LAM, model=STACKED_MODEL)
+    rs = find_all_roots(STACKED_S, y, STACKED_RHO)
+    assert len(made) <= 2 and all(attempt[0] != "deflated" for attempt in made)
+    assert validate_root_set(rs, STACKED_S, y) == []
+    assert min(abs(z - STACKED_ROOT) for z in rs) < 1e-9
+
+
+def test_slowly_decaying_batch_certifies_without_deflation(monkeypatch):
+    # geometric batches, Y(z) = (1 - q) / (1 - q z) with q = 0.94: the power
+    # series of Y keeps 476 terms above 1e-14 and 15.7 arrivals come per
+    # headway at C = 40.  Den's zeros are those of z^C (1 - q z) - (1 - q)
+    # in the disk.
     cap, q = 40, 0.94
-    terms = np.flatnonzero((1.0 - q) * q ** np.arange(4096) > 1e-14)[-1] + 1
-    assert 0.9 * rootsmod.EIGEN_MAX_SERIES < terms <= rootsmod.EIGEN_MAX_SERIES
 
     def y(z):
         return (1.0 - q) / (1.0 - q * np.asarray(z, dtype=complex))
 
-    monkeypatch.setattr(rootsmod, "fixed_point_seeds", lambda *a, **k: np.empty(0))
-    rs = find_all_roots(_point_mass_probs(cap), y, q / (1.0 - q) / cap)
-    assert validate_root_set(rs, _point_mass_probs(cap), y) == []
+    made = _record_budgets(monkeypatch)
+    probs = _point_mass_probs(cap)
+    rs = find_all_roots(probs, y, q / (1.0 - q) / cap)
+    assert len(made) <= 2 and all(attempt[0] != "deflated" for attempt in made)
+    assert validate_root_set(rs, probs, y) == []
+    coeffs = np.zeros(cap + 2)
+    coeffs[:2] = -q, 1.0
+    coeffs[-1] = -(1.0 - q)
+    expected = np.roots(coeffs)
+    expected = expected[np.abs(expected) <= 1.0 + 1e-9]
+    assert len(expected) == cap
+    assert max(np.min(np.abs(expected - z)) for z in rs) < 1e-10
 
 
 def test_find_all_roots_raises_when_no_stage_certifies(monkeypatch):
     C = 6
     monkeypatch.setattr(rootsmod, "fixed_point_seeds",
                         lambda *a, **k: _roots_of_unity(C)[:3])
-    monkeypatch.setattr(rootsmod, "eigen_seeds", lambda *a, **k: np.empty(0))
     with pytest.raises(RootSearchError, match="expected 6 roots") as err:
         find_all_roots(_point_mass_probs(C), _unit_y, 0.0)
     assert err.value.needed == C
@@ -320,11 +336,10 @@ def test_find_all_roots_raises_when_no_stage_certifies(monkeypatch):
 
 
 def test_find_all_roots_error_carries_payload(monkeypatch):
-    # with no seeds from either stage the pool is z = 1 alone, and the error
+    # with no fixed-point seeds the pool is z = 1 alone, and the error
     # reports exactly that set and its count
     C = 6
-    for stage in ("fixed_point_seeds", "eigen_seeds"):
-        monkeypatch.setattr(rootsmod, stage, lambda *a, **k: np.empty(0))
+    monkeypatch.setattr(rootsmod, "fixed_point_seeds", lambda *a, **k: np.empty(0))
     with pytest.raises(RootSearchError) as err:
         find_all_roots(_point_mass_probs(C), _unit_y, 0.0)
     assert err.value.found == 1

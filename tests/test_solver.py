@@ -496,8 +496,8 @@ def test_station_solve_error_on_den_residual(monkeypatch):
     from transitq import roots as rootsmod
     polish = rootsmod.newton_polish
 
-    def off_root(z, probs, y_pgf_handle, steps):
-        return polish(z, probs, y_pgf_handle, steps) * (1.0 - 1e-7)
+    def off_root(z, probs, y_pgf_handle, steps, known=()):
+        return polish(z, probs, y_pgf_handle, steps, known) * (1.0 - 1e-7)
 
     monkeypatch.setattr(rootsmod, "newton_polish", off_root)
     with pytest.raises(StationSolveError,
