@@ -2,10 +2,11 @@
 
 The queue front at each station is fixed by the in-disk zeros of
 Den(z) = z^C / Y(z) - sum_u s_u z^(C-u).  This script prints the root
-ring for a reference station with the |Den| residual of each root, and
-then walks a heavy-truncation scenario whose roots stack radially — a
-buried conjugate pair that an angular sweep along the ring cannot see, but
-that the fixed-point iteration reaches from its ray.  Every set printed
+ring for a reference station with the two residuals of each root that the
+certificate gates, |J - 1| and |Den| (``root_residuals``), and then walks a
+heavy-truncation scenario whose roots stack radially — a buried conjugate
+pair that an angular sweep along the ring cannot see, but that the
+fixed-point iteration reaches from its ray.  Every set printed
 here passed ``validate_root_set``: exactly C roots, z = 1 among them, all
 in the closed disk, distinct, conjugate-closed, with |J - 1| and |Den|
 below 1e-8 at each.  The argument-principle census that counts Den's zeros
@@ -19,8 +20,7 @@ import numpy as np
 
 from transitq import model, solver
 from transitq.headway import y_pgf
-from transitq.roots import find_all_roots
-from transitq.solver import DiscreteDist, den_eval
+from transitq.roots import find_all_roots, root_residuals
 
 # --- the reference ring -----------------------------------------------------
 
@@ -28,17 +28,17 @@ scenario = model.reference_scenario()
 rep = solver.analyze_route(scenario)
 sm = rep.stations[1]          # station 2, the busier of the early stops
 hw = rep.headway[1]
-probs = sm.service_dist.probs
-ceff = sm.effective_capacity
-s_eff = DiscreteDist(probs[: ceff + 1]) if ceff < len(probs) - 1 else sm.service_dist
+s_eff = solver.trimmed_space(sm.service_dist)
 
 roots = np.asarray(sm.roots)
-resid = np.abs(den_eval(roots, s_eff, lambda z: y_pgf(z, sm.arrival_rate, hw)))
-print(f"station 2: {len(roots)} roots for capacity {ceff}")
-print("      radius     phase/pi    |Den|")
+j_resid, den_resid = root_residuals(roots, s_eff.probs,
+                                    lambda z: y_pgf(z, sm.arrival_rate, hw))
+print(f"station 2: {len(roots)} roots for capacity {sm.effective_capacity}")
+print("      radius     phase/pi    |J - 1|   |Den|")
 for z in sorted(roots, key=lambda w: cmath.phase(w) % (2 * cmath.pi)):
     k = np.argmin(np.abs(roots - z))
-    print(f"   {abs(z):9.6f} {cmath.phase(z) / cmath.pi:11.6f}   {resid[k]:.1e}")
+    print(f"   {abs(z):9.6f} {cmath.phase(z) / cmath.pi:11.6f}   "
+          f"{j_resid[k]:.1e}   {den_resid[k]:.1e}")
 print("The ring hugs the unit circle; z = 1 is always a member, and complex")
 print("roots come in conjugate pairs because the coefficients are real.\n")
 

@@ -4,8 +4,9 @@ Exit codes are a stable contract: 0 success, 1 tolerance failure,
 2 input/validation error, 3 numeric/solver failure.  Commands return 0 or 1
 and raise on failure; ``main`` maps each exception class to its code in one
 place and prints a single ``error:`` line.  I/O errors count as input errors,
-and a sweep station that fails in a worker process is reported exactly as in
-a serial sweep.  Every file or stdout document goes through the renderer of
+as does a MemoryError, an input that asks for more than the machine holds;
+a sweep station that fails in a worker process is reported exactly as in a
+serial sweep.  Every file or stdout document goes through the renderer of
 ``transitq.report``.  Each command imports the modules it runs when it runs,
 so ``simulate`` never loads the solver and ``analyze`` never the simulator.
 """
@@ -55,11 +56,15 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def _simulate(args, scenario: Scenario):
+    """Simulate ``scenario`` with the ``--runs``/``--seed``/``--warmup`` options."""
     from .simulator import SimConfig, run_simulation
-    scenario = _load_config(args.config)
-    stats = run_simulation(scenario, SimConfig(runs=args.runs, seed=args.seed,
-                                               warmup=args.warmup))
+    return run_simulation(scenario, SimConfig(runs=args.runs, seed=args.seed,
+                                              warmup=args.warmup))
+
+
+def cmd_simulate(args) -> int:
+    stats = _simulate(args, _load_config(args.config))
     _emit(report.render(report.SIM, report.sim_stats_to_json(stats), args.format),
           args.out)
     return EXIT_OK
@@ -76,11 +81,8 @@ def _sweep_point(args, scenario: Scenario, value) -> list[dict]:
     report.write_route_report(route_report, Path(args.out) / f"{stem}.{args.format}",
                               args.format)
     if args.simulate:
-        from .simulator import SimConfig, run_simulation
-        stats = run_simulation(scenario, SimConfig(runs=args.runs, seed=args.seed,
-                                                   warmup=args.warmup))
-        report.write_sim_stats(stats, Path(args.out) / f"{stem}_sim.{args.format}",
-                               args.format)
+        report.write_sim_stats(_simulate(args, scenario),
+                               Path(args.out) / f"{stem}_sim.{args.format}", args.format)
     return report.sweep_entries(args.param, value, route_report, f"{stem}.{args.format}")
 
 
@@ -88,14 +90,7 @@ def cmd_sweep(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     scenario = _load_config(args.config)
-    values = []
-    for tok in filter(None, (t.strip() for t in args.values.split(","))):
-        val = float(tok)
-        if args.param == "capacity":
-            if not val.is_integer():
-                raise ValueError(f"capacity sweep value {tok!r} is not an integer")
-            val = int(val)
-        values.append(val)
+    values = [float(tok) for tok in filter(None, (t.strip() for t in args.values.split(",")))]
     if not values:
         raise ValueError("no sweep values given")
     scenarios = expand_grid(scenario, args.param, values)
@@ -146,11 +141,8 @@ def _load_sim_side(path: str):
 def cmd_compare(args) -> int:
     from .simulator import compare
     theory = report.read_route_report(args.theory)
-    sim = _load_sim_side(args.sim)
-    if theory.label != sim.label:
-        raise ValueError(f"scenario label mismatch: theory {theory.label!r} "
-                         f"vs simulation {sim.label!r}")
-    table = compare(theory, sim, tol_mean=args.tol_mean, tol_sd=args.tol_var)
+    table = compare(theory, _load_sim_side(args.sim), tol_mean=args.tol_mean,
+                    tol_sd=args.tol_var)
     _emit(report.render(report.COMPARISON, report.comparison_to_json(table), args.format),
           args.out)
     return EXIT_OK if table.passed else EXIT_TOLERANCE
@@ -158,8 +150,8 @@ def cmd_compare(args) -> int:
 
 def cmd_roots(args) -> int:
     from .headway import y_pgf
-    from .roots import find_all_roots
-    from .solver import UnstableStationError, analyze_route, den_eval, trimmed_space
+    from .roots import find_all_roots, root_residuals
+    from .solver import UnstableStationError, analyze_route, trimmed_space
     route_report = analyze_route(_load_config(args.config))
     if not 1 <= args.station <= route_report.num_stations:
         raise ValueError(f"station {args.station} outside 1..{route_report.num_stations}")
@@ -172,7 +164,8 @@ def cmd_roots(args) -> int:
     # analyze_route stores the root set of every station with arrivals;
     # without arrivals Y = 1 and the roots are those of z^C = P(z)
     roots = sm.roots or find_all_roots(s_eff.probs, y_handle, sm.rho)
-    residuals = abs(den_eval(roots, s_eff, y_handle))
+    # the |Den| residual that validate_root_set gated
+    residuals = root_residuals(roots, s_eff.probs, y_handle)[1]
     _emit(report.roots_to_csv(roots, residuals, route_report.label), args.out)
     return EXIT_OK
 
@@ -191,16 +184,19 @@ def build_parser() -> argparse.ArgumentParser:
         if fmt:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    def add_simulation(p):
+        p.add_argument("--runs", type=int, default=50_000, help="vehicles (min 100)")
+        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--warmup", type=float, default=0.10,
+                       help="fraction of vehicles dropped from statistics")
+
     p = sub.add_parser("analyze", help="closed-form per-station report")
     add_common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="discrete-event simulation stats")
     add_common(p)
-    p.add_argument("--runs", type=int, default=50_000, help="vehicles (min 100)")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--warmup", type=float, default=0.10,
-                   help="fraction of vehicles dropped from statistics")
+    add_simulation(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="reports over a parameter grid")
@@ -211,9 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--simulate", action="store_true",
                    help="also simulate each sweep point")
-    p.add_argument("--runs", type=int, default=50_000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--warmup", type=float, default=0.10)
+    add_simulation(p)
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (default: available parallelism)")
     p.set_defaults(func=cmd_sweep)
@@ -242,8 +236,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # InvalidScenarioError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # InvalidScenarioError is a ValueError
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:
         from .roots import RootSearchError  # loaded only once an exception needs it

@@ -148,9 +148,11 @@ def validate(scenario: Scenario) -> list[str]:
         v.append(f"theta must be positive (incident duration rate), got {inc.duration_rate}")
     if v:
         return v
+    # imported here because headway imports this module
+    from .headway import headway_base_moments, truncated_headway, y_moments
     # where theta^2 over- or underflows the headway model cannot evaluate it
     try:
-        h_var = 4.0 * _total_travel_time(route) * inc.rate / inc.duration_rate**2
+        h_var = headway_base_moments(scenario, route.num_stations)[1]
     except ArithmeticError:
         h_var = math.nan
     v = [f"station {idx}: scaled arrival rate (lambda * demand_factor) must be finite, got {rate}"
@@ -161,7 +163,6 @@ def validate(scenario: Scenario) -> list[str]:
           if not math.isfinite(value)]
     if v:
         return v
-    from .headway import truncated_headway, y_moments  # headway imports this module
     for idx, rate in enumerate(route.arrival_rates(), start=1):
         try:  # the cube of the headway mean or of the rate may overflow
             y = y_moments(rate, truncated_headway(scenario, idx))
@@ -222,8 +223,9 @@ def expand_grid(base: Scenario, parameter: str, values: Iterable[float]) -> list
     """One scenario per value of the swept parameter, everything else untouched.
 
     ``parameter`` must be one of capacity | gamma | theta | nominal_headway |
-    demand_factor (the external config-key names).  Labels get a
-    ``name=value_tag(value)`` suffix so downstream reports stay distinguishable.
+    demand_factor (the external config-key names); a capacity that is not an
+    integer raises ValueError.  Labels get a ``name=value_tag(value)`` suffix
+    so downstream reports stay distinguishable.
     """
     if parameter not in SWEEPABLE:
         raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEPABLE}")
@@ -234,6 +236,8 @@ def expand_grid(base: Scenario, parameter: str, values: Iterable[float]) -> list
         elif parameter == "theta":
             sc = replace(base, incidents=replace(base.incidents, duration_rate=float(val)))
         elif parameter == "capacity":
+            if not float(val).is_integer():
+                raise ValueError(f"capacity sweep value {val!r} is not an integer")
             sc = replace(base, route=replace(base.route, capacity=int(val)))
         else:
             sc = replace(base, route=replace(base.route, **{parameter: float(val)}))

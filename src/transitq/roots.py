@@ -59,16 +59,33 @@ def _ordered(roots: Sequence[complex]) -> tuple[complex, ...]:
     return tuple(unit + rest)
 
 
+def root_residuals(roots: Sequence[complex], s_probs,
+                   y_pgf_handle) -> tuple[np.ndarray, np.ndarray]:
+    """(|J(z) - 1|, |Den(z)|) at each root, from one evaluation of P and Y.
+
+    J(z) = Y(z) sum_u s_u z^{-u}, its z^{-C} factor taken in log space so J
+    stays finite at every capacity and radius; Den(z) = z^C / Y(z) - P(z).
+    A residual that overflows or is undefined comes back as inf or NaN.
+    """
+    probs = np.asarray(s_probs, dtype=float)
+    capacity = len(probs) - 1
+    arr = np.asarray(roots, dtype=complex)
+    y_vals = np.asarray(y_pgf_handle(arr), dtype=complex)
+    space_poly = np.polyval(probs, arr)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        j_resid = np.abs(y_vals * np.exp(np.log(space_poly) - capacity * np.log(arr)) - 1.0)
+        den_resid = np.abs(arr**capacity / y_vals - space_poly)
+    return j_resid, den_resid
+
+
 def validate_root_set(roots: Sequence[complex], s_probs, y_pgf_handle) -> list[str]:
     """Every way ``roots`` falls short of Den's C in-disk zeros; empty when sound.
 
     C is the last index of the space pmf ``s_probs``.  The set must hold
     exactly C roots, z = 1 among them, all in the closed unit disk, distinct
-    and closed under conjugation.  P and Y are evaluated once at the roots,
-    and both residuals must fall below 1e-8 there: |J(z) - 1|, with
-    J(z) = Y(z) sum_u s_u z^{-u} and its z^{-C} factor taken in log space so
-    J stays finite at every capacity and radius, and |Den(z)| =
-    |z^C / Y(z) - P(z)|.  A residual that is not finite fails its gate.
+    and closed under conjugation.  Both residuals of ``root_residuals``,
+    |J(z) - 1| and |Den(z)|, must fall below 1e-8 at every root; one that is
+    not finite fails its gate.
     """
     probs = np.asarray(s_probs, dtype=float)
     capacity = len(probs) - 1
@@ -88,12 +105,7 @@ def validate_root_set(roots: Sequence[complex], s_probs, y_pgf_handle) -> list[s
     partner_gap = np.min(np.abs(arr.conj()[:, None] - arr[None, :]), axis=1)
     for i in np.flatnonzero((np.abs(arr.imag) > 1e-8) & (partner_gap > 1e-8)):
         problems.append(f"root {i} has no conjugate partner")
-    y_vals = np.asarray(y_pgf_handle(arr), dtype=complex)
-    space_poly = np.polyval(probs, arr)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        j_resid = np.max(np.abs(
-            y_vals * np.exp(np.log(space_poly) - capacity * np.log(arr)) - 1.0))
-        den_resid = np.max(np.abs(arr**capacity / y_vals - space_poly))
+    j_resid, den_resid = map(np.max, root_residuals(arr, probs, y_pgf_handle))
     if not j_resid < 1e-8:
         problems.append(f"max |J(z)-1| residual {j_resid:.3e} >= 1e-8")
     if not den_resid < 1e-8:

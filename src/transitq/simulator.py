@@ -350,8 +350,12 @@ def compare(report: RouteReport, stats: SimStats,
     the absolute floors (0.3 queue, 0.2 wait) scale with tol_mean so that
     tol_mean=0 demands exact agreement and fails on Monte Carlo noise alone.
     Spread checks compare standard deviations relatively at tol_sd.  Unstable
-    and zero-arrival stations are reported but excluded from pass/fail.
+    and zero-arrival stations are reported but excluded from pass/fail.  A
+    label or station count that differs between the two raises ValueError.
     """
+    if report.label != stats.label:
+        raise ValueError(f"scenario label mismatch: theory {report.label!r} "
+                         f"vs simulation {stats.label!r}")
     if len(report.stations) != len(stats.stations):
         raise ValueError("report and simulation cover different station counts")
     scale = tol_mean / _REL_MEAN_DEFAULT

@@ -194,25 +194,6 @@ def utilization(s: DiscreteDist, y: ArrivalMoments) -> tuple[float, bool]:
     return rho, rho < 1.0
 
 
-def den_eval(z, s, y_pgf_handle, space_poly=None):
-    """Denominator z^C / Y(z) - sum_u s_u z^{C-u}; zero exactly at the C roots.
-
-    ``space_poly`` is P(z) = sum_u s_u z^{C-u} at ``z`` when the caller
-    already has it; otherwise it is evaluated here by Horner's rule.  Raises
-    SolverError where Y(z) = 0, which happens once Y underflows.
-    """
-    probs = np.asarray(getattr(s, "probs", s), dtype=float)
-    cap = len(probs) - 1
-    arr = np.asarray(z, dtype=complex)
-    y_vals = np.asarray(y_pgf_handle(arr), dtype=complex)
-    if np.any(y_vals == 0):
-        raise SolverError("Y(z) = 0 at a denominator evaluation point")
-    if space_poly is None:
-        space_poly = np.polyval(probs, arr)
-    out = arr**cap / y_vals - space_poly
-    return complex(out) if arr.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # Queue front
 
@@ -274,10 +255,11 @@ def queue_front_contour(s: DiscreteDist, roots: tuple[complex, ...], y: ArrivalM
     The PGF is assembled in root-factored form
         Q(z) = (S_mean - Y_mean)(z - 1) prod(z - z_i) / [prod(1 - z_i) Den(z)]
     and integrated over the circle ``contour_size(C)`` inside the unit disk
-    via the FFT, with Den from ``den_eval``.  The root product is
-    accumulated one root at a time, and P on the circle is one real FFT of
-    its scaled coefficients, so no (points x roots) array is built and the
-    cost stays O(N C) at any capacity.  Unlike matching polynomial
+    via the FFT, with Den(z) = z^C / Y(z) - P(z); where Y(z) = 0 on the
+    circle it raises SolverError.  The root product is accumulated one root
+    at a time, and P on the circle is one real FFT of its scaled
+    coefficients, so no (points x roots) array is built and the cost stays
+    O(N C) at any capacity.  Unlike matching polynomial
     coefficients, whose triangular solve divides by s_C, this stays accurate
     when s_C is tiny.  Q has real coefficients and the validated inner roots
     are closed under conjugation, so Q(conj z) = conj Q(z): the samples on
@@ -306,9 +288,11 @@ def queue_front_contour(s: DiscreteDist, roots: tuple[complex, ...], y: ArrivalM
             num *= z - root
         # P(z_j) = sum_k s_{C-k} r^k e^{+2 pi i jk/N}: the conjugate of one real FFT
         space_poly = np.fft.rfft(s.probs[::-1] * radius ** np.arange(cap + 1), n_points).conj()
-        den = den_eval(z, s, y_pgf_handle, space_poly)
+        y_vals = np.asarray(y_pgf_handle(z), dtype=complex)
+        if np.any(y_vals == 0):  # Y underflows at hundreds of arrivals a headway
+            raise SolverError("Y(z) = 0 at a denominator evaluation point")
         # hfft(x, N) is the (real) forward FFT of the Hermitian extension of x
-        coef = np.fft.hfft(num / den, n_points) / n_points
+        coef = np.fft.hfft(num / (z**cap / y_vals - space_poly), n_points) / n_points
         q = coef[:cap] / radius ** np.arange(cap)
     return QueueFront(_front_diagnostics(q, s, s_mean, y.mean))
 

@@ -102,6 +102,18 @@ def char_winding(s_probs, lam: float, model: HeadwayModel, capacity: int,
     return winding_count(entire_form, **kwargs)
 
 
+def den(z, s_probs, lam: float, model: HeadwayModel) -> np.ndarray:
+    """Den(z) = z^C / Y(z) - sum_u s_u z^{C-u} from its formula, C = len(s_probs) - 1.
+
+    P by Horner's rule and Y by one ``y_pgf`` call: none of the power tables,
+    FFTs or log-space factors the root search and the queue front use.
+    """
+    probs = np.asarray(getattr(s_probs, "probs", s_probs), dtype=float)
+    z = np.asarray(z, dtype=complex)
+    y = np.asarray(y_pgf(z, lam, model), dtype=complex)
+    return z ** (len(probs) - 1) / y - np.polyval(probs, z)
+
+
 def pgf_factorial_moments(pgf, order: int = 3, radius: float = 0.1,
                           points: int = 128) -> list[float]:
     """First ``order`` factorial moments of a PGF from samples near z=1.

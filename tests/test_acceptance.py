@@ -24,7 +24,7 @@ from transitq.roots import find_all_roots
 from transitq.simulator import SimConfig, compare, run_simulation
 from oracles import queue_front
 from transitq.solver import (DiscreteDist, FrontPrecisionError,
-                             _effective_capacity, den_eval, point_mass,
+                             _effective_capacity, point_mass,
                              queue_front_contour)
 
 GRID_CAPACITY = (30, 34, 38)
@@ -179,9 +179,8 @@ def test_criterion_4_root_completeness_full_grid(capsys):
                 failures.append(f"{sc.label} st{sm.station}: "
                                 f"{len(sm.roots)} roots, expected {ceff}")
                 continue
-            resid = float(np.max(np.abs(den_eval(
-                np.asarray(sm.roots), s_eff,
-                lambda z, lam=sm.arrival_rate, hw=hw: y_pgf(z, lam, hw)))))
+            resid = float(np.max(np.abs(oracles.den(
+                np.asarray(sm.roots), s_eff, sm.arrival_rate, hw))))
             max_resid = max(max_resid, resid)
             if resid >= 1e-8:
                 failures.append(f"{sc.label} st{sm.station}: residual {resid:.2e}")

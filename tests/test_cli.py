@@ -7,14 +7,16 @@ import multiprocessing
 import resource
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 
-from transitq import cli, model, report, solver
+from transitq import model, report, solver
 from transitq import roots as rootsmod
 from transitq.cli import (EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_TOLERANCE,
                           main)
+from transitq.headway import y_pgf
 from transitq.report import ROUTE_COLUMNS, SIM_COLUMNS
 from transitq.roots import validate_root_set
 from transitq.solver import analyze_route
@@ -210,11 +212,23 @@ def test_roots_serves_stored_root_set(tmp_path, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the roots command searched for roots again")
 
-    monkeypatch.setattr(cli, "find_all_roots", no_search, raising=False)
     monkeypatch.setattr(rootsmod, "find_all_roots", no_search)
     second = tmp_path / "second.csv"
     assert main(["roots", "--station", "4", "--out", str(second)]) == EXIT_OK
     assert second.read_text() == first.read_text()
+
+
+def test_roots_residual_column_is_the_certificates(tmp_path):
+    # the dump prints the |Den| residuals that validate_root_set gated
+    out = tmp_path / "roots.csv"
+    assert main(["roots", "--station", "4", "--out", str(out)]) == EXIT_OK
+    rep = analyze_route(model.reference_scenario())
+    sm = rep.stations[3]
+    y = partial(y_pgf, lam=sm.arrival_rate, model=rep.headway[3])
+    den_resid = rootsmod.root_residuals(sm.roots, solver.trimmed_space(sm.service_dist).probs,
+                                        y)[1]
+    _, _, rows = report._read_csv_text(out.read_text())
+    assert [r[4] for r in rows] == [report.fmt_value(r) for r in den_resid]
 
 
 @pytest.mark.parametrize("station", [0, 11])
@@ -425,6 +439,17 @@ def test_simulate_refuses_a_queue_beyond_memory(tmp_path):
     assert proc.stderr == ("error: station 1: the arrival draw expects 1.71e+08 passengers, "
                            "more than 1e+08 beyond the 6800 that 200 vehicles of capacity 34 "
                            "can carry\n")
+
+
+def test_simulate_out_of_memory_is_an_input_error():
+    # 200 million vehicles need a 1.5 GB delay array, more than a child capped
+    # at 1 GiB of address space can allocate; the command says so on one line
+    proc = subprocess.run(
+        [sys.executable, "-m", "transitq.cli", "simulate", "--runs", "200000000"],
+        capture_output=True, text=True, preexec_fn=_cap_address_space, timeout=120)
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["simulate", "--runs", "200"]])

@@ -242,6 +242,13 @@ def test_expand_grid_each_parameter(reference):
         model.expand_grid(reference, "velocity", [1.0])
 
 
+@pytest.mark.parametrize("value", [34.5, math.inf, math.nan])
+def test_expand_grid_refuses_a_capacity_that_is_not_an_integer(reference, value):
+    # int() would build capacity 34 labelled 34.5, and raise OverflowError at inf
+    with pytest.raises(ValueError, match="not an integer"):
+        model.expand_grid(reference, "capacity", [value])
+
+
 def test_expand_grid_leaves_base_untouched(reference):
     model.expand_grid(reference, "gamma", [0.0, 0.5, 1.0])
     assert reference.incidents.rate == 0.2

@@ -15,6 +15,7 @@ from transitq.roots import (
     RootSearchError,
     find_all_roots,
     inner_roots,
+    root_residuals,
     validate_root_set,
 )
 
@@ -109,6 +110,18 @@ def test_validate_root_set_catches_each_defect():
     problems = validate_root_set(good, probs, nan_at_unit)
     assert any("|J(z)-1| residual nan" in p for p in problems)
     assert any("|Den(root)| = nan" in p for p in problems)
+
+
+def test_validate_root_set_gates_the_largest_root_residuals():
+    # the certificate's two residual figures are the maxima of root_residuals
+    C = 6
+    probs = _point_mass_probs(C)
+    shrunk = _roots_of_unity(C) * (1.0 - 1e-6)
+    j_resid, den_resid = root_residuals(shrunk, probs, _unit_y)
+    assert j_resid.shape == den_resid.shape == (C,)
+    problems = validate_root_set(shrunk, probs, _unit_y)
+    assert f"max |J(z)-1| residual {np.max(j_resid):.3e} >= 1e-8" in problems
+    assert f"max |Den(root)| = {np.max(den_resid):.3e} exceeds 1e-8" in problems
 
 
 @pytest.mark.parametrize("C", [34, 250])
@@ -365,9 +378,25 @@ def test_production_roots_sit_at_newton_fixed_point(reference_report):
         _, hw, _, probs = _station_inputs(reference_report, idx)
 
         def den(z, lam=sm.arrival_rate, hw=hw):
-            return solver.den_eval(z, probs, lambda w: headway.y_pgf(w, lam, hw))
+            return oracles.den(z, probs, lam, hw)
 
         z = np.array(sm.roots)
         step = den(z) / ((den(z + h) - den(z - h)) / (2 * h))
         worst = max(worst, float(np.max(np.abs(step))))
     assert worst <= 1e-14
+
+
+def test_root_residuals_vanish_on_stored_roots(reference_report):
+    # both residuals the certificate gates, root by root, on every stored set;
+    # |Den| is the formula's own value
+    for idx, sm in enumerate(reference_report.stations):
+        if not sm.roots:
+            continue
+        _, hw, _, probs = _station_inputs(reference_report, idx)
+        j_resid, den_resid = root_residuals(
+            sm.roots, probs, partial(headway.y_pgf, lam=sm.arrival_rate, model=hw))
+        assert np.max(j_resid) < 1e-8
+        assert np.max(den_resid) < 1e-8
+        np.testing.assert_allclose(
+            den_resid, np.abs(oracles.den(sm.roots, probs, sm.arrival_rate, hw)),
+            rtol=0, atol=1e-15)

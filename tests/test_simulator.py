@@ -486,6 +486,13 @@ def test_compare_rejects_mismatched_tables(reference_report):
         compare(reference_report, short)
 
 
+def test_compare_rejects_mismatched_labels(reference_report):
+    other = dataclasses.replace(stats_like(reference_report), label="congested")
+    with pytest.raises(ValueError, match="label mismatch: theory 'reference' "
+                                         "vs simulation 'congested'"):
+        compare(reference_report, other)
+
+
 def test_small_run_matches_theory_loosely(reference, reference_report):
     # a quick end-to-end shake-out; the acceptance suite does the full-length one
     stats = run_simulation(reference, SimConfig(runs=3000, seed=42))

@@ -24,7 +24,6 @@ from transitq.solver import (
     analyze_route,
     board,
     contour_size,
-    den_eval,
     dist_moments,
     normalization_gap,
     point_mass,
@@ -220,22 +219,6 @@ def test_utilization_values(reference_report):
 def test_utilization_degenerate():
     rho, stable = utilization(point_mass(0, 4), headway.ArrivalMoments(1.0, 1.0, 1.0))
     assert math.isinf(rho) and not stable
-
-
-def test_den_eval_rejects_zero_pgf(reference_report):
-    sm = reference_report.stations[0]
-    with pytest.raises(SolverError, match=r"Y\(z\) = 0"):
-        den_eval(np.array([0.5 + 0j]), sm.service_dist, lambda z: np.zeros_like(z))
-
-
-def test_den_eval_vanishes_on_roots(reference_report):
-    for sm in reference_report.stations:
-        if not sm.roots:
-            continue
-        hm = reference_report.headway[sm.station - 1]
-        vals = den_eval(np.array(sm.roots), sm.service_dist,
-                        lambda z, lam=sm.arrival_rate, hm=hm: headway.y_pgf(z, lam, hm))
-        assert np.max(np.abs(vals)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +508,7 @@ def test_station_solve_error_on_non_finite_front():
 
 
 def test_station_solve_error_on_zero_pgf_on_the_contour():
-    # Y underflows to zero on the contour circle: den_eval's error reaches
+    # Y underflows to zero on the contour circle: the front's error reaches
     # the caller tagged with the station, like every other solver failure
     with pytest.raises(StationSolveError, match=r"station 1: Y\(z\) = 0") as err:
         analyze_route(_line((40.0,), (1.0,), 500, 10.0))
