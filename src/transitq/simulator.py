@@ -13,13 +13,30 @@ Results are reproducible, and runs differing only in length share every
 draw of their common prefix of vehicles.  The run makes one pass per
 station.  Headways and alighting take a few array operations over all
 vehicles; passenger arrivals are drawn on demand and streamed through the
-queue in blocks of vehicles.  Memory is O(runs) plus one block's arrivals
-plus the queue left behind, which stays bounded only at stable stations.
+queue in blocks of vehicles.
+
+Each run starts one worker thread, joined before the run returns or
+raises; numpy's Generator releases the interpreter lock while it fills an
+array, so the worker's draws overlap this thread's work.  At each station
+the worker draws the alighting while this thread draws the incidents and
+builds the headways and departures, since both need only what the station
+before left.  During the station's pass the worker draws the arrival times
+up to the next block's last departure while this thread serves the current
+block.  No value depends on which thread drew it: each stream is read by one
+thread only, in vehicle order, and arrival chunks carry their running sum
+across chunk edges.  The lookahead is one block, its expected arrivals plus
+six standard deviations plus 16, so memory is O(runs) plus about two
+blocks' arrivals plus the queue left behind, which stays bounded only at
+stable stations.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import queue
+import threading
+from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -54,6 +71,12 @@ class SimConfig:
     warmup: float = 0.10    # fraction of vehicles dropped from statistics
 
     def __post_init__(self):
+        for name in ("runs", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.runs < 100:
             raise ValueError(f"need at least 100 vehicles, got {self.runs}")
         if not 0.0 <= self.warmup < 1.0:
@@ -110,48 +133,121 @@ def _ratio_se(row_sums: np.ndarray, row_counts: np.ndarray) -> float:
     return float(np.std(means, ddof=1) / math.sqrt(len(means)))
 
 
-class _ArrivalStream:
-    """One station's Poisson arrival times, drawn on demand in chunks.
+class _Worker:
+    """One thread that runs the calls handed to ``submit``, in order.
 
-    ``times[head:]`` holds the passengers who have not boarded yet, then the
-    times drawn beyond the last departure covered.  Each chunk's exponential
-    gaps continue the unscaled running sum of the chunks before it, so every
-    time equals the whole-run ``cumsum(gaps) / rate`` bit for bit whatever
-    the chunk sizes.  Only drawing a chunk copies the buffer.
+    ``submit`` returns a function that waits for its call and then returns
+    the call's value or raises its exception; call it once.  Leaving the
+    ``with`` block lets the queued calls finish and joins the thread.  A
+    one-thread ``concurrent.futures`` pool would do the same, but importing
+    it loads ``logging`` and adds about 6 ms to a cold ``transitq
+    simulate`` on a 2-core x86-64 host.
     """
 
-    def __init__(self, rng: np.random.Generator, rate: float):
-        self.rng, self.rate = rng, rate
-        self.times = np.empty(0)
-        self.head = 0
-        self._sum = 0.0
+    def __enter__(self):
+        self._calls = queue.SimpleQueue()
+        # a daemon, so that passes left suspended cannot hold up interpreter exit
+        self._thread = threading.Thread(target=self._serve, name="transitq-draws",
+                                        daemon=True)
+        self._thread.start()
+        return self
 
-    def draw(self, size: int) -> None:
-        """Append the next ``size`` arrival times and drop the boarded ones."""
-        gaps = self.rng.standard_exponential(size)
-        gaps[0] += self._sum
-        np.cumsum(gaps, out=gaps)
-        self._sum = gaps[-1]
-        gaps /= self.rate
-        self.times = np.concatenate((self.times[self.head:], gaps))
-        self.head = 0
+    def __exit__(self, *exc_info):
+        self._calls.put(None)
+        self._thread.join()
 
-    def cover(self, horizon: float) -> None:
-        """Draw until the buffer holds every arrival time up to ``horizon``.
+    def _serve(self):
+        for fn, args, done in iter(self._calls.get, None):
+            try:
+                done.put((fn(*args), None))
+            except BaseException as exc:  # raised again by the caller that waits for it
+                done.put((None, exc))
+            del fn, args  # so that an idle worker keeps no array of the caller's alive
+
+    def submit(self, fn, *args):
+        done = queue.SimpleQueue()
+        self._calls.put((fn, args, done))
+
+        def result():
+            value, exc = done.get()
+            if exc is not None:
+                raise exc
+            return value
+        return result
+
+
+class _ArrivalStream:
+    """One station's Poisson arrival times, drawn one block ahead on the worker.
+
+    ``times[head:]`` holds the passengers who have not boarded yet, then the
+    times drawn beyond the last departure covered.  ``ahead(horizon)`` has
+    the worker draw every time up to ``horizon`` while this thread serves
+    the block before; ``take()`` waits for them and appends them.  The
+    worker alone touches the generator and the running sum, this thread
+    alone the buffer.  Each chunk's exponential gaps continue the unscaled
+    running sum of the chunks before it, so every time equals the whole-run
+    ``cumsum(gaps) / rate`` bit for bit whatever the chunk sizes.
+    """
+
+    def __init__(self, rng: np.random.Generator, rate: float, worker: _Worker):
+        self.rng, self.rate, self.worker = rng, rate, worker
+        self._buf = np.empty(0)
+        self.head = self._end = 0
+        self._sum = self._last = 0.0  # unscaled running sum, last time drawn
+        self._drawn = None
+
+    @property
+    def times(self) -> np.ndarray:
+        return self._buf[:self._end]
+
+    def _draw(self, horizon: float) -> list[np.ndarray]:
+        """The next times, in chunks, up to the first one past ``horizon``.
 
         A chunk is sized like a whole-run draw over the uncovered span, its
-        expected count plus six standard deviations plus 16, and is at least
-        as long as the queue it carries: a queue that grows without bound
-        at an unstable station is then copied a bounded number of times per
-        passenger.
+        expected count plus six standard deviations plus 16, so one chunk
+        nearly always covers it.
         """
-        if self.rate <= 0.0:
+        chunks = []
+        while self._last <= horizon:
+            mean = self.rate * (horizon - self._last)
+            gaps = self.rng.standard_exponential(int(mean + 6.0 * math.sqrt(mean)) + 16)
+            gaps[0] += self._sum
+            np.cumsum(gaps, out=gaps)
+            self._sum = gaps[-1]
+            gaps /= self.rate
+            self._last = gaps[-1]
+            chunks.append(gaps)
+        return chunks
+
+    def ahead(self, horizon: float) -> None:
+        """Start the worker drawing every arrival time up to ``horizon``."""
+        if self.rate > 0.0:
+            self._drawn = self.worker.submit(self._draw, horizon)
+
+    def take(self) -> None:
+        """Wait for the times ``ahead`` asked for and append them to the buffer."""
+        if self._drawn is None:
             return
-        while not (len(self.times) and self.times[-1] > horizon):
-            last = self.times[-1] if len(self.times) else 0.0
-            mean = self.rate * (horizon - last)
-            self.draw(max(int(mean + 6.0 * math.sqrt(mean)) + 16,
-                          len(self.times) - self.head))
+        chunks, self._drawn = self._drawn(), None
+        for gaps in chunks:
+            self._append(gaps)
+
+    def _append(self, gaps: np.ndarray) -> None:
+        """Append ``gaps`` after the buffer's last time.
+
+        A chunk that does not fit moves the passengers still waiting and the
+        chunk into a new buffer with room for as many more times as there
+        are waiting passengers.  More than that many times are drawn before
+        the next move, so the moves copy fewer than two times per time
+        drawn, even where the queue grows through the whole run.
+        """
+        live, size = self._end - self.head, len(gaps)
+        if self._end + size > len(self._buf):
+            buf = np.empty(2 * live + size)
+            buf[:live] = self._buf[self.head:self._end]
+            self._buf, self.head, self._end = buf, 0, live
+        self._buf[self._end:self._end + size] = gaps
+        self._end += size
 
 
 def _queue_pass(k: np.ndarray, stay: np.ndarray, cap: int, x0: int = 0):
@@ -177,14 +273,15 @@ def _station_pass(arrivals: _ArrivalStream, dep: np.ndarray, stay: np.ndarray,
     """One station's queue and FIFO waits, in blocks of vehicles.
 
     The run is cut into equal blocks of at most ``max_vehicles`` vehicles
-    and about ``max_arrivals`` expected passengers.  Each block draws the
-    arrivals up to its last departure, counts them against its departures,
-    runs the Lindley recursion from the queue the block before left, and
-    sums the waits of its boarders, who are the next arrivals in the
-    stream.  Returns ``(k, q_seen, board, left, w_sum, w_sq)``: per vehicle
-    the arrivals, queue found and boardings, ``left`` the queue the last
-    vehicle left behind, then per vehicle the sum and sum of squares of its
-    boarders' waits.  Each vehicle's boarders stay in one block and in
+    and about ``max_arrivals`` expected passengers.  Each block takes the
+    arrivals up to its last departure, which the worker drew while the
+    block before was served, and sets the worker drawing the next block's.
+    It counts its arrivals against its departures, runs the Lindley
+    recursion from the queue the block before left, and sums the waits of
+    its boarders, who are the next arrivals in the stream.  Returns ``(k,
+    q_seen, board, left, w_sum, w_sq)``: per vehicle the arrivals, queue
+    found and boardings, ``left`` the queue the last vehicle left behind,
+    then per vehicle the sum and sum of squares of its boarders' waits.  Each vehicle's boarders stay in one block and in
     order, so no output depends on the block size.
     """
     runs = len(dep)
@@ -196,16 +293,20 @@ def _station_pass(arrivals: _ArrivalStream, dep: np.ndarray, stay: np.ndarray,
     board = np.empty(runs, dtype=np.int64)
     w_sum, w_sq = np.empty(runs), np.empty(runs)
     left = 0
+    arrivals.ahead(dep[min(block, runs) - 1])
     for lo in range(0, runs, block):
         hi = min(lo + block, runs)
-        arrivals.cover(dep[hi - 1])
-        seen = np.searchsorted(arrivals.times, dep[lo:hi], side="right")
-        k[lo:hi] = np.diff(seen, prepend=arrivals.head + left)
+        arrivals.take()
+        if hi < runs:
+            arrivals.ahead(dep[min(hi + block, runs) - 1])
+        times, head = arrivals.times, arrivals.head
+        seen = np.searchsorted(times, dep[lo:hi], side="right")
+        k[lo:hi] = np.diff(seen, prepend=head + left)
         q, b, x = _queue_pass(k[lo:hi], stay[lo:hi], cap, left)
         q_seen[lo:hi], board[lo:hi], left = q, b, int(x[-1])
         rider = np.repeat(np.arange(hi - lo), b)
         w = dep[lo:hi][rider]
-        w -= arrivals.times[arrivals.head:arrivals.head + len(rider)]
+        w -= times[head:head + len(rider)]
         arrivals.head += len(rider)
         w_sum[lo:hi] = np.bincount(rider, weights=w, minlength=hi - lo)
         w *= w
@@ -223,8 +324,10 @@ def _station_passes(scenario: Scenario, config: SimConfig):
     boarders' waits.  Only the cumulative delays and the loads carry on to
     the next station; a consumer that drops each pass before asking for the
     next holds one station's arrays at a time.  Every (seed, kind, station)
-    stream is drawn on its own, so taking the stations in turn changes no
-    draw.
+    stream is drawn on its own and by one thread, so neither taking the
+    stations in turn nor which thread draws a stream changes a draw.  The
+    worker thread lives from the first pass until the generator finishes
+    or is closed.
     """
     route = scenario.route
     runs, seed = config.runs, config.seed
@@ -240,29 +343,39 @@ def _station_passes(scenario: Scenario, config: SimConfig):
                              f"gamma * T = {gamma * t:.3g}, above numpy's limit "
                              f"{_POISSON_MEAN_MAX:.3g}")
 
-    delay = np.zeros(runs + 1)  # cumulative incident delay of vehicles 0..runs
-    loads = np.zeros(runs, dtype=np.int64)
-    for n in range(route.num_stations):
-        # Rectified headways and departure times of vehicles 1..runs (the
-        # virtual vehicle 0 departs every station at t=0).
-        delay += _stream(seed, _INCIDENT_SIZE, n).gamma(
-            _stream(seed, _INCIDENT_COUNT, n).poisson(gamma * seg[n], size=runs + 1)) / theta
-        h = np.maximum(0.0, h_adj + delay[1:] - delay[:-1])
-        dep = np.cumsum(h)
-        expected = lam[n] * dep[-1]
-        if expected - runs * route.capacity > _ARRIVAL_SURPLUS_MAX:
-            raise ValueError(f"station {n + 1}: the arrival draw expects {expected:.3g} "
-                             f"passengers, more than {_ARRIVAL_SURPLUS_MAX:.3g} beyond the "
-                             f"{runs * route.capacity} that {runs} vehicles of capacity "
-                             f"{route.capacity} can carry")
+    with _Worker() as worker:
+        delay = np.zeros(runs + 1)  # cumulative incident delay of vehicles 0..runs
+        loads = np.zeros(runs, dtype=np.int64)
+        for n in range(route.num_stations):
+            # alighting needs only the loads the station before left, so the
+            # worker draws it while this thread draws the incidents
+            alighted = worker.submit(_stream(seed, _ALIGHTING, n).binomial, loads, alpha[n])
+            # Rectified headways and departure times of vehicles 1..runs (the
+            # virtual vehicle 0 departs every station at t=0).
+            sizes = _stream(seed, _INCIDENT_SIZE, n).gamma(
+                _stream(seed, _INCIDENT_COUNT, n).poisson(gamma * seg[n], size=runs + 1))
+            sizes /= theta
+            delay += sizes
+            del sizes
+            h = delay[1:] + h_adj
+            h -= delay[:-1]
+            np.maximum(h, 0.0, out=h)
+            dep = np.cumsum(h)
+            expected = lam[n] * dep[-1]
+            if expected - runs * route.capacity > _ARRIVAL_SURPLUS_MAX:
+                raise ValueError(f"station {n + 1}: the arrival draw expects {expected:.3g} "
+                                 f"passengers, more than {_ARRIVAL_SURPLUS_MAX:.3g} beyond the "
+                                 f"{runs * route.capacity} that {runs} vehicles of capacity "
+                                 f"{route.capacity} can carry")
 
-        stay = loads - _stream(seed, _ALIGHTING, n).binomial(loads, alpha[n])
-        k, q_seen, board, left, w_sum, w_sq = _station_pass(
-            _ArrivalStream(_stream(seed, _ARRIVALS, n), lam[n]), dep, stay, route.capacity)
-        loads = stay + board
-        yield h, k, q_seen, board, loads, left, w_sum, w_sq
-        # before the next station allocates its own
-        del h, dep, stay, k, q_seen, board, w_sum, w_sq
+            stay = loads - alighted()
+            k, q_seen, board, left, w_sum, w_sq = _station_pass(
+                _ArrivalStream(_stream(seed, _ARRIVALS, n), lam[n], worker),
+                dep, stay, route.capacity)
+            loads = stay + board
+            yield h, k, q_seen, board, loads, left, w_sum, w_sq
+            # before the next station allocates its own
+            del h, dep, stay, k, q_seen, board, w_sum, w_sq
 
 
 def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimStats:
@@ -270,26 +383,28 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimSt
     require_valid(scenario)
     cut = math.ceil(config.warmup * config.runs)
     stats: list[StationSimStats] = []
-    for h, _, q_seen, board, _, _, w_sum, w_sq in _station_passes(scenario, config):
-        q_sel, h_sel = q_seen[cut:], h[cut:]
-        cnt = int(board[cut:].sum())
-        if cnt:
-            w_mean = float(w_sum[cut:].sum()) / cnt
-            w_var = ((float(w_sq[cut:].sum()) - cnt * w_mean * w_mean) / (cnt - 1)
-                     if cnt > 1 else math.nan)
-        else:
-            w_mean = w_var = math.nan
-        stats.append(StationSimStats(
-            station=len(stats) + 1,
-            q_mean=float(q_sel.mean()), q_var=float(q_sel.var(ddof=1)),
-            q_mean_se=_ratio_se(q_sel, np.ones_like(q_sel)),
-            w_mean=w_mean, w_var=w_var,
-            w_mean_se=_ratio_se(w_sum[cut:], board[cut:]),
-            headway_mean=float(h_sel.mean()), headway_var=float(h_sel.var(ddof=1)),
-            boarded=cnt,
-        ))
-        # before the next station is drawn
-        del h, q_seen, board, w_sum, w_sq, q_sel, h_sel
+    # closed on the way out, also when this loop raises, which joins the worker
+    with closing(_station_passes(scenario, config)) as passes:
+        for h, _, q_seen, board, _, _, w_sum, w_sq in passes:
+            q_sel, h_sel = q_seen[cut:], h[cut:]
+            cnt = int(board[cut:].sum())
+            if cnt:
+                w_mean = float(w_sum[cut:].sum()) / cnt
+                w_var = ((float(w_sq[cut:].sum()) - cnt * w_mean * w_mean) / (cnt - 1)
+                         if cnt > 1 else math.nan)
+            else:
+                w_mean = w_var = math.nan
+            stats.append(StationSimStats(
+                station=len(stats) + 1,
+                q_mean=float(q_sel.mean()), q_var=float(q_sel.var(ddof=1)),
+                q_mean_se=_ratio_se(q_sel, np.ones_like(q_sel)),
+                w_mean=w_mean, w_var=w_var,
+                w_mean_se=_ratio_se(w_sum[cut:], board[cut:]),
+                headway_mean=float(h_sel.mean()), headway_var=float(h_sel.var(ddof=1)),
+                boarded=cnt,
+            ))
+            # before the next station is drawn
+            del h, q_seen, board, w_sum, w_sq, q_sel, h_sel
     return SimStats(label=scenario.label, runs=config.runs, seed=config.seed,
                     warmup=config.warmup, stations=tuple(stats), rng_layout=RNG_LAYOUT)
 

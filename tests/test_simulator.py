@@ -3,13 +3,16 @@
 import dataclasses
 import hashlib
 import math
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from transitq import headway, model, simulator, solver
+from transitq import cli, headway, model, simulator, solver
 from transitq.simulator import (
     ComparisonTable,
     SimConfig,
@@ -18,6 +21,7 @@ from transitq.simulator import (
     compare,
     run_simulation,
     _ArrivalStream,
+    _Worker,
     _queue_pass,
     _station_pass,
     _station_passes,
@@ -77,6 +81,23 @@ def test_warmup_must_leave_vehicles():
     with pytest.raises(ValueError, match="fewer than 2 vehicles"):
         SimConfig(runs=100, warmup=0.99)
     assert SimConfig(runs=100, warmup=0.98).runs == 100
+
+
+@pytest.mark.parametrize("field, value", [
+    ("runs", 1000.0), ("runs", "1000"), ("seed", 1.5), ("seed", np.float64(5.0)),
+])
+def test_config_refuses_a_count_that_is_not_an_integer(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        SimConfig(**{field: value})
+
+
+@pytest.mark.parametrize("seed", [np.uint64(5), np.int64(5), np.int32(5)])
+def test_config_takes_numpy_integers_as_python_ints(reference, seed):
+    # np.uint64(5) << 64 wraps to 0, which ran seed 0's streams
+    cfg = SimConfig(runs=200, seed=seed)
+    assert type(cfg.seed) is int and cfg.seed == 5
+    assert type(SimConfig(runs=np.int64(200)).runs) is int
+    assert run_simulation(reference, cfg) == run_simulation(reference, SimConfig(runs=200, seed=5))
 
 
 def test_rejects_invalid_scenario(reference):
@@ -216,6 +237,31 @@ def test_multi_block_run_is_pinned(reference, label):
         PINNED_MULTI_BLOCK[label]
 
 
+def test_concurrent_runs_under_fast_switching_are_pinned(reference):
+    # four runs at once, each with its own worker thread, and the interpreter
+    # switching threads every microsecond: a draw taken out of order or a
+    # block served before its arrivals are in would change the digest
+    stats = [None] * 4
+
+    def run(i):
+        stats[i] = run_simulation(reference, SimConfig(runs=9000, seed=7))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(stats))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got in stats:
+        stations = "\n".join(map(repr, got.stations)).encode()
+        assert hashlib.sha256(stations).hexdigest() == PINNED_MULTI_BLOCK["reference"][0]
+
+
 # ---------------------------------------------------------------------------
 # physics of a run
 
@@ -284,9 +330,10 @@ def traced_peak(scenario, runs):
 
 
 def test_memory_grows_with_runs_not_passengers(reference):
-    # O(runs) plus one block of arrivals, ~2.3 MB; holding station 4's
-    # whole-run arrival times and gaps would add ~5 MB, and keeping the
-    # previous station's pass while the next is drawn ~0.8 MB
+    # O(runs) plus two blocks of arrivals, the one served and the one drawn
+    # ahead, ~2.36 MB; holding station 4's whole-run arrival times and gaps
+    # would add ~5 MB, and keeping the previous station's pass while the
+    # next is drawn ~0.8 MB
     assert traced_peak(reference, 20_000) < 2.8e6
 
 
@@ -314,32 +361,148 @@ class _ShortGaps:
         return self.drawn[-1].copy()
 
 
+class _Chunked:
+    """Stands in for a Generator: hands out a Philox stream's exponential gaps
+    in the chunk sizes given, whatever size is asked for."""
+
+    def __init__(self, seed, sizes):
+        self.rng, self.sizes = philox(seed), list(sizes)
+
+    def standard_exponential(self, size):
+        return self.rng.standard_exponential(self.sizes.pop(0))
+
+
 def philox(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
 def test_poisson_process_cumsum_spans_chunks():
-    gen = _ShortGaps()
-    stream = _ArrivalStream(gen, 2.0)
-    stream.cover(500.0)
-    assert len(gen.drawn) >= 2
-    want = np.cumsum(np.concatenate(gen.drawn)) / 2.0
-    np.testing.assert_array_equal(stream.times, want)
-    assert want[-len(gen.drawn[-1]) - 1] <= 500.0 < want[-1]  # no chunk too many
-    # any chunk sizes give the whole-run cumsum(gaps) / rate bit for bit
-    whole = np.cumsum(philox(9).standard_exponential(3000)) / 0.7
-    for sizes in ([3000], [1, 2999], [7, 1000, 3, 1990], [16] * 187 + [8]):
-        stream = _ArrivalStream(philox(9), 0.7)
-        for size in sizes:
-            stream.draw(size)
-        np.testing.assert_array_equal(stream.times, whole)
-    # boarders leave the buffer when the next chunk is drawn, nobody else does
-    stream = _ArrivalStream(philox(9), 0.7)
-    stream.draw(1000)
-    stream.head = 600
-    stream.draw(2000)
-    assert stream.head == 0
-    np.testing.assert_array_equal(stream.times, whole[600:])
+    with _Worker() as worker:
+        gen = _ShortGaps()
+        stream = _ArrivalStream(gen, 2.0, worker)
+        stream.ahead(500.0)
+        stream.take()
+        assert len(gen.drawn) >= 2
+        want = np.cumsum(np.concatenate(gen.drawn)) / 2.0
+        np.testing.assert_array_equal(stream.times, want)
+        assert want[-len(gen.drawn[-1]) - 1] <= 500.0 < want[-1]  # no chunk too many
+        # any chunk sizes give the whole-run cumsum(gaps) / rate bit for bit
+        whole = np.cumsum(philox(9).standard_exponential(3000)) / 0.7
+        for sizes in ([3000], [1, 2999], [7, 1000, 3, 1990], [16] * 187 + [8]):
+            stream = _ArrivalStream(_Chunked(9, sizes), 0.7, worker)
+            stream.ahead(whole[-2])
+            stream.take()
+            np.testing.assert_array_equal(stream.times, whole)
+        # a chunk that does not fit moves the waiting passengers to the front
+        # of a new buffer with as much room again; boarders are dropped
+        stream = _ArrivalStream(_Chunked(9, [1000, 2000]), 0.7, worker)
+        stream.ahead(whole[998])
+        stream.take()
+        stream.head = 600
+        stream.ahead(whole[2998])
+        stream.take()
+        assert stream.head == 0
+        np.testing.assert_array_equal(stream.times, whole[600:])
+        assert len(stream._buf) == len(whole[600:]) + 400
+
+
+def test_unstable_station_copies_arrivals_linearly(monkeypatch):
+    # A capacity-1 line at eight times its demand draws 5.8e6 arrival times
+    # over 10k vehicles and keeps most of them queued.  Moving the queue into
+    # a new buffer at every chunk would copy 29 times as many as are drawn;
+    # the buffer's spare room keeps it under twice.  Every write to the
+    # buffer goes through _append, which moves the waiting passengers when a
+    # new buffer replaces the old one.
+    sc = capacity_one(model.reference_scenario())
+    sc = dataclasses.replace(sc, route=dataclasses.replace(sc.route, demand_factor=8.0))
+    counts = {"drawn": 0, "moved": 0}
+    append = _ArrivalStream._append
+
+    def counted(stream, gaps):
+        buf, waiting = stream._buf, stream._end - stream.head
+        append(stream, gaps)
+        counts["drawn"] += len(gaps)
+        if stream._buf is not buf:
+            counts["moved"] += waiting
+
+    monkeypatch.setattr(_ArrivalStream, "_append", counted)
+    stats = run_simulation(sc, SimConfig(runs=10_000, seed=7))
+    assert min(st.q_mean for st in stats.stations[:-1]) > 5e4  # queues grow all run
+    assert counts["drawn"] > 5e6
+    assert counts["moved"] < 2 * counts["drawn"]
+
+
+class _FailingDraws:
+    """Stands in for a Generator: every draw records its thread and raises."""
+
+    def __init__(self, exc):
+        self.exc, self.threads = exc, []
+
+    def _fail(self, *args, **kwargs):
+        self.threads.append(threading.current_thread())
+        raise self.exc
+
+    binomial = standard_exponential = _fail
+
+
+def failing_stream(monkeypatch, kind, exc):
+    """Make every (seed, ``kind``, station) stream a ``_FailingDraws``."""
+    stub, stream = _FailingDraws(exc), simulator._stream
+    monkeypatch.setattr(simulator, "_stream",
+                        lambda seed, k, n: stub if k == kind else stream(seed, k, n))
+    return stub
+
+
+@pytest.mark.parametrize("kind", [simulator._ALIGHTING, simulator._ARRIVALS],
+                         ids=["alighting", "arrivals"])
+@pytest.mark.parametrize("exc", [RuntimeError("stub draw failed"),
+                                 MemoryError("stub draw out of memory")],
+                         ids=["RuntimeError", "MemoryError"])
+def test_worker_exception_reaches_the_caller(reference, monkeypatch, kind, exc):
+    stub = failing_stream(monkeypatch, kind, exc)
+    before = threading.enumerate()
+    with pytest.raises(type(exc), match=f"^{exc}$"):
+        run_simulation(reference, SimConfig(runs=200, seed=1))
+    assert stub.threads and threading.main_thread() not in stub.threads
+    assert threading.enumerate() == before
+
+
+def test_worker_memory_error_is_an_input_error(monkeypatch, capsys):
+    failing_stream(monkeypatch, simulator._ARRIVALS, MemoryError("stub draw out of memory"))
+    assert cli.main(["simulate", "--runs", "200"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: stub draw out of memory\n"
+
+
+def test_no_thread_outlives_a_run(reference, monkeypatch):
+    before = threading.enumerate()
+    run_simulation(reference, SimConfig(runs=200, seed=1))
+    assert threading.enumerate() == before
+    # the worker lives while passes are pending, and closing them joins it
+    passes = _station_passes(reference, SimConfig(runs=200, seed=1))
+    next(passes)
+    assert len(threading.enumerate()) == len(before) + 1
+    passes.close()
+    assert threading.enumerate() == before
+    # a run that raises between two stations closes its passes too
+    def fail(*args):
+        raise ArithmeticError("stub")
+
+    monkeypatch.setattr(simulator, "_ratio_se", fail)
+    with pytest.raises(ArithmeticError, match="^stub$"):
+        run_simulation(reference, SimConfig(runs=200, seed=1))
+    assert threading.enumerate() == before
+
+
+def test_suspended_passes_do_not_hold_up_exit():
+    # the generator below is never closed, so its idle worker is still alive
+    # when the interpreter exits
+    code = ("from transitq import model\n"
+            "from transitq.simulator import SimConfig, _station_passes\n"
+            "passes = _station_passes(model.reference_scenario(), SimConfig(runs=200))\n"
+            "next(passes)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("cap,alpha,rate", [
@@ -372,9 +535,11 @@ def test_queue_pass_matches_vehicle_loop(cap, alpha, rate):
             np.testing.assert_array_equal(np.concatenate(part), want)
     # streamed in blocks of vehicles: blocks of whole vehicles add each
     # vehicle's waits in the same order, whatever the block size
-    passes = [_station_pass(_ArrivalStream(philox(cap), rate), depart, stay, cap, *blocks)
-              for blocks in ((4096, 16384), (1, 16384), (7, 16384), (1000, 16384),
-                             (4096, 1), (4096, 100))]
+    with _Worker() as worker:
+        passes = [_station_pass(_ArrivalStream(philox(cap), rate, worker), depart, stay, cap,
+                                *blocks)
+                  for blocks in ((4096, 16384), (1, 16384), (7, 16384), (1000, 16384),
+                                 (4096, 1), (4096, 100))]
     s_k, s_q, s_board, s_left, w_sum, w_sq = passes[0]
     for got, want in zip((s_k, s_q, s_board, s_left), (k, want_q, want_board, want_left[-1])):
         np.testing.assert_array_equal(got, want)
