@@ -233,6 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # before numpy loads: the root search's matvecs gain nothing from BLAS
+    # threads, which forked `sweep --jobs N` workers would make contend
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -18,21 +18,18 @@ queue in blocks of vehicles.
 Each run starts one worker thread, joined before the run returns or
 raises; numpy's Generator releases the interpreter lock while it fills an
 array, so the worker's draws overlap this thread's work.  At each station
-the worker draws the alighting while this thread draws the incidents and
-builds the headways and departures, since both need only what the station
-before left.  During the station's pass the worker draws the arrival times
-up to the next block's last departure while this thread serves the current
-block.  No value depends on which thread drew it: each stream is read by one
-thread only, in vehicle order, and arrival chunks carry their running sum
-across chunk edges.  The lookahead is one block, its expected arrivals plus
-six standard deviations plus 16, so memory is O(runs) plus about two
-blocks' arrivals plus the queue left behind, which stays bounded only at
-stable stations.
+it draws the alighting while this thread builds the headways and
+departures, then the arrival times one block ahead of this thread's pass.
+Each stream is read by one thread only, in vehicle order, so no value
+depends on which thread drew it.  Memory is O(runs) plus a few blocks'
+arrivals plus the queue left behind, which stays bounded only at stable
+stations.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import queue
 import threading
@@ -47,7 +44,6 @@ from .model import Scenario, adjusted_headway, require_valid
 if TYPE_CHECKING:
     from .solver import RouteReport
 
-_MASK64 = (1 << 64) - 1
 _BATCHES = 100
 # the largest mean numpy's Poisson sampler accepts: int64 max less ten sd
 _POISSON_MEAN_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
@@ -57,6 +53,10 @@ _POISSON_MEAN_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np
 # 50k-vehicle reference run stays 8e5 below capacity, and a capacity-1 line
 # at eight times its demand 7e6 above.
 _ARRIVAL_SURPLUS_MAX = 1e8
+# a station pass serves its run in equal blocks of at most this many vehicles
+# and about this many expected passengers
+_BLOCK_VEHICLES = 4096
+_BLOCK_ARRIVALS = 16384
 
 # Version of the random-stream layout: 1 gave every vehicle its own Philox
 # stream; 2 gives every (seed, draw kind, station) one, drawn in vehicle order.
@@ -79,8 +79,10 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.runs < 100:
             raise ValueError(f"need at least 100 vehicles, got {self.runs}")
-        if not 0.0 <= self.warmup < 1.0:
-            raise ValueError(f"warmup fraction must lie in [0, 1), got {self.warmup}")
+        if not 0 <= self.seed < 1 << 64:  # the high half of every stream's Philox key
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if not isinstance(self.warmup, numbers.Real) or not 0.0 <= self.warmup < 1.0:
+            raise ValueError(f"warmup fraction must lie in [0, 1), got {self.warmup!r}")
         if self.runs - math.ceil(self.warmup * self.runs) < 2:
             raise ValueError("warmup leaves fewer than 2 vehicles for statistics")
 
@@ -111,7 +113,7 @@ class SimStats:
 
 def _stream(seed: int, kind: int, station: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(
-        key=((seed & _MASK64) << 64) | (kind << 32) | station))
+        key=(seed << 64) | (kind << 32) | station))
 
 
 def _ratio_se(row_sums: np.ndarray, row_counts: np.ndarray) -> float:
@@ -176,78 +178,76 @@ class _Worker:
         return result
 
 
-class _ArrivalStream:
-    """One station's Poisson arrival times, drawn one block ahead on the worker.
+def _arrival_chunks(rng: np.random.Generator, rate: float, horizons):
+    """A station's Poisson arrival times at ``rate``, drawn horizon by horizon.
 
-    ``times[head:]`` holds the passengers who have not boarded yet, then the
-    times drawn beyond the last departure covered.  ``ahead(horizon)`` has
-    the worker draw every time up to ``horizon`` while this thread serves
-    the block before; ``take()`` waits for them and appends them.  The
-    worker alone touches the generator and the running sum, this thread
-    alone the buffer.  Each chunk's exponential gaps continue the unscaled
-    running sum of the chunks before it, so every time equals the whole-run
-    ``cumsum(gaps) / rate`` bit for bit whatever the chunk sizes.
+    Yields per horizon a list of chunks of times that reach the first time
+    past it.  A chunk is sized like a whole-run draw over the span still
+    uncovered, its expected count plus six standard deviations plus 16, so
+    one chunk nearly always covers it.  Each chunk's exponential gaps
+    continue the unscaled running sum of the chunks before it, so every time
+    equals the whole-run ``cumsum(gaps) / rate`` bit for bit whatever the
+    chunk sizes.  Without arrivals every list is empty.
     """
-
-    def __init__(self, rng: np.random.Generator, rate: float, worker: _Worker):
-        self.rng, self.rate, self.worker = rng, rate, worker
-        self._buf = np.empty(0)
-        self.head = self._end = 0
-        self._sum = self._last = 0.0  # unscaled running sum, last time drawn
-        self._drawn = None
-
-    @property
-    def times(self) -> np.ndarray:
-        return self._buf[:self._end]
-
-    def _draw(self, horizon: float) -> list[np.ndarray]:
-        """The next times, in chunks, up to the first one past ``horizon``.
-
-        A chunk is sized like a whole-run draw over the uncovered span, its
-        expected count plus six standard deviations plus 16, so one chunk
-        nearly always covers it.
-        """
+    total = last = 0.0  # unscaled running sum, last time drawn
+    for horizon in horizons:
         chunks = []
-        while self._last <= horizon:
-            mean = self.rate * (horizon - self._last)
-            gaps = self.rng.standard_exponential(int(mean + 6.0 * math.sqrt(mean)) + 16)
-            gaps[0] += self._sum
+        while rate > 0.0 and last <= horizon:
+            mean = rate * (horizon - last)
+            gaps = rng.standard_exponential(int(mean + 6.0 * math.sqrt(mean)) + 16)
+            gaps[0] += total
             np.cumsum(gaps, out=gaps)
-            self._sum = gaps[-1]
-            gaps /= self.rate
-            self._last = gaps[-1]
+            total = gaps[-1]
+            gaps /= rate
+            last = gaps[-1]
             chunks.append(gaps)
-        return chunks
+        yield chunks
 
-    def ahead(self, horizon: float) -> None:
-        """Start the worker drawing every arrival time up to ``horizon``."""
-        if self.rate > 0.0:
-            self._drawn = self.worker.submit(self._draw, horizon)
 
-    def take(self) -> None:
-        """Wait for the times ``ahead`` asked for and append them to the buffer."""
-        if self._drawn is None:
-            return
-        chunks, self._drawn = self._drawn(), None
-        for gaps in chunks:
-            self._append(gaps)
+def _ahead(worker: _Worker, items):
+    """Iterate ``items`` on ``worker``, one item ahead of the caller.
 
-    def _append(self, gaps: np.ndarray) -> None:
-        """Append ``gaps`` after the buffer's last time.
+    The first item is asked for at once and each later one as the caller
+    takes the one before; an exception raised making an item is raised in
+    the caller that takes it.
+    """
+    items = iter(items)
+    pending = worker.submit(next, items, None)
 
-        A chunk that does not fit moves the passengers still waiting and the
-        chunk into a new buffer with room for as many more times as there
-        are waiting passengers.  More than that many times are drawn before
-        the next move, so the moves copy fewer than two times per time
-        drawn, even where the queue grows through the whole run.
-        """
-        live, size = self._end - self.head, len(gaps)
-        if self._end + size > len(self._buf):
-            buf = np.empty(2 * live + size)
-            buf[:live] = self._buf[self.head:self._end]
-            self._buf, self.head, self._end = buf, 0, live
-        self._buf[self._end:self._end + size] = gaps
-        self._end += size
+    def take():
+        nonlocal pending
+        item, pending = pending(), worker.submit(next, items, None)
+        return item
+    return iter(take, None)
+
+
+def _block_ends(runs: int, expected: float) -> np.ndarray:
+    """Where a station pass of ``runs`` vehicles and ``expected`` arrivals cuts
+    its blocks: equal blocks of at most ``_BLOCK_VEHICLES`` vehicles and about
+    ``_BLOCK_ARRIVALS`` expected passengers, each given by its end."""
+    blocks = max(math.ceil(runs / _BLOCK_VEHICLES), math.ceil(expected / _BLOCK_ARRIVALS))
+    block = -(-runs // blocks)
+    return np.minimum(np.arange(block, runs + block, block), runs)
+
+
+def _append(buf: np.ndarray, head: int, end: int, chunks: list[np.ndarray]):
+    """Append ``chunks`` after ``buf[:end]``, whose times before ``head`` have boarded.
+
+    Returns the new ``(buf, head, end)``.  Chunks that do not fit move the
+    passengers still waiting and the chunks into a new buffer with room for
+    as many more times as there are waiting passengers.  More than that many
+    times are drawn before the next move, so the moves copy fewer than two
+    times per time drawn, even where the queue grows through the whole run.
+    """
+    live, size = end - head, sum(map(len, chunks))
+    if end + size > len(buf):
+        new = np.empty(2 * live + size)
+        new[:live] = buf[head:end]
+        buf, head, end = new, 0, live
+    for gaps in chunks:
+        buf[end:end + len(gaps)] = gaps
+        end += len(gaps)
+    return buf, head, end
 
 
 def _queue_pass(k: np.ndarray, stay: np.ndarray, cap: int, x0: int = 0):
@@ -268,49 +268,38 @@ def _queue_pass(k: np.ndarray, stay: np.ndarray, cap: int, x0: int = 0):
     return q_seen, q_seen - left, left
 
 
-def _station_pass(arrivals: _ArrivalStream, dep: np.ndarray, stay: np.ndarray,
-                  cap: int, max_vehicles: int = 4096, max_arrivals: int = 16384):
-    """One station's queue and FIFO waits, in blocks of vehicles.
+def _station_pass(arrivals, ends: np.ndarray, dep: np.ndarray, stay: np.ndarray, cap: int):
+    """One station's queue and FIFO waits, in the blocks of vehicles that end at ``ends``.
 
-    The run is cut into equal blocks of at most ``max_vehicles`` vehicles
-    and about ``max_arrivals`` expected passengers.  Each block takes the
-    arrivals up to its last departure, which the worker drew while the
-    block before was served, and sets the worker drawing the next block's.
-    It counts its arrivals against its departures, runs the Lindley
-    recursion from the queue the block before left, and sums the waits of
-    its boarders, who are the next arrivals in the stream.  Returns ``(k,
+    ``arrivals`` yields per block the chunks of arrival times up to its last
+    departure.  Each block counts its arrivals against its departures, runs
+    the Lindley recursion from the queue the block before left, and sums the
+    waits of its boarders, who are the next passengers waiting.  Returns ``(k,
     q_seen, board, left, w_sum, w_sq)``: per vehicle the arrivals, queue
     found and boardings, ``left`` the queue the last vehicle left behind,
-    then per vehicle the sum and sum of squares of its boarders' waits.  Each vehicle's boarders stay in one block and in
-    order, so no output depends on the block size.
+    then per vehicle the sum and sum of squares of its boarders' waits.
+    Each vehicle's boarders stay in one block and in order, so no output
+    depends on the block size.
     """
     runs = len(dep)
-    blocks = max(math.ceil(runs / max_vehicles),
-                 math.ceil(arrivals.rate * dep[-1] / max_arrivals))
-    block = -(-runs // blocks)
-    k = np.empty(runs, dtype=np.int64)
-    q_seen = np.empty(runs, dtype=np.int64)
-    board = np.empty(runs, dtype=np.int64)
+    k, q_seen, board = (np.empty(runs, dtype=np.int64) for _ in range(3))
     w_sum, w_sq = np.empty(runs), np.empty(runs)
-    left = 0
-    arrivals.ahead(dep[min(block, runs) - 1])
-    for lo in range(0, runs, block):
-        hi = min(lo + block, runs)
-        arrivals.take()
-        if hi < runs:
-            arrivals.ahead(dep[min(hi + block, runs) - 1])
-        times, head = arrivals.times, arrivals.head
-        seen = np.searchsorted(times, dep[lo:hi], side="right")
+    buf, head, end = np.empty(0), 0, 0  # buf[head:end]: arrivals drawn, not yet boarded
+    lo = left = 0
+    for hi in ends.tolist():
+        buf, head, end = _append(buf, head, end, next(arrivals))
+        seen = np.searchsorted(buf[:end], dep[lo:hi], side="right")
         k[lo:hi] = np.diff(seen, prepend=head + left)
         q, b, x = _queue_pass(k[lo:hi], stay[lo:hi], cap, left)
         q_seen[lo:hi], board[lo:hi], left = q, b, int(x[-1])
         rider = np.repeat(np.arange(hi - lo), b)
         w = dep[lo:hi][rider]
-        w -= times[head:head + len(rider)]
-        arrivals.head += len(rider)
+        w -= buf[head:head + len(rider)]
+        head += len(rider)
         w_sum[lo:hi] = np.bincount(rider, weights=w, minlength=hi - lo)
         w *= w
         w_sq[lo:hi] = np.bincount(rider, weights=w, minlength=hi - lo)
+        lo = hi
     return k, q_seen, board, left, w_sum, w_sq
 
 
@@ -368,10 +357,13 @@ def _station_passes(scenario: Scenario, config: SimConfig):
                                  f"{runs * route.capacity} that {runs} vehicles of capacity "
                                  f"{route.capacity} can carry")
 
+            # the worker draws block 0's arrivals right after the alighting
+            ends = _block_ends(runs, expected)
+            arrivals = _ahead(worker, _arrival_chunks(_stream(seed, _ARRIVALS, n), lam[n],
+                                                      dep[ends - 1]))
             stay = loads - alighted()
             k, q_seen, board, left, w_sum, w_sq = _station_pass(
-                _ArrivalStream(_stream(seed, _ARRIVALS, n), lam[n], worker),
-                dep, stay, route.capacity)
+                arrivals, ends, dep, stay, route.capacity)
             loads = stay + board
             yield h, k, q_seen, board, loads, left, w_sum, w_sq
             # before the next station allocates its own

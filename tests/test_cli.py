@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import os
 import resource
 import subprocess
 import sys
@@ -518,6 +519,24 @@ def test_cli_import_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")], ids=["unset", "set"])
+def test_commands_run_with_one_blas_thread_unless_told_otherwise(preset, seen):
+    # a command finds the variable set and numpy not yet loaded, so OpenBLAS
+    # starts with one thread, and so do forked sweep workers; a count the
+    # caller set is kept
+    code = ("import os, sys\n"
+            "from transitq import cli\n"
+            "cli.cmd_analyze = lambda args: print(os.environ['OPENBLAS_NUM_THREADS'],\n"
+            "                                     'numpy' in sys.modules)\n"
+            "cli.main(['analyze'])\n")
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{seen} False\n"
 
 
 def _modules_after(code: str) -> set[str]:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import subprocess
 import sys
@@ -20,8 +21,11 @@ from transitq.simulator import (
     StationSimStats,
     compare,
     run_simulation,
-    _ArrivalStream,
     _Worker,
+    _ahead,
+    _append,
+    _arrival_chunks,
+    _block_ends,
     _queue_pass,
     _station_pass,
     _station_passes,
@@ -71,7 +75,7 @@ def test_config_rejects_tiny_run():
         SimConfig(runs=99)
 
 
-@pytest.mark.parametrize("warmup", [-0.1, 1.0, 1.5])
+@pytest.mark.parametrize("warmup", [-0.1, 1.0, 1.5, "0.1", None])
 def test_config_rejects_bad_warmup(warmup):
     with pytest.raises(ValueError, match="warmup fraction"):
         SimConfig(warmup=warmup)
@@ -98,6 +102,25 @@ def test_config_takes_numpy_integers_as_python_ints(reference, seed):
     assert type(cfg.seed) is int and cfg.seed == 5
     assert type(SimConfig(runs=np.int64(200)).runs) is int
     assert run_simulation(reference, cfg) == run_simulation(reference, SimConfig(runs=200, seed=5))
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 5 + (1 << 64)])
+def test_config_refuses_a_seed_beyond_64_bits(seed):
+    # a stream's Philox key holds 64 bits of seed, so 5 + 2**64 would run
+    # seed 5's streams under another name
+    with pytest.raises(ValueError, match=f"^seed must lie in \\[0, 2\\*\\*64\\), got {seed}$"):
+        SimConfig(seed=seed)
+
+
+def test_config_takes_every_64_bit_seed(reference):
+    stats = run_simulation(reference, SimConfig(runs=200, seed=(1 << 64) - 1))
+    assert stats.seed == (1 << 64) - 1
+    assert stats != run_simulation(reference, SimConfig(runs=200, seed=0))
+
+
+def test_seed_beyond_64_bits_is_an_input_error(capsys):
+    assert cli.main(["simulate", "--runs", "200", "--seed", str(5 + (1 << 64))]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: seed must lie in [0, 2**64), got {5 + (1 << 64)}\n"
 
 
 def test_rejects_invalid_scenario(reference):
@@ -377,59 +400,79 @@ def philox(seed):
 
 
 def test_poisson_process_cumsum_spans_chunks():
-    with _Worker() as worker:
-        gen = _ShortGaps()
-        stream = _ArrivalStream(gen, 2.0, worker)
-        stream.ahead(500.0)
-        stream.take()
-        assert len(gen.drawn) >= 2
-        want = np.cumsum(np.concatenate(gen.drawn)) / 2.0
-        np.testing.assert_array_equal(stream.times, want)
-        assert want[-len(gen.drawn[-1]) - 1] <= 500.0 < want[-1]  # no chunk too many
-        # any chunk sizes give the whole-run cumsum(gaps) / rate bit for bit
-        whole = np.cumsum(philox(9).standard_exponential(3000)) / 0.7
-        for sizes in ([3000], [1, 2999], [7, 1000, 3, 1990], [16] * 187 + [8]):
-            stream = _ArrivalStream(_Chunked(9, sizes), 0.7, worker)
-            stream.ahead(whole[-2])
-            stream.take()
-            np.testing.assert_array_equal(stream.times, whole)
-        # a chunk that does not fit moves the waiting passengers to the front
-        # of a new buffer with as much room again; boarders are dropped
-        stream = _ArrivalStream(_Chunked(9, [1000, 2000]), 0.7, worker)
-        stream.ahead(whole[998])
-        stream.take()
-        stream.head = 600
-        stream.ahead(whole[2998])
-        stream.take()
-        assert stream.head == 0
-        np.testing.assert_array_equal(stream.times, whole[600:])
-        assert len(stream._buf) == len(whole[600:]) + 400
+    gen = _ShortGaps()
+    [chunks] = _arrival_chunks(gen, 2.0, [500.0])
+    assert len(chunks) == len(gen.drawn) >= 2
+    want = np.cumsum(np.concatenate(gen.drawn)) / 2.0
+    np.testing.assert_array_equal(np.concatenate(chunks), want)
+    assert want[-len(gen.drawn[-1]) - 1] <= 500.0 < want[-1]  # no chunk too many
+    # any chunk sizes give the whole-run cumsum(gaps) / rate bit for bit
+    whole = np.cumsum(philox(9).standard_exponential(3000)) / 0.7
+    for sizes in ([3000], [1, 2999], [7, 1000, 3, 1990], [16] * 187 + [8]):
+        [chunks] = _arrival_chunks(_Chunked(9, sizes), 0.7, [whole[-2]])
+        np.testing.assert_array_equal(np.concatenate(chunks), whole)
+    # the running sum carries on from one horizon's chunks to the next's
+    blocks = list(_arrival_chunks(_Chunked(9, [1000, 2000]), 0.7, [whole[998], whole[2998]]))
+    assert list(map(len, blocks)) == [1, 1]
+    np.testing.assert_array_equal(np.concatenate(blocks[0] + blocks[1]), whole)
+    # without arrivals nothing is drawn
+    assert list(_arrival_chunks(None, 0.0, [1.0, 2.0])) == [[], []]
+    # chunks that do not fit move the waiting passengers to the front of a
+    # new buffer with as much room again; boarders are dropped
+    buf, head, end = _append(np.empty(0), 0, 0, blocks[0])
+    buf, head, end = _append(buf, 600, end, blocks[1])
+    assert (head, end, len(buf)) == (0, len(whole[600:]), len(whole[600:]) + 400)
+    np.testing.assert_array_equal(buf[:end], whole[600:])
+    # chunks that fit go into the spare room
+    assert _append(buf, 0, end, [whole[:400]])[0] is buf
 
 
 def test_unstable_station_copies_arrivals_linearly(monkeypatch):
     # A capacity-1 line at eight times its demand draws 5.8e6 arrival times
     # over 10k vehicles and keeps most of them queued.  Moving the queue into
-    # a new buffer at every chunk would copy 29 times as many as are drawn;
+    # a new buffer at every block would copy 29 times as many as are drawn;
     # the buffer's spare room keeps it under twice.  Every write to the
     # buffer goes through _append, which moves the waiting passengers when a
     # new buffer replaces the old one.
     sc = capacity_one(model.reference_scenario())
     sc = dataclasses.replace(sc, route=dataclasses.replace(sc.route, demand_factor=8.0))
     counts = {"drawn": 0, "moved": 0}
-    append = _ArrivalStream._append
 
-    def counted(stream, gaps):
-        buf, waiting = stream._buf, stream._end - stream.head
-        append(stream, gaps)
-        counts["drawn"] += len(gaps)
-        if stream._buf is not buf:
-            counts["moved"] += waiting
+    def counted(buf, head, end, chunks):
+        appended = _append(buf, head, end, chunks)
+        counts["drawn"] += sum(map(len, chunks))
+        if appended[0] is not buf:
+            counts["moved"] += end - head
+        return appended
 
-    monkeypatch.setattr(_ArrivalStream, "_append", counted)
+    monkeypatch.setattr(simulator, "_append", counted)
     stats = run_simulation(sc, SimConfig(runs=10_000, seed=7))
     assert min(st.q_mean for st in stats.stations[:-1]) > 5e4  # queues grow all run
     assert counts["drawn"] > 5e6
     assert counts["moved"] < 2 * counts["drawn"]
+
+
+def test_ahead_stays_one_item_ahead():
+    # the first item is asked for at once, each later one when the caller
+    # takes the one before; an item's exception reaches the caller that takes it
+    made = []
+
+    def items():
+        for i in range(3):
+            made.append(i)
+            yield i
+        raise KeyError("stub")
+
+    with _Worker() as worker:
+        taken = _ahead(worker, items())
+        worker.submit(lambda: None)()  # the worker has run every call before this one
+        assert made == [0]
+        assert next(taken) == 0
+        worker.submit(lambda: None)()
+        assert made == [0, 1]
+        assert list(itertools.islice(taken, 2)) == [1, 2]
+        with pytest.raises(KeyError, match="stub"):
+            next(taken)
 
 
 class _FailingDraws:
@@ -509,7 +552,7 @@ def test_suspended_passes_do_not_hold_up_exit():
     (1, 0.0, 0.5), (1, 0.5, 2.0), (1, 1.0, 0.4),
     (34, 0.0, 3.0), (34, 0.3, 6.0), (34, 1.0, 1.0), (5, 0.2, 0.0),
 ])
-def test_queue_pass_matches_vehicle_loop(cap, alpha, rate):
+def test_queue_pass_matches_vehicle_loop(monkeypatch, cap, alpha, rate):
     rng = np.random.default_rng(1000 * cap + int(10 * rate))
     runs = 3000
     depart = np.cumsum(np.maximum(0.0, rng.normal(6.0, 4.0, runs)))  # some zero headways
@@ -535,11 +578,15 @@ def test_queue_pass_matches_vehicle_loop(cap, alpha, rate):
             np.testing.assert_array_equal(np.concatenate(part), want)
     # streamed in blocks of vehicles: blocks of whole vehicles add each
     # vehicle's waits in the same order, whatever the block size
-    with _Worker() as worker:
-        passes = [_station_pass(_ArrivalStream(philox(cap), rate, worker), depart, stay, cap,
-                                *blocks)
-                  for blocks in ((4096, 16384), (1, 16384), (7, 16384), (1000, 16384),
-                                 (4096, 1), (4096, 100))]
+    passes = []
+    for vehicles, expected in ((4096, 16384), (1, 16384), (7, 16384), (1000, 16384),
+                               (4096, 1), (4096, 100)):
+        monkeypatch.setattr(simulator, "_BLOCK_VEHICLES", vehicles)
+        monkeypatch.setattr(simulator, "_BLOCK_ARRIVALS", expected)
+        ends = _block_ends(runs, rate * depart[-1])
+        with _Worker() as worker:
+            arrivals = _ahead(worker, _arrival_chunks(philox(cap), rate, depart[ends - 1]))
+            passes.append(_station_pass(arrivals, ends, depart, stay, cap))
     s_k, s_q, s_board, s_left, w_sum, w_sq = passes[0]
     for got, want in zip((s_k, s_q, s_board, s_left), (k, want_q, want_board, want_left[-1])):
         np.testing.assert_array_equal(got, want)
