@@ -8,7 +8,7 @@ their modules (``transitq.headway``, ``transitq.roots``, ``transitq.solver``,
 first access, so ``import transitq`` alone loads none of them.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -26,8 +26,8 @@ __all__ = sorted(_HOMES)
 
 
 def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f"{__name__}.{name}")
-    if name in _HOMES:
-        return getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _SUBMODULES and name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = f"{__name__}.{_HOMES.get(name, name)}"
+    __import__(module)  # unlike importlib.import_module, timed by -X importtime
+    return sys.modules[module] if name in _SUBMODULES else getattr(sys.modules[module], name)

@@ -234,10 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # before numpy loads: the root search's matvecs gain nothing from BLAS
-    # threads, which forked `sweep --jobs N` workers would make contend
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    args = build_parser().parse_args(argv)
+    # threads, which forked `sweep --jobs N` workers would make contend; a
+    # count the caller set is kept, and one set here is removed on the way out
+    blas_unset = "OPENBLAS_NUM_THREADS" not in os.environ
+    if blas_unset:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:  # InvalidScenarioError is a ValueError
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
@@ -249,6 +252,9 @@ def main(argv=None) -> int:
             raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        if blas_unset:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
 
 
 if __name__ == "__main__":

@@ -15,11 +15,11 @@ station.  Headways and alighting take a few array operations over all
 vehicles; passenger arrivals are drawn on demand and streamed through the
 queue in blocks of vehicles.
 
-Each run starts one worker thread, joined before the run returns or
-raises; numpy's Generator releases the interpreter lock while it fills an
-array, so the worker's draws overlap this thread's work.  At each station
-it draws the alighting while this thread builds the headways and
-departures, then the arrival times one block ahead of this thread's pass.
+Each station starts one worker thread and joins it before its pass is
+handed back; numpy's Generator releases the interpreter lock while it fills
+an array, so the worker's draws overlap this thread's work.  The worker
+draws the station's alighting while this thread builds the headways and
+departures, then its arrival times one block ahead of this thread's pass.
 Each stream is read by one thread only, in vehicle order, so no value
 depends on which thread drew it.  Memory is O(runs) plus a few blocks'
 arrivals plus the queue left behind, which stays bounded only at stable
@@ -33,7 +33,6 @@ import numbers
 import operator
 import queue
 import threading
-from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -148,9 +147,7 @@ class _Worker:
 
     def __enter__(self):
         self._calls = queue.SimpleQueue()
-        # a daemon, so that passes left suspended cannot hold up interpreter exit
-        self._thread = threading.Thread(target=self._serve, name="transitq-draws",
-                                        daemon=True)
+        self._thread = threading.Thread(target=self._serve, name="transitq-draws")
         self._thread.start()
         return self
 
@@ -164,7 +161,6 @@ class _Worker:
                 done.put((fn(*args), None))
             except BaseException as exc:  # raised again by the caller that waits for it
                 done.put((None, exc))
-            del fn, args  # so that an idle worker keeps no array of the caller's alive
 
     def submit(self, fn, *args):
         done = queue.SimpleQueue()
@@ -314,9 +310,7 @@ def _station_passes(scenario: Scenario, config: SimConfig):
     the next station; a consumer that drops each pass before asking for the
     next holds one station's arrays at a time.  Every (seed, kind, station)
     stream is drawn on its own and by one thread, so neither taking the
-    stations in turn nor which thread draws a stream changes a draw.  The
-    worker thread lives from the first pass until the generator finishes
-    or is closed.
+    stations in turn nor which thread draws a stream changes a draw.
     """
     route = scenario.route
     runs, seed = config.runs, config.seed
@@ -332,10 +326,10 @@ def _station_passes(scenario: Scenario, config: SimConfig):
                              f"gamma * T = {gamma * t:.3g}, above numpy's limit "
                              f"{_POISSON_MEAN_MAX:.3g}")
 
-    with _Worker() as worker:
-        delay = np.zeros(runs + 1)  # cumulative incident delay of vehicles 0..runs
-        loads = np.zeros(runs, dtype=np.int64)
-        for n in range(route.num_stations):
+    delay = np.zeros(runs + 1)  # cumulative incident delay of vehicles 0..runs
+    loads = np.zeros(runs, dtype=np.int64)
+    for n in range(route.num_stations):
+        with _Worker() as worker:
             # alighting needs only the loads the station before left, so the
             # worker draws it while this thread draws the incidents
             alighted = worker.submit(_stream(seed, _ALIGHTING, n).binomial, loads, alpha[n])
@@ -364,10 +358,10 @@ def _station_passes(scenario: Scenario, config: SimConfig):
             stay = loads - alighted()
             k, q_seen, board, left, w_sum, w_sq = _station_pass(
                 arrivals, ends, dep, stay, route.capacity)
-            loads = stay + board
-            yield h, k, q_seen, board, loads, left, w_sum, w_sq
-            # before the next station allocates its own
-            del h, dep, stay, k, q_seen, board, w_sum, w_sq
+        loads = stay + board
+        yield h, k, q_seen, board, loads, left, w_sum, w_sq
+        # before the next station allocates its own
+        del h, dep, stay, k, q_seen, board, w_sum, w_sq
 
 
 def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimStats:
@@ -375,28 +369,26 @@ def run_simulation(scenario: Scenario, config: SimConfig | None = None) -> SimSt
     require_valid(scenario)
     cut = math.ceil(config.warmup * config.runs)
     stats: list[StationSimStats] = []
-    # closed on the way out, also when this loop raises, which joins the worker
-    with closing(_station_passes(scenario, config)) as passes:
-        for h, _, q_seen, board, _, _, w_sum, w_sq in passes:
-            q_sel, h_sel = q_seen[cut:], h[cut:]
-            cnt = int(board[cut:].sum())
-            if cnt:
-                w_mean = float(w_sum[cut:].sum()) / cnt
-                w_var = ((float(w_sq[cut:].sum()) - cnt * w_mean * w_mean) / (cnt - 1)
-                         if cnt > 1 else math.nan)
-            else:
-                w_mean = w_var = math.nan
-            stats.append(StationSimStats(
-                station=len(stats) + 1,
-                q_mean=float(q_sel.mean()), q_var=float(q_sel.var(ddof=1)),
-                q_mean_se=_ratio_se(q_sel, np.ones_like(q_sel)),
-                w_mean=w_mean, w_var=w_var,
-                w_mean_se=_ratio_se(w_sum[cut:], board[cut:]),
-                headway_mean=float(h_sel.mean()), headway_var=float(h_sel.var(ddof=1)),
-                boarded=cnt,
-            ))
-            # before the next station is drawn
-            del h, q_seen, board, w_sum, w_sq, q_sel, h_sel
+    for h, _, q_seen, board, _, _, w_sum, w_sq in _station_passes(scenario, config):
+        q_sel, h_sel = q_seen[cut:], h[cut:]
+        cnt = int(board[cut:].sum())
+        if cnt:
+            w_mean = float(w_sum[cut:].sum()) / cnt
+            w_var = ((float(w_sq[cut:].sum()) - cnt * w_mean * w_mean) / (cnt - 1)
+                     if cnt > 1 else math.nan)
+        else:
+            w_mean = w_var = math.nan
+        stats.append(StationSimStats(
+            station=len(stats) + 1,
+            q_mean=float(q_sel.mean()), q_var=float(q_sel.var(ddof=1)),
+            q_mean_se=_ratio_se(q_sel, np.ones_like(q_sel)),
+            w_mean=w_mean, w_var=w_var,
+            w_mean_se=_ratio_se(w_sum[cut:], board[cut:]),
+            headway_mean=float(h_sel.mean()), headway_var=float(h_sel.var(ddof=1)),
+            boarded=cnt,
+        ))
+        # before the next station is drawn
+        del h, q_seen, board, w_sum, w_sq, q_sel, h_sel
     return SimStats(label=scenario.label, runs=config.runs, seed=config.seed,
                     warmup=config.warmup, stations=tuple(stats), rng_layout=RNG_LAYOUT)
 

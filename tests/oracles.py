@@ -180,34 +180,64 @@ def boarding_matrix(q: np.ndarray, capacity: int) -> np.ndarray:
 # Brute-force steady state
 
 
+# the mass the dense chain may leave in the last 10% of its states, and the
+# most states it may grow to: its matrix and the solver's copy of it take
+# 2 * 8 * (K + 1)^2 bytes, 144 MB at 3000
+MARKOV_TAIL = 1e-14
+MARKOV_MAX_STATES = 3000
+
+
+def markov_tail(pi: np.ndarray) -> float:
+    """The mass of ``pi`` in the last 10% of its states."""
+    return float(pi[int(0.9 * len(pi)):].sum())
+
+
 def markov_queue_stationary(s_probs: np.ndarray, lam: float, model: HeadwayModel,
                             truncate_at: int | None = None) -> np.ndarray:
     """Stationary law of Q' = max(Q - S, 0) + Y on states 0..K by direct solve.
 
     Builds the dense transition matrix from the space pmf and the
     FFT-inverted arrival pmf, then solves the balance equations.  Pure brute
-    force: no roots, no generating functions.
+    force: no roots, no generating functions.  ``truncate_at`` fixes K;
+    otherwise K starts at C + len(pmf) + 40/max(1 - load, 0.02) and grows
+    by half until ``markov_tail`` falls below ``MARKOV_TAIL``, which is
+    asserted within ``MARKOV_MAX_STATES`` states.
     """
     s_probs = np.asarray(s_probs, dtype=float)
     cap = len(s_probs) - 1
     pmf = _trim_pmf(arrival_pmf(lam, model))
     pmf = pmf / pmf.sum()
-    if truncate_at is None:
-        mean_y = float(pmf @ np.arange(len(pmf)))
-        mean_s = float(s_probs @ np.arange(cap + 1))
-        load = mean_y / mean_s
-        truncate_at = int(cap + len(pmf) + 40.0 / max(1.0 - load, 0.02))
-    k = truncate_at
+    if truncate_at is not None:
+        return _markov_solve(s_probs, pmf, truncate_at)
+    load = float(pmf @ np.arange(len(pmf))) / float(s_probs @ np.arange(cap + 1))
+    k = min(int(cap + len(pmf) + 40.0 / max(1.0 - load, 0.02)), MARKOV_MAX_STATES)
+    while True:
+        pi = _markov_solve(s_probs, pmf, k)
+        tail = markov_tail(pi)
+        if tail < MARKOV_TAIL:
+            return pi
+        assert k < MARKOV_MAX_STATES, f"{tail:.2e} of the mass in the last 10% of {k + 1} states"
+        k = min(k + k // 2, MARKOV_MAX_STATES)
+
+
+def _markov_solve(s_probs: np.ndarray, pmf: np.ndarray, k: int) -> np.ndarray:
+    """The chain's stationary law on states 0..k, each row's mass past k
+    spread back over the row."""
+    cap = len(s_probs) - 1
     trans = np.zeros((k + 1, k + 1))
-    for space, sp in enumerate(s_probs):
-        if sp == 0.0:
-            continue
-        base = np.maximum(np.arange(k + 1) - space, 0)
-        for q in range(k + 1):
-            hi = min(len(pmf), k + 1 - base[q])
-            trans[q, base[q]: base[q] + hi] += sp * pmf[:hi]
+    # from q >= C the queue drops by s w.p. s_probs[s], then Y arrive: one
+    # convolution, shifted along the row by q - C
+    row = np.convolve(s_probs[::-1], pmf)
+    padded = np.concatenate((np.zeros(max(k - cap, 0)), row, np.zeros(k + 1)))
+    trans[cap:] = np.lib.stride_tricks.sliding_window_view(padded, k + 1)[
+        k - np.arange(cap, k + 1)]
+    # below C any space s >= q empties the queue
+    for q in range(min(cap, k + 1)):
+        row = np.convolve(np.r_[s_probs[q:].sum(), s_probs[:q][::-1]], pmf)[:k + 1]
+        trans[q, :len(row)] = row
     trans /= trans.sum(axis=1, keepdims=True)  # reabsorb truncated tail mass
-    a = trans.T - np.eye(k + 1)
+    a = trans.T  # a view: the balance equations pi (P - I) = 0, one replaced by sum(pi) = 1
+    a[np.diag_indices(k + 1)] -= 1.0
     a[-1, :] = 1.0
     b = np.zeros(k + 1)
     b[-1] = 1.0

@@ -539,6 +539,31 @@ def test_commands_run_with_one_blas_thread_unless_told_otherwise(preset, seen):
     assert proc.stdout == f"{seen} False\n"
 
 
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")], ids=["unset", "set"])
+def test_main_leaves_the_environment_as_it_found_it(monkeypatch, tmp_path, preset, seen):
+    # the one-thread setting holds only while the command runs, so an
+    # in-process caller's later child processes start as if main never ran,
+    # whether the command returns, raises or fails to parse
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    before = dict(os.environ)
+    assert main(["analyze", "--out", str(tmp_path / "reference.csv")]) == 0
+    assert dict(os.environ) == before
+
+    def fail(args):
+        raise KeyError(os.environ["OPENBLAS_NUM_THREADS"])
+
+    monkeypatch.setattr("transitq.cli.cmd_analyze", fail)
+    with pytest.raises(KeyError, match=f"^'{seen}'$"):
+        main(["analyze"])
+    assert dict(os.environ) == before
+    with pytest.raises(SystemExit):
+        main(["analyze", "--no-such-option"])
+    assert dict(os.environ) == before
+
+
 def _modules_after(code: str) -> set[str]:
     """The modules a fresh interpreter holds after running ``code``."""
     code += "\nimport sys; print(' '.join(sys.modules))"

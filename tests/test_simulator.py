@@ -520,13 +520,18 @@ def test_no_thread_outlives_a_run(reference, monkeypatch):
     before = threading.enumerate()
     run_simulation(reference, SimConfig(runs=200, seed=1))
     assert threading.enumerate() == before
-    # the worker lives while passes are pending, and closing them joins it
+    # each station joins its worker before its pass is yielded
+    yielded = 0
+    for _ in _station_passes(reference, SimConfig(runs=200, seed=1)):
+        assert threading.enumerate() == before
+        yielded += 1
+    assert yielded == reference.route.num_stations
+    # closing the passes after the first one leaves no thread either
     passes = _station_passes(reference, SimConfig(runs=200, seed=1))
     next(passes)
-    assert len(threading.enumerate()) == len(before) + 1
     passes.close()
     assert threading.enumerate() == before
-    # a run that raises between two stations closes its passes too
+    # nor does a run that raises between two stations
     def fail(*args):
         raise ArithmeticError("stub")
 
@@ -537,8 +542,8 @@ def test_no_thread_outlives_a_run(reference, monkeypatch):
 
 
 def test_suspended_passes_do_not_hold_up_exit():
-    # the generator below is never closed, so its idle worker is still alive
-    # when the interpreter exits
+    # the generator below is never closed, so it is still suspended when the
+    # interpreter exits
     code = ("from transitq import model\n"
             "from transitq.simulator import SimConfig, _station_passes\n"
             "passes = _station_passes(model.reference_scenario(), SimConfig(runs=200))\n"

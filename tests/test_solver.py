@@ -370,6 +370,31 @@ def test_queue_moments_match_markov_chain(reference_report):
         assert sm.varq == pytest.approx(var, abs=1e-9)
 
 
+def test_markov_chain_grows_past_its_tail_at_heavy_load():
+    # station 1 is overloaded, so vehicles reach station 2 full and half
+    # their riders alight there.  At rho = 0.90 the chain's first truncation,
+    # K = C + len(pmf) + 40/(1 - load) = 537, leaves 2.1e-5 of the mass in its
+    # last 10% of states and reads E[Q] low by 1.3e-4 relative; grown to
+    # K = 1810, where that mass is below 1e-14, it matches the solver
+    route = model.RouteConfig(stations=(model.StationParams(arrival_rate=20.0, alight_prob=1.0),
+                                        model.StationParams(arrival_rate=0.87, alight_prob=0.5)),
+                              nominal_headway=6.0, capacity=20)
+    rep = analyze_route(model.Scenario(route=route, incidents=model.IncidentParams(
+        rate=1.0, duration_rate=0.5), label="full-arrivals"))
+    assert not rep.stations[0].stable
+    sm, hm = rep.stations[1], rep.headway[1]
+    assert sm.rho == pytest.approx(0.90, abs=0.005)
+    first = oracles.markov_queue_stationary(sm.service_dist.probs, sm.arrival_rate, hm,
+                                            truncate_at=537)
+    assert oracles.markov_tail(first) > 1e-5
+    assert oracles.pmf_mean_var(first)[0] < sm.eq * (1.0 - 1e-4)
+    pi = oracles.markov_queue_stationary(sm.service_dist.probs, sm.arrival_rate, hm)
+    assert len(pi) > 1000 and oracles.markov_tail(pi) < oracles.MARKOV_TAIL
+    mean, var = oracles.pmf_mean_var(pi)
+    assert sm.eq == pytest.approx(mean, rel=1e-9)
+    assert sm.varq == pytest.approx(var, rel=1e-9)
+
+
 def test_queue_moment_forms_cross_validate(reference_report):
     for sm in reference_report.stations:
         if not sm.roots:
