@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 _HOMES = {name: module for module, names in (
     ("model", "IncidentParams InvalidScenarioError RouteConfig Scenario StationParams "
               "expand_grid load_scenario preset reference_scenario save_scenario"),
-    ("roots", "RootSearchError"),
+    ("roots", "SolverError"),
     ("simulator", "ComparisonTable SimConfig SimStats compare run_simulation"),
-    ("solver", "RouteReport SolverError StationMetrics StationSolveError analyze_route"),
+    ("solver", "RouteReport StationMetrics StationSolveError analyze_route"),
 ) for name in names.split()}
 _SUBMODULES = ("cli", "headway", "model", "report", "roots", "simulator", "solver")
 

@@ -150,15 +150,15 @@ def cmd_compare(args) -> int:
 
 def cmd_roots(args) -> int:
     from .headway import y_pgf
-    from .roots import find_all_roots, root_residuals
-    from .solver import UnstableStationError, analyze_route, trimmed_space
+    from .roots import SolverError, find_all_roots, root_residuals
+    from .solver import analyze_route, trimmed_space
     route_report = analyze_route(_load_config(args.config))
     if not 1 <= args.station <= route_report.num_stations:
         raise ValueError(f"station {args.station} outside 1..{route_report.num_stations}")
     sm = route_report.stations[args.station - 1]
     if not sm.stable:
-        raise UnstableStationError(f"station {args.station} is unstable (rho = "
-                                   f"{report.fmt_value(sm.rho)}); no root set exists")
+        raise SolverError(f"station {args.station} is unstable (rho = "
+                          f"{report.fmt_value(sm.rho)}); no root set exists")
     s_eff = trimmed_space(sm.service_dist)
     y_handle = partial(y_pgf, lam=sm.arrival_rate, model=route_report.headway[sm.station - 1])
     # analyze_route stores the root set of every station with arrivals;
@@ -246,9 +246,8 @@ def main(argv=None) -> int:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:
-        from .roots import RootSearchError  # loaded only once an exception needs it
-        from .solver import SolverError
-        if not isinstance(exc, (SolverError, RootSearchError, ArithmeticError)):
+        from .roots import SolverError  # loaded only once an exception needs it
+        if not isinstance(exc, (SolverError, ArithmeticError)):
             raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -279,11 +279,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ValueError(f"'capacity': {r['capacity']!r} is not a whole number")
         route = RouteConfig(
             stations=stations,
-            interstation_time=_number(r.get("interstation_time", 5.0), "interstation_time"),
+            interstation_time=_number(r.get("interstation_time", RouteConfig.interstation_time),
+                                      "interstation_time"),
             cycle_time=_number(r["cycle_time"], "cycle_time"),
             nominal_headway=_number(r["nominal_headway"], "nominal_headway"),
             capacity=capacity,
-            demand_factor=_number(r.get("demand_factor", 1.0), "demand_factor"),
+            demand_factor=_number(r.get("demand_factor", RouteConfig.demand_factor),
+                                  "demand_factor"),
             segment_times=(tuple(_number(t, "segment_times") for t in seg)
                            if seg is not None else None),
         )

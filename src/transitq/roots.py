@@ -34,15 +34,10 @@ CHEAP_PASSES, CHEAP_STEPS = 6, 6
 FULL_PASSES, FULL_STEPS = 12, 40
 
 
-class RootSearchError(RuntimeError):
-    """Search terminated without a complete, valid root set."""
-
-    def __init__(self, message: str, found: int = -1, needed: int = -1,
-                 roots: Sequence[complex] = ()):
-        super().__init__(message)
-        self.found = found
-        self.needed = needed
-        self.roots = tuple(roots)
+class SolverError(RuntimeError):
+    """A numeric failure: no certified root set, a queue front that fails its
+    checks, or a station with no stationary regime.  Its subtype
+    ``solver.StationSolveError`` adds the station and the stage."""
 
 
 def inner_roots(roots: Sequence[complex]) -> np.ndarray:
@@ -235,8 +230,8 @@ def find_all_roots(s_probs, y_pgf_handle, rho: float) -> tuple[complex, ...]:
     deflated against its pool (see the module docstring) are tried in that
     order; each pools its Newton-polished candidates, and the pool is
     returned, z = 1 first and the rest by ascending polar angle, as soon as
-    it passes ``validate_root_set``.  Raises RootSearchError when no attempt
-    yields such a set.
+    it passes ``validate_root_set``.  Raises SolverError, whose message lists
+    the last attempt's problems, when no attempt yields such a set.
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"find_all_roots needs 0 <= rho < 1, got {rho}")
@@ -261,5 +256,4 @@ def find_all_roots(s_probs, y_pgf_handle, rho: float) -> tuple[complex, ...]:
         problems = validate_root_set(roots, probs, y_pgf_handle)
         if not problems:
             return roots
-    raise RootSearchError("root set validation failed: " + "; ".join(problems),
-                          found=len(roots), needed=len(probs) - 1, roots=roots)
+    raise SolverError("root set validation failed: " + "; ".join(problems))

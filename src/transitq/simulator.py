@@ -140,9 +140,10 @@ class _Worker:
     ``submit`` returns a function that waits for its call and then returns
     the call's value or raises its exception; call it once.  Leaving the
     ``with`` block lets the queued calls finish and joins the thread.  A
-    one-thread ``concurrent.futures`` pool would do the same, but importing
-    it loads ``logging`` and adds about 6 ms to a cold ``transitq
-    simulate`` on a 2-core x86-64 host.
+    one-thread ``concurrent.futures`` pool would do the same, but on a 2-core
+    x86-64 host importing it loads ``logging`` and adds about 6 ms to a cold
+    ``transitq simulate``, and it made a 50k-vehicle ``run_simulation``
+    1.16 times slower (median of 5 process pairs, all 5 slower).
     """
 
     def __enter__(self):
@@ -450,8 +451,12 @@ def compare(report: RouteReport, stats: SimStats,
     tol_mean=0 demands exact agreement and fails on Monte Carlo noise alone.
     Spread checks compare standard deviations relatively at tol_sd.  Unstable
     and zero-arrival stations are reported but excluded from pass/fail.  A
-    label or station count that differs between the two raises ValueError.
+    label or station count that differs between the two, or a tolerance that
+    is negative or NaN, raises ValueError.
     """
+    if not (tol_mean >= 0.0 and tol_sd >= 0.0):  # a NaN fails both comparisons
+        raise ValueError(f"tolerances must be non-negative, got tol_mean={tol_mean!r}, "
+                         f"tol_sd={tol_sd!r}")
     if report.label != stats.label:
         raise ValueError(f"scenario label mismatch: theory {report.label!r} "
                          f"vs simulation {stats.label!r}")

@@ -20,23 +20,11 @@ import numpy as np
 from .headway import (ArrivalMoments, HeadwayModel, truncated_headway,
                       y_moments, y_pgf)
 from .model import Scenario, require_valid
-from .roots import RootSearchError, find_all_roots, inner_roots
+from .roots import SolverError, find_all_roots, inner_roots
 
 TRIM_EPS = 1e-12           # below this, top-of-range space mass counts as zero
 
 UNBOUNDED = math.inf        # sentinel for moments of an unstable station
-
-
-class SolverError(RuntimeError):
-    pass
-
-
-class UnstableStationError(SolverError):
-    """Queue-front requested for a station with no stationary regime."""
-
-
-class FrontPrecisionError(SolverError):
-    """Solved queue front failed its numerical diagnostics."""
 
 
 class StationSolveError(SolverError):
@@ -200,7 +188,7 @@ def utilization(s: DiscreteDist, y: ArrivalMoments) -> tuple[float, bool]:
 
 def _real_checked(value: complex, what: str, tol: float = 1e-8) -> float:
     if abs(value.imag) > tol:
-        raise FrontPrecisionError(f"{what} has imaginary residue {value.imag:.3e}")
+        raise SolverError(f"{what} has imaginary residue {value.imag:.3e}")
     return float(value.real)
 
 
@@ -223,15 +211,15 @@ def normalization_gap(s, q, s_mean: float, y_mean: float) -> float:
 def _front_diagnostics(raw_q: np.ndarray, s, s_mean: float, y_mean: float) -> np.ndarray:
     bad = np.count_nonzero(~np.isfinite(raw_q))
     if bad:
-        raise FrontPrecisionError(f"{bad} of {len(raw_q)} queue-front entries are not finite")
+        raise SolverError(f"{bad} of {len(raw_q)} queue-front entries are not finite")
     if raw_q.min() < -1e-9:
-        raise FrontPrecisionError(f"queue-front entry {raw_q.min():.3e} below -1e-9")
+        raise SolverError(f"queue-front entry {raw_q.min():.3e} below -1e-9")
     q = np.clip(raw_q, 0.0, None)
     if q.sum() > 1.0 + 1e-9:
-        raise FrontPrecisionError(f"queue-front mass {q.sum()!r} exceeds 1 + 1e-9")
+        raise SolverError(f"queue-front mass {q.sum()!r} exceeds 1 + 1e-9")
     gap = normalization_gap(s, q, s_mean, y_mean)
     if gap > 1e-8:
-        raise FrontPrecisionError(f"normalization identity off by {gap:.3e}")
+        raise SolverError(f"normalization identity off by {gap:.3e}")
     return q
 
 
@@ -269,7 +257,7 @@ def queue_front_contour(s: DiscreteDist, roots: tuple[complex, ...], y: ArrivalM
     cap = s.top_index
     s_mean = dist_moments(s)[0]
     if s_mean <= y.mean:
-        raise UnstableStationError(
+        raise SolverError(
             f"mean free space {s_mean:.6g} does not exceed mean arrivals {y.mean:.6g}")
     inner = inner_roots(roots)
     if len(inner) != cap - 1:
@@ -382,7 +370,7 @@ def _solve_station(base: StationMetrics, model: HeadwayModel) -> StationMetrics:
         front = queue_front_contour(s_eff, roots, y, y_handle)
         stage = "moments"
         eq, varq = queue_moments(dist_moments(s_eff), y, roots)
-    except (RootSearchError, SolverError) as exc:
+    except SolverError as exc:
         raise StationSolveError(n, str(exc), stage) from exc
 
     ew, varw = wait_moments(eq, varq, y, lam)

@@ -15,10 +15,10 @@ import numpy as np
 
 from transitq.headway import ArrivalMoments, HeadwayModel, y_pgf
 from transitq.model import Scenario, adjusted_headway, travel_time_to
-from transitq.roots import inner_roots
-from transitq.solver import (TRIM_EPS, UNBOUNDED, DiscreteDist, FrontPrecisionError,
-                             QueueFront, UnstableStationError, _front_diagnostics,
-                             _real_checked, contour_size, dist_moments)
+from transitq.roots import SolverError, inner_roots
+from transitq.solver import (TRIM_EPS, UNBOUNDED, DiscreteDist, QueueFront,
+                             _front_diagnostics, _real_checked, contour_size,
+                             dist_moments)
 
 TWO_PI = 2.0 * math.pi
 
@@ -305,7 +305,7 @@ def queue_front(s: DiscreteDist, roots: tuple[complex, ...], y: ArrivalMoments) 
     zero s_C raises ValueError.  Production reads the front off the contour
     (``solver.queue_front_contour``); this is the independent reference, and
     it runs the same diagnostics, so a front that fails them raises
-    ``FrontPrecisionError``.
+    ``SolverError``.
     """
     probs = s.probs
     cap = len(probs) - 1
@@ -314,7 +314,7 @@ def queue_front(s: DiscreteDist, roots: tuple[complex, ...], y: ArrivalMoments) 
         raise ValueError(f"s_C = {s_top:.3e} is numerically zero; reduce the capacity")
     s_mean = dist_moments(s)[0]
     if s_mean <= y.mean:
-        raise UnstableStationError(
+        raise SolverError(
             f"mean free space {s_mean:.6g} does not exceed mean arrivals {y.mean:.6g}")
     inner = inner_roots(roots)
     if len(inner) != cap - 1:
@@ -327,7 +327,7 @@ def queue_front(s: DiscreteDist, roots: tuple[complex, ...], y: ArrivalMoments) 
     for zi in np.concatenate([[1.0 + 0.0j], inner]):
         coeffs = np.convolve(coeffs, np.array([1.0, -1.0 / zi]))
     if np.max(np.abs(coeffs.imag)) > 1e-8:
-        raise FrontPrecisionError(
+        raise SolverError(
             f"numerator coefficients have imaginary residue {np.max(np.abs(coeffs.imag)):.3e}")
     scaled = s_top * q0 * coeffs.real[:cap]
 

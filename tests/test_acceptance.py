@@ -23,9 +23,8 @@ from transitq.model import adjusted_headway, travel_time_to
 from transitq.roots import find_all_roots
 from transitq.simulator import SimConfig, compare, run_simulation
 from oracles import queue_front
-from transitq.solver import (DiscreteDist, FrontPrecisionError,
-                             _effective_capacity, point_mass,
-                             queue_front_contour)
+from transitq.solver import (DiscreteDist, SolverError, _effective_capacity,
+                             point_mass, queue_front_contour)
 
 GRID_CAPACITY = (30, 34, 38)
 GRID_GAMMA = (0.0, 0.1, 0.2, 1.0 / 3.0)
@@ -221,7 +220,7 @@ def test_criterion_5_degenerate_closed_forms(capsys, reference):
         rs = find_all_roots(s.probs, lambda z: y_pgf(z, lam, hw), ym.mean / cap)
         try:
             front = queue_front(s, rs, ym)
-        except FrontPrecisionError:
+        except SolverError:
             front = queue_front_contour(s, rs, ym, lambda z: y_pgf(z, lam, hw))
         gap = float(np.max(np.abs(front.q - oracles.fixed_capacity_front(cap, lam, hw))))
         worst_fixed = max(worst_fixed, gap)

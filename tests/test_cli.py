@@ -1,6 +1,7 @@
 """End-to-end subcommand tests driven through main(argv)."""
 
 import dataclasses
+import inspect
 import json
 import math
 import multiprocessing
@@ -16,7 +17,7 @@ import pytest
 from transitq import model, report, solver
 from transitq import roots as rootsmod
 from transitq.cli import (EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_TOLERANCE,
-                          main)
+                          build_parser, main)
 from transitq.headway import y_pgf
 from transitq.report import ROUTE_COLUMNS, SIM_COLUMNS
 from transitq.roots import validate_root_set
@@ -168,6 +169,24 @@ def test_compare_real_simulation(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
     assert doc["tol_mean"] == 0.9
+
+
+@pytest.mark.parametrize("tols", [["--tol-mean", "-1"],
+                                  ["--tol-mean", "nan", "--tol-var", "nan"]])
+def test_compare_rejects_negative_or_nan_tolerance(tmp_path, capsys, tols):
+    th = tmp_path / "theory.json"
+    assert main(["analyze", "--format", "json", "--out", str(th)]) == EXIT_OK
+    assert main(["compare", "--theory", str(th), "--sim", str(th), *tols]) == EXIT_INPUT
+    assert "tolerances must be non-negative" in _assert_one_error_line(capsys)
+
+
+def test_compare_option_defaults_are_the_library_defaults():
+    # the parser keeps its own copy so that it need not import the simulator
+    from transitq.simulator import compare
+    args = build_parser().parse_args(["compare", "--theory", "t", "--sim", "s"])
+    defaults = inspect.signature(compare).parameters
+    assert args.tol_mean == defaults["tol_mean"].default
+    assert args.tol_var == defaults["tol_sd"].default
 
 
 def test_compare_label_mismatch(tmp_path, capsys, congested_config):
@@ -479,8 +498,7 @@ def test_sweep_out_under_a_file_is_an_input_error(tmp_path, capsys):
                     reason="workers inherit the patched root finder only when forked")
 def test_parallel_sweep_reports_station_failure_like_serial(tmp_path, monkeypatch, capsys):
     def failing_search(probs, y_handle, rho):
-        raise rootsmod.RootSearchError("expected 34 roots, have 33", found=33,
-                                       needed=34)
+        raise rootsmod.SolverError("expected 34 roots, have 33")
 
     monkeypatch.setattr(solver, "find_all_roots", failing_search)
     errors = []

@@ -8,7 +8,7 @@ PUBLIC_NAMES = {
     "StationParams", "expand_grid", "load_scenario", "preset",
     "reference_scenario", "save_scenario",
     # closed-form analysis
-    "RootSearchError", "RouteReport", "SolverError", "StationMetrics",
+    "RouteReport", "SolverError", "StationMetrics",
     "StationSolveError", "analyze_route",
     # simulation
     "ComparisonTable", "SimConfig", "SimStats", "compare", "run_simulation",

@@ -12,7 +12,7 @@ from transitq import headway, model, solver
 from transitq import roots as rootsmod
 from transitq.headway import HeadwayModel
 from transitq.roots import (
-    RootSearchError,
+    SolverError,
     find_all_roots,
     inner_roots,
     root_residuals,
@@ -336,28 +336,21 @@ def test_find_all_roots_raises_when_no_stage_certifies(monkeypatch):
     C = 6
     monkeypatch.setattr(rootsmod, "fixed_point_seeds",
                         lambda *a, **k: _roots_of_unity(C)[:3])
-    with pytest.raises(RootSearchError, match="expected 6 roots") as err:
+    with pytest.raises(SolverError, match="expected 6 roots, have 5") as err:
         find_all_roots(_point_mass_probs(C), _unit_y, 0.0)
-    assert err.value.needed == C
-    assert err.value.found < C
-    # the payload is the pooled set the last stage validated: z = 1 and the
-    # seeded roots of unity, each with its conjugate partner
-    roots = np.array(err.value.roots)
-    assert len(roots) == err.value.found
-    assert 1.0 in err.value.roots
-    assert all(np.min(np.abs(roots - z.conjugate())) < 1e-12 for z in roots)
+    # the last stage validated z = 1 and the seeded roots of unity, each with
+    # its conjugate partner, so the count is the set's only problem
+    assert str(err.value) == "root set validation failed: expected 6 roots, have 5"
 
 
 def test_find_all_roots_error_carries_payload(monkeypatch):
-    # with no fixed-point seeds the pool is z = 1 alone, and the error
-    # reports exactly that set and its count
+    # with no fixed-point seeds the pool is z = 1 alone, and the error's
+    # message states that count against the C roots needed
     C = 6
     monkeypatch.setattr(rootsmod, "fixed_point_seeds", lambda *a, **k: np.empty(0))
-    with pytest.raises(RootSearchError) as err:
+    with pytest.raises(SolverError) as err:
         find_all_roots(_point_mass_probs(C), _unit_y, 0.0)
-    assert err.value.found == 1
-    assert err.value.needed == C
-    assert err.value.roots == (1.0 + 0j,)
+    assert type(err.value) is SolverError
     assert "expected 6 roots, have 1" in str(err.value)
 
 

@@ -672,6 +672,15 @@ def test_compare_tolerance_scaling(reference_report):
     assert strict.rows[0].status == "fail"
 
 
+@pytest.mark.parametrize("tols", [{"tol_mean": -1.0}, {"tol_sd": -0.5},
+                                  {"tol_mean": math.nan}, {"tol_sd": math.nan}])
+def test_compare_rejects_negative_or_nan_tolerance(reference_report, tols):
+    # a tolerance no gap can meet, or one every comparison ignores, is an
+    # input error rather than a verdict
+    with pytest.raises(ValueError, match="tolerances must be non-negative"):
+        compare(reference_report, stats_like(reference_report), **tols)
+
+
 def test_compare_sd_gate(reference_report):
     inflated = stats_like(
         reference_report,

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 import pickle
 import tracemalloc
@@ -11,15 +12,14 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 import oracles
+import transitq
 from transitq import headway, model, solver
-from transitq.roots import RootSearchError
+from transitq import roots as rootsmod
 from transitq.solver import (
     DiscreteDist,
-    FrontPrecisionError,
     QueueFront,
     SolverError,
     StationSolveError,
-    UnstableStationError,
     alight,
     analyze_route,
     board,
@@ -255,7 +255,7 @@ def test_queue_front_direct_falls_back_at_full_capacity(reference_report):
     # then serves the contour result, byte-identical to the stored front
     sm = reference_report.stations[3]
     hm = reference_report.headway[3]
-    with pytest.raises(FrontPrecisionError):
+    with pytest.raises(SolverError, match="imaginary residue"):
         oracles.queue_front(sm.service_dist, sm.roots, sm.arrivals)
     contour = queue_front_contour(
         sm.service_dist, sm.roots, sm.arrivals,
@@ -293,7 +293,7 @@ def test_queue_front_rejects_unstable_load(reference_report):
     sm = reference_report.stations[0]
     hm = reference_report.headway[0]
     heavy = headway.ArrivalMoments(mean=40.0, central2=40.0, central3=40.0)
-    with pytest.raises(UnstableStationError):
+    with pytest.raises(SolverError, match="does not exceed mean arrivals"):
         queue_front_contour(sm.service_dist, sm.roots, heavy,
                             lambda z: headway.y_pgf(z, sm.arrival_rate, hm))
 
@@ -471,10 +471,8 @@ def test_analyze_route_rejects_invalid():
 
 
 def test_station_solve_error_carries_station(monkeypatch):
-    from transitq import roots as rootsmod
-
     def boom(*args, **kwargs):
-        raise rootsmod.RootSearchError("forced failure", found=3, needed=34)
+        raise SolverError("forced failure")
 
     monkeypatch.setattr(solver, "find_all_roots", boom)
     with pytest.raises(StationSolveError, match="station 1: forced failure") as err:
@@ -489,7 +487,7 @@ def test_station_solve_error_names_the_stage(stage, target, monkeypatch):
     # a front check that fails inside queue_moments (an imaginary residue in
     # a root sum) is tagged like a failure of the roots or the front
     def boom(*args, **kwargs):
-        raise FrontPrecisionError("forced failure")
+        raise SolverError("forced failure")
 
     monkeypatch.setattr(solver, target, boom)
     with pytest.raises(StationSolveError, match="station 1: forced failure") as err:
@@ -501,7 +499,6 @@ def test_station_solve_error_on_den_residual(monkeypatch):
     # every attempt's roots land a relative 1e-7 inside Den's true zeros, so
     # no attempt may certify them: the station fails before its queue front
     # is solved, naming the |Den| gate
-    from transitq import roots as rootsmod
     polish = rootsmod.newton_polish
 
     def off_root(z, probs, y_pgf_handle, steps, known=()):
@@ -540,24 +537,43 @@ def test_station_solve_error_on_zero_pgf_on_the_contour():
     assert err.value.station == 1
 
 
+@pytest.mark.parametrize("capacity", [20, 34])
+def test_full_vehicles_at_station_2_end_in_a_report_or_a_typed_error(capacity):
+    # station 1 is overloaded, so vehicles reach station 2 full and leave half
+    # of their riders there; at C = 34 the root search finds 21 of station
+    # 2's 34 roots (ROADMAP item 1), at C = 20 the line gives a report
+    line = dataclasses.replace(_line((20.0, 1e-3), (1.0, 0.5), capacity, 6.0),
+                               incidents=model.IncidentParams(1.0, 0.496))
+    try:
+        rep = analyze_route(line)
+    except StationSolveError as exc:
+        assert exc.station == 2, exc
+        return
+    assert not rep.stations[0].stable
+    assert rep.stations[1].stable and math.isfinite(rep.stations[1].eq)
+
+
 def test_exception_hierarchy():
-    assert issubclass(UnstableStationError, SolverError)
-    assert issubclass(FrontPrecisionError, SolverError)
+    # one numeric-failure type, defined where the root search raises it and
+    # the same object in the solver and the package namespace
+    assert solver.SolverError is rootsmod.SolverError is transitq.SolverError
     assert issubclass(StationSolveError, SolverError)
     assert issubclass(SolverError, RuntimeError)
+    assert issubclass(model.InvalidScenarioError, ValueError)
+    modules = [importlib.import_module(f"transitq.{name}") for name in transitq._SUBMODULES]
+    defined = {name for mod in modules for name, obj in vars(mod).items()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == mod.__name__}
+    assert defined == {"InvalidScenarioError", "SolverError", "StationSolveError"}
 
 
 @pytest.mark.parametrize("exc", [
     SolverError("front failed"),
-    UnstableStationError("rho >= 1"),
-    FrontPrecisionError("normalization gap 1e-3"),
     StationSolveError(4, "expected 34 roots, have 33", "roots"),
-    RootSearchError("expected 6 roots, have 2", found=2, needed=6,
-                    roots=(1.0 + 0j, 0.5 - 0.25j)),
 ], ids=lambda exc: type(exc).__name__)
 def test_errors_survive_pickling(exc):
     # a sweep worker process sends its failure back to the parent pickled;
-    # the attributes (station and stage, found/needed/roots) must come back intact
+    # the station and stage must come back intact
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is type(exc)
     assert str(back) == str(exc)
