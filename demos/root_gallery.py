@@ -28,12 +28,11 @@ scenario = model.reference_scenario()
 rep = solver.analyze_route(scenario)
 sm = rep.stations[1]          # station 2, the busier of the early stops
 hw = rep.headway[1]
-s_eff = solver.trimmed_space(sm.service_dist)
 
 roots = np.asarray(sm.roots)
-j_resid, den_resid = root_residuals(roots, s_eff.probs,
+j_resid, den_resid = root_residuals(roots, sm.service_dist.probs,
                                     lambda z: y_pgf(z, sm.arrival_rate, hw))
-print(f"station 2: {len(roots)} roots for capacity {sm.effective_capacity}")
+print(f"station 2: {len(roots)} roots for capacity {scenario.route.capacity}")
 print("      radius     phase/pi    |J - 1|   |Den|")
 for z in sorted(roots, key=lambda w: cmath.phase(w) % (2 * cmath.pi)):
     k = np.argmin(np.abs(roots - z))

@@ -223,9 +223,10 @@ def _merge(z: np.ndarray) -> np.ndarray:
 def find_all_roots(s_probs, y_pgf_handle, rho: float) -> tuple[complex, ...]:
     """All C in-disk roots of Den, from the cheapest attempt that certifies.
 
-    ``s_probs`` is the available-space pmf (index 0..C, so it fixes C);
-    ``y_pgf_handle`` must accept complex ndarray arguments; ``rho`` is the
-    station's utilization, which must lie in [0, 1) for the C roots to exist.
+    ``s_probs`` is the available-space pmf (index 0..C, so it fixes C, which
+    must be at least 1); ``y_pgf_handle`` must accept complex ndarray
+    arguments; ``rho`` is the station's utilization, which must lie in [0, 1)
+    for the C roots to exist.  A pmf or ``rho`` out of range raises ValueError.
     The cheap fixed-point attempt, the full one and the full one's seeds
     deflated against its pool (see the module docstring) are tried in that
     order; each pools its Newton-polished candidates, and the pool is
@@ -236,6 +237,9 @@ def find_all_roots(s_probs, y_pgf_handle, rho: float) -> tuple[complex, ...]:
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"find_all_roots needs 0 <= rho < 1, got {rho}")
     probs = np.asarray(s_probs, dtype=float)
+    if probs.ndim != 1 or len(probs) < 2:
+        raise ValueError(f"find_all_roots needs a space pmf s_0..s_C with C >= 1, "
+                         f"got shape {probs.shape}")
 
     def attempts():
         # (seeds, Newton steps, whether they deflate against and join the

@@ -6,7 +6,9 @@ binomially and ``board`` refills it from the queue front, both on pmf
 vectors, with no transition matrix.  Per station the available
 space S (capacity minus surviving load) and arrival count Y define a
 bulk-service queue whose steady state at vehicle arrivals is recovered from
-the C in-disk roots of the PGF denominator.
+the C in-disk roots of the PGF denominator.  C is the route capacity: the
+root search, the queue front and the moments all get the space pmf s_0..s_C
+as the recursion built it, with no cut of its small top entries.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from .headway import (ArrivalMoments, HeadwayModel, truncated_headway,
                       y_moments, y_pgf)
 from .model import Scenario, require_valid
 from .roots import SolverError, find_all_roots, inner_roots
-
-TRIM_EPS = 1e-12           # below this, top-of-range space mass counts as zero
 
 UNBOUNDED = math.inf        # sentinel for moments of an unstable station
 
@@ -111,7 +111,6 @@ class StationMetrics:
     varw: float
     roots: tuple[complex, ...] = ()
     queue_front: QueueFront | None = None
-    effective_capacity: int | None = None
     service_dist: DiscreteDist | None = None
     arrivals: ArrivalMoments | None = None
     arrival_rate: float = 0.0
@@ -334,17 +333,6 @@ def wait_moments(eq: float, varq: float, y: ArrivalMoments, lam: float
 # Full pipeline
 
 
-def _effective_capacity(probs: np.ndarray) -> int:
-    nz = np.nonzero(probs > TRIM_EPS)[0]
-    return int(nz[-1]) if len(nz) else 0
-
-
-def trimmed_space(s: DiscreteDist) -> DiscreteDist:
-    """The space pmf cut at the effective capacity, its last entry above TRIM_EPS."""
-    ceff = _effective_capacity(s.probs)
-    return s if ceff == s.top_index else DiscreteDist(s.probs[: ceff + 1])
-
-
 def _solve_station(base: StationMetrics, model: HeadwayModel) -> StationMetrics:
     """The record of one stable station, filled in from its unsolved ``base``.
 
@@ -353,31 +341,23 @@ def _solve_station(base: StationMetrics, model: HeadwayModel) -> StationMetrics:
     and any failure of those stages is raised tagged with the station and stage.
     """
     n, s, y, lam = base.station, base.service_dist, base.arrivals, base.arrival_rate
-    s_eff = trimmed_space(s)
     if lam == 0.0:
         return replace(base, eq=0.0, varq=0.0, ew=math.nan, varw=math.nan,
-                       queue_front=QueueFront(np.r_[1.0, np.zeros(s.top_index - 1)]),
-                       effective_capacity=s_eff.top_index)
-    if s_eff.top_index < 1:
-        raise StationSolveError(n, "available space distribution is numerically degenerate",
-                                "roots")
+                       queue_front=QueueFront(np.r_[1.0, np.zeros(s.top_index - 1)]))
 
     y_handle = partial(y_pgf, lam=lam, model=model)
     stage = "roots"
     try:
-        roots = find_all_roots(s_eff.probs, y_handle, base.rho)
+        roots = find_all_roots(s.probs, y_handle, base.rho)
         stage = "front"
-        front = queue_front_contour(s_eff, roots, y, y_handle)
+        front = queue_front_contour(s, roots, y, y_handle)
         stage = "moments"
-        eq, varq = queue_moments(dist_moments(s_eff), y, roots)
+        eq, varq = queue_moments(dist_moments(s), y, roots)
     except SolverError as exc:
         raise StationSolveError(n, str(exc), stage) from exc
 
     ew, varw = wait_moments(eq, varq, y, lam)
-    padded = np.zeros(s.top_index)
-    padded[: len(front.q)] = front.q
-    return replace(base, eq=eq, varq=varq, ew=ew, varw=varw, roots=roots,
-                   queue_front=QueueFront(padded), effective_capacity=s_eff.top_index)
+    return replace(base, eq=eq, varq=varq, ew=ew, varw=varw, roots=roots, queue_front=front)
 
 
 def analyze_route(scenario: Scenario) -> RouteReport:

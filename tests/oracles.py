@@ -16,11 +16,15 @@ import numpy as np
 from transitq.headway import ArrivalMoments, HeadwayModel, y_pgf
 from transitq.model import Scenario, adjusted_headway, travel_time_to
 from transitq.roots import SolverError, inner_roots
-from transitq.solver import (TRIM_EPS, UNBOUNDED, DiscreteDist, QueueFront,
+from transitq.solver import (UNBOUNDED, DiscreteDist, QueueFront,
                              _front_diagnostics, _real_checked, contour_size,
                              dist_moments)
 
 TWO_PI = 2.0 * math.pi
+
+# queue_front's triangular solve divides by s_C, so its error grows like
+# eps / s_C; at or below this s_C the coefficient-matching front is refused
+S_TOP_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +39,7 @@ def arrival_pmf(lam: float, model: HeadwayModel, size: int = 4096) -> np.ndarray
     return np.clip(pmf, 0.0, None)
 
 
-def _trim_pmf(pmf: np.ndarray, floor: float = 1e-16) -> np.ndarray:
+def _drop_noise_tail(pmf: np.ndarray, floor: float = 1e-16) -> np.ndarray:
     """Drop the FFT noise tail: keep through the last entry above ``floor``."""
     nz = np.nonzero(pmf > floor)[0]
     return pmf[: nz[-1] + 1] if len(nz) else pmf[:1]
@@ -51,7 +55,7 @@ def char_poly_coeffs(s_probs: np.ndarray, lam: float, model: HeadwayModel,
     the root accuracy to roughly 1e-4 in stiff regimes, so callers should
     match root sets with a loose tolerance or polish after.
     """
-    pmf = _trim_pmf(arrival_pmf(lam, model))
+    pmf = _drop_noise_tail(arrival_pmf(lam, model))
     s_asc = np.asarray(s_probs, dtype=float)[::-1]  # coeff of z^j is s_{C-j}
     coeffs = -np.convolve(s_asc, pmf)
     if len(coeffs) < capacity + 1:
@@ -205,7 +209,7 @@ def markov_queue_stationary(s_probs: np.ndarray, lam: float, model: HeadwayModel
     """
     s_probs = np.asarray(s_probs, dtype=float)
     cap = len(s_probs) - 1
-    pmf = _trim_pmf(arrival_pmf(lam, model))
+    pmf = _drop_noise_tail(arrival_pmf(lam, model))
     pmf = pmf / pmf.sum()
     if truncate_at is not None:
         return _markov_solve(s_probs, pmf, truncate_at)
@@ -310,7 +314,7 @@ def queue_front(s: DiscreteDist, roots: tuple[complex, ...], y: ArrivalMoments) 
     probs = s.probs
     cap = len(probs) - 1
     s_top = float(probs[cap])
-    if s_top <= TRIM_EPS:
+    if s_top <= S_TOP_FLOOR:
         raise ValueError(f"s_C = {s_top:.3e} is numerically zero; reduce the capacity")
     s_mean = dist_moments(s)[0]
     if s_mean <= y.mean:

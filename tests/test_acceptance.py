@@ -23,8 +23,7 @@ from transitq.model import adjusted_headway, travel_time_to
 from transitq.roots import find_all_roots
 from transitq.simulator import SimConfig, compare, run_simulation
 from oracles import queue_front
-from transitq.solver import (DiscreteDist, SolverError, _effective_capacity,
-                             point_mass, queue_front_contour)
+from transitq.solver import SolverError, point_mass, queue_front_contour
 
 GRID_CAPACITY = (30, 34, 38)
 GRID_GAMMA = (0.0, 0.1, 0.2, 1.0 / 3.0)
@@ -155,7 +154,7 @@ def test_criterion_3_station8_point_values(capsys):
 def test_criterion_4_root_completeness_full_grid(capsys):
     t0 = time.monotonic()
     failures = []
-    n_scen = n_checks = n_trimmed = 0
+    n_scen = n_checks = 0
     max_resid = 0.0
     for cap, gam, th, hbar, dem in itertools.product(
             GRID_CAPACITY, GRID_GAMMA, GRID_THETA, GRID_HEADWAY, GRID_DEMAND):
@@ -169,29 +168,22 @@ def test_criterion_4_root_completeness_full_grid(capsys):
             if not sm.stable or sm.arrival_rate == 0.0:
                 continue
             n_checks += 1
-            probs = sm.service_dist.probs
-            ceff = _effective_capacity(probs)
-            s_eff = (DiscreteDist(probs[: ceff + 1])
-                     if ceff < len(probs) - 1 else sm.service_dist)
-            n_trimmed += ceff < cap
-            if len(sm.roots) != ceff:
+            if len(sm.roots) != cap:
                 failures.append(f"{sc.label} st{sm.station}: "
-                                f"{len(sm.roots)} roots, expected {ceff}")
+                                f"{len(sm.roots)} roots, expected {cap}")
                 continue
             resid = float(np.max(np.abs(oracles.den(
-                np.asarray(sm.roots), s_eff, sm.arrival_rate, hw))))
+                np.asarray(sm.roots), sm.service_dist, sm.arrival_rate, hw))))
             max_resid = max(max_resid, resid)
             if resid >= 1e-8:
                 failures.append(f"{sc.label} st{sm.station}: residual {resid:.2e}")
-            wind = oracles.char_winding(s_eff.probs, sm.arrival_rate, hw, ceff)
-            if round(wind) != ceff or abs(wind - round(wind)) > 0.01:
+            wind = oracles.char_winding(sm.service_dist.probs, sm.arrival_rate, hw, cap)
+            if round(wind) != cap or abs(wind - round(wind)) > 0.01:
                 failures.append(f"{sc.label} st{sm.station}: winding {wind:.3f} "
-                                f"!= {ceff}")
+                                f"!= {cap}")
     elapsed = time.monotonic() - t0
     detail = (f"{n_scen} scenarios, {n_checks} stable-station solves: root count == "
-              f"polynomial degree everywhere ({n_trimmed} solves ran at a reduced "
-              f"degree after dropping service-space coefficients < 1e-12), "
-              f"max |Den| residual {max_resid:.1e}, argument-principle count matches "
+              f"capacity everywhere, max |Den| residual {max_resid:.1e}, argument-principle count matches "
               f"at every solve; {elapsed:.0f}s")
     if failures:
         detail = f"{len(failures)} defects, e.g. {failures[0]}; " + detail

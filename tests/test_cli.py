@@ -245,8 +245,7 @@ def test_roots_residual_column_is_the_certificates(tmp_path):
     rep = analyze_route(model.reference_scenario())
     sm = rep.stations[3]
     y = partial(y_pgf, lam=sm.arrival_rate, model=rep.headway[3])
-    den_resid = rootsmod.root_residuals(sm.roots, solver.trimmed_space(sm.service_dist).probs,
-                                        y)[1]
+    den_resid = rootsmod.root_residuals(sm.roots, sm.service_dist.probs, y)[1]
     _, _, rows = report._read_csv_text(out.read_text())
     assert [r[4] for r in rows] == [report.fmt_value(r) for r in den_resid]
 
@@ -272,15 +271,34 @@ def test_roots_station_without_arrivals(tmp_path):
     assert sm.arrival_rate == 0.0 and not sm.roots
     _, header, rows = report._read_csv_text(out.read_text())
     assert header == report.ROOT_COLUMNS
-    assert len(rows) == sm.effective_capacity
+    assert len(rows) == sm.service_dist.top_index == 34
     assert max(report.parse_value(r[4]) for r in rows) < 1e-12
     # the dump (9 significant digits) is a certified root set
-    probs = sm.service_dist.probs[: sm.effective_capacity + 1]
+    probs = sm.service_dist.probs
     rs = rootsmod.find_all_roots(probs, lambda z: np.ones_like(z), 0.0)
     assert validate_root_set(rs, probs, lambda z: np.ones_like(z)) == []
     dumped = np.array([complex(report.parse_value(r[0]), report.parse_value(r[1]))
                        for r in rows])
     assert np.max(np.abs(dumped - np.array(rs))) < 1e-8
+
+
+def test_roots_station_without_arrivals_it_cannot_certify(tmp_path, capsys):
+    # station 1 fills every vehicle, and at alpha = 5e-324 nobody alights at
+    # station 2, so its space pmf is s_0 = 1, a subnormal s_1 and zeros above:
+    # z^C = P(z) has a multiple root at z = 0 that no certified set holds.
+    # The command ends in one error line and exit 3, not in a traceback
+    route = model.RouteConfig(stations=(
+        model.StationParams(arrival_rate=20.0, alight_prob=1.0),
+        model.StationParams(arrival_rate=0.0, alight_prob=5e-324)),
+        nominal_headway=6.0, capacity=34)
+    sc = model.Scenario(route=route, incidents=model.IncidentParams(1.0, 0.496))
+    path = tmp_path / "full.json"
+    model.save_scenario(sc, path)
+    sm = analyze_route(sc).stations[1]
+    assert sm.stable and sm.arrival_rate == 0.0
+    assert main(["roots", "--config", str(path), "--station", "2"]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

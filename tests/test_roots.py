@@ -197,10 +197,8 @@ def _grid_scenario(cap, gamma, theta, hbar, demand):
 
 def _station_inputs(rep, idx):
     sm, hw = rep.stations[idx], rep.headway[idx]
-    ceff = sm.effective_capacity
-    probs = sm.service_dist.probs[: ceff + 1]
-    probs = probs / probs.sum()
-    return sm, hw, ceff, probs
+    probs = sm.service_dist.probs
+    return sm, hw, len(probs) - 1, probs
 
 
 @pytest.mark.parametrize("row", POLAR_STALL_SCENARIOS)
@@ -210,11 +208,11 @@ def test_polar_stall_scenarios_certify(row):
     for idx, sm in enumerate(rep.stations):
         if not sm.stable or sm.arrival_rate == 0.0:
             continue
-        _, hw, ceff, probs = _station_inputs(rep, idx)
+        _, hw, cap, probs = _station_inputs(rep, idx)
         y = partial(headway.y_pgf, lam=sm.arrival_rate, model=hw)
         assert validate_root_set(sm.roots, probs, y) == []
-        wind = oracles.char_winding(probs, sm.arrival_rate, hw, ceff)
-        assert wind == pytest.approx(ceff, abs=0.01)
+        wind = oracles.char_winding(probs, sm.arrival_rate, hw, cap)
+        assert wind == pytest.approx(cap, abs=0.01)
         solved += 1
     assert solved >= 8
 
@@ -244,14 +242,14 @@ def test_full_attempt_certifies_when_the_cheap_one_fails(reference_report, monke
     # with no Newton step to spend, every cheap start comes back NaN; the
     # full fixed-point attempt must then find the companion-matrix roots
     # without deflating
-    sm, hw, ceff, probs = _station_inputs(reference_report, 1)
+    sm, hw, cap, probs = _station_inputs(reference_report, 1)
     made = _record_budgets(monkeypatch)
     monkeypatch.setattr(rootsmod, "CHEAP_STEPS", 0)
     got = find_all_roots(probs, lambda z: headway.y_pgf(z, sm.arrival_rate, hw), sm.rho)
     assert made == [[rootsmod.CHEAP_PASSES, 0],
                     [rootsmod.FULL_PASSES, rootsmod.FULL_STEPS]]
-    expected = oracles.poly_roots_in_disk(probs, sm.arrival_rate, hw, ceff)
-    assert len(got) == len(expected) == ceff
+    expected = oracles.poly_roots_in_disk(probs, sm.arrival_rate, hw, cap)
+    assert len(got) == len(expected) == cap
     assert max(np.min(np.abs(expected - z)) for z in got) < 1e-6
     assert np.max(np.abs(np.array(got) - np.array(sm.roots))) < 1e-12
 
@@ -358,6 +356,14 @@ def test_find_all_roots_error_carries_payload(monkeypatch):
 def test_find_all_roots_rejects_utilization_outside_unit_interval(rho):
     with pytest.raises(ValueError, match="0 <= rho < 1"):
         find_all_roots(_point_mass_probs(4), _unit_y, rho)
+
+
+@pytest.mark.parametrize("probs", [[1.0], []])
+def test_find_all_roots_rejects_space_pmf_below_capacity_one(probs):
+    # C = len(probs) - 1 roots are sought, so a pmf of under two entries has
+    # no root set; it is refused before any seed is drawn
+    with pytest.raises(ValueError, match="C >= 1"):
+        find_all_roots(probs, _unit_y, 0.0)
 
 
 def test_production_roots_sit_at_newton_fixed_point(reference_report):

@@ -29,7 +29,6 @@ from transitq.solver import (
     point_mass,
     queue_front_contour,
     queue_moments,
-    trimmed_space,
     utilization,
     wait_moments,
 )
@@ -333,7 +332,7 @@ def test_reference_line_solves_at_capacity_300():
                   if sm.stable and sm.arrival_rate > 0.0)[1]
     for sm in rep.stations:
         if sm.stable and sm.arrival_rate > 0.0:
-            assert len(sm.roots) == sm.effective_capacity
+            assert len(sm.roots) == sm.service_dist.top_index == 300
     sm, hm = rep.stations[busiest], rep.headway[busiest]
     pi = oracles.markov_queue_stationary(sm.service_dist.probs, sm.arrival_rate, hm)
     mean, var = oracles.pmf_mean_var(pi)
@@ -578,14 +577,6 @@ def test_errors_survive_pickling(exc):
     assert type(back) is type(exc)
     assert str(back) == str(exc)
     assert vars(back) == vars(exc)
-
-
-def test_trimmed_space_cuts_at_effective_capacity():
-    full = DiscreteDist([0.25, 0.5, 0.25])
-    assert trimmed_space(full) is full
-    cut = trimmed_space(DiscreteDist([0.5, 0.5, 1e-13, 0.0]))
-    assert list(cut.probs) == [0.5, 0.5]
-    assert cut.top_index == solver._effective_capacity(np.array([0.5, 0.5, 1e-13, 0.0]))
 
 
 # ---------------------------------------------------------------------------
