@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -216,26 +216,20 @@ def write_route_report(report: RouteReport, path, fmt: str = "csv") -> None:
 def read_route_report(path) -> RouteReport:
     """Load a report written by write_route_report (format sniffed).
 
-    Round-trips the published columns only: root sets and queue fronts are
-    not serialized, so the result is suitable for comparisons and plotting
-    but not for resuming a solve.
+    Round-trips the published columns only: root sets, queue fronts and
+    arrival rates (read back as NaN) are not serialized, so the result suits
+    comparisons and plotting but not resuming a solve.
     """
     from .headway import HeadwayModel
     from .solver import RouteReport, StationMetrics
     meta, records = read_table(ROUTE, path)
-    stations: list[StationMetrics] = []
-    models: list[HeadwayModel] = []
-    for rec in records:
-        # a stable station with undefined wait can only be one nobody travels to
-        lam = 0.0 if (rec["stable"] and math.isnan(rec["e_wait"])) else 1.0
-        stations.append(StationMetrics(
-            station=rec["station"], rho=rec["rho"], stable=rec["stable"],
-            eq=rec["e_queue"], varq=rec["var_queue"], ew=rec["e_wait"],
-            varw=rec["var_wait"], arrival_rate=lam))
-        models.append(HeadwayModel(mu=rec["headway_mu"], sigma=rec["headway_sigma"],
-                                   zero_mass=rec["zero_mass"]))
-    return RouteReport(label=meta.get("label", ""), stations=tuple(stations),
-                       headway=tuple(models))
+    stations = tuple(StationMetrics(
+        station=rec["station"], rho=rec["rho"], stable=rec["stable"], eq=rec["e_queue"],
+        varq=rec["var_queue"], ew=rec["e_wait"], varw=rec["var_wait"], arrival_rate=math.nan)
+        for rec in records)
+    models = tuple(HeadwayModel(mu=rec["headway_mu"], sigma=rec["headway_sigma"],
+                                zero_mass=rec["zero_mass"]) for rec in records)
+    return RouteReport(label=meta.get("label", ""), stations=stations, headway=models)
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +277,8 @@ def read_sim_stats(path) -> SimStats:
 def comparison_to_json(table: ComparisonTable) -> dict:
     meta = {"label": table.label, "tol_mean": table.tol_mean,
             "tol_sd": table.tol_sd, "passed": table.passed}
-    return encode(COMPARISON, meta, (
-        [r.station, r.status, r.eq_theory, r.eq_sim, r.eq_gap, r.eq_tol,
-         r.ew_theory, r.ew_sim, r.ew_gap, r.ew_tol,
-         r.q_sd_theory, r.q_sd_sim, r.q_sd_rel_gap,
-         r.w_sd_theory, r.w_sd_sim, r.w_sd_rel_gap]
-        for r in table.rows))
+    # ComparisonRow declares its fields in COMPARISON_COLUMNS order
+    return encode(COMPARISON, meta, map(astuple, table.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,9 @@ is given (C = len(probs) - 1); none takes the capacity separately.
 
 from __future__ import annotations
 
-import cmath
-import math
 from typing import Sequence
 
 import numpy as np
-
-_TWO_PI = 2.0 * math.pi
 
 # Fixed-point passes and Newton steps of the cheap attempt and of the full
 # one.  On the criterion-4 grid, 9 in 10 cheap starts still moving after six
@@ -46,12 +42,12 @@ def inner_roots(roots: Sequence[complex]) -> np.ndarray:
     return arr[np.abs(arr - 1.0) > 1e-9]
 
 
-def _ordered(roots: Sequence[complex]) -> tuple[complex, ...]:
+def _ordered(roots: np.ndarray) -> tuple[complex, ...]:
     """z=1 first, remaining roots by ascending polar angle in [0, 2*pi)."""
-    unit = [z for z in roots if abs(z - 1.0) <= 1e-9]
-    rest = [z for z in roots if abs(z - 1.0) > 1e-9]
-    rest.sort(key=lambda z: cmath.phase(z) % _TWO_PI)
-    return tuple(unit + rest)
+    unit = np.abs(roots - 1.0) <= 1e-9
+    rest = roots[~unit]
+    rest = rest[np.argsort(np.angle(rest) % (2.0 * np.pi), kind="stable")]
+    return tuple(np.concatenate([roots[unit], rest]).tolist())
 
 
 def root_residuals(roots: Sequence[complex], s_probs,
@@ -66,7 +62,7 @@ def root_residuals(roots: Sequence[complex], s_probs,
     capacity = len(probs) - 1
     arr = np.asarray(roots, dtype=complex)
     y_vals = np.asarray(y_pgf_handle(arr), dtype=complex)
-    space_poly = np.polyval(probs, arr)
+    space_poly = _space_poly(probs, arr)[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         j_resid = np.abs(y_vals * np.exp(np.log(space_poly) - capacity * np.log(arr)) - 1.0)
         den_resid = np.abs(arr**capacity / y_vals - space_poly)
@@ -111,8 +107,9 @@ def validate_root_set(roots: Sequence[complex], s_probs, y_pgf_handle) -> list[s
 def _space_poly(probs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P(z) = sum_u s_u z^{C-u} and P'(z) from one table of powers of z.
 
-    For the few dozen points the root stages evaluate at once, two matrix
-    products beat Horner's C + 1 Python-level passes (``np.polyval``): on a
+    The one evaluator of P for the search and its certificate.  For the few
+    dozen points evaluated at once, two matrix products beat Horner's
+    C + 1 Python-level passes (``np.polyval``): on a
     2-core x86-64 host they cut ``find_all_roots`` on a tenth of the
     criterion-4 solves from 4.4 to 2.4 ms per solve, and perfbench ``grid``
     ``warm_call_s`` from 0.068 to 0.051 s (medians of 4 alternating pairs).
@@ -252,7 +249,6 @@ def find_all_roots(s_probs, y_pgf_handle, rho: float) -> tuple[complex, ...]:
 
     pool = np.array([1.0 + 0j])
     for seeds, steps, joins in attempts():
-        seeds = np.asarray(seeds, dtype=complex)
         seeds = _upper(seeds[np.isfinite(seeds)])
         polished = newton_polish(seeds, probs, y_pgf_handle, steps, pool if joins else ())
         pool = _merge(np.concatenate([pool if joins else [1.0 + 0j], polished]))

@@ -450,9 +450,9 @@ def compare(report: RouteReport, stats: SimStats,
     the absolute floors (0.3 queue, 0.2 wait) scale with tol_mean so that
     tol_mean=0 demands exact agreement and fails on Monte Carlo noise alone.
     Spread checks compare standard deviations relatively at tol_sd.  Unstable
-    and zero-arrival stations are reported but excluded from pass/fail.  A
-    label or station count that differs between the two, or a tolerance that
-    is negative or NaN, raises ValueError.
+    stations and those without arrivals (a NaN theory wait) are reported but
+    excluded from pass/fail.  A label or station count that differs between
+    the two, or a tolerance that is negative or NaN, raises ValueError.
     """
     if not (tol_mean >= 0.0 and tol_sd >= 0.0):  # a NaN fails both comparisons
         raise ValueError(f"tolerances must be non-negative, got tol_mean={tol_mean!r}, "
@@ -477,7 +477,7 @@ def compare(report: RouteReport, stats: SimStats,
         w_sd_gap = abs(w_sd_sim - w_sd_th) / w_sd_th if w_sd_th > 0 else math.inf
         if not th.stable:
             status = "excluded-unstable"
-        elif th.arrival_rate == 0.0:
+        elif math.isnan(th.ew):  # the solver's mark of a station without arrivals
             status = "excluded-no-arrivals"
         elif (eq_gap <= eq_tol and ew_gap <= ew_tol
               and q_sd_gap <= tol_sd and w_sd_gap <= tol_sd):

@@ -261,9 +261,7 @@ def queue_front_contour(s: DiscreteDist, roots: tuple[complex, ...], y: ArrivalM
     inner = inner_roots(roots)
     if len(inner) != cap - 1:
         raise ValueError(f"expected {cap - 1} non-unit roots, got {len(inner)}")
-    scale = (s_mean - y.mean) / _real_checked(
-        complex(np.prod(1.0 - inner)) if len(inner) else 1.0 + 0j,
-        "root product normalizer")
+    scale = (s_mean - y.mean) / _real_checked(np.prod(1.0 - inner), "root product normalizer")
 
     radius, n_points = contour_size(cap)
     theta = 2.0 * np.pi * np.arange(n_points // 2 + 1) / n_points
@@ -302,10 +300,8 @@ def queue_moments(s_mom: tuple[float, float, float], y: ArrivalMoments,
         return UNBOUNDED, UNBOUNDED
     cap = len(roots)
     inner = inner_roots(roots)
-    sum1 = _real_checked(complex(np.sum(1.0 / (1.0 - inner))) if len(inner) else 0j,
-                         "first root sum")
-    sum2 = _real_checked(complex(np.sum(inner / (1.0 - inner) ** 2)) if len(inner) else 0j,
-                         "second root sum")
+    sum1 = _real_checked(np.sum(1.0 / (1.0 - inner)), "first root sum")
+    sum2 = _real_checked(np.sum(inner / (1.0 - inner) ** 2), "second root sum")
     eq = (s_c2 + y_c2 + drift * (1.0 + 2.0 * (s_mean - cap)) - drift**2) / (2.0 * drift) + sum1
     varq = (-4.0 * (s_c3 - y_c3) * drift + 3.0 * (s_c2 + y_c2) ** 2
             - (6.0 * (s_c2 - y_c2) - 1.0) * drift**2 - drift**4) / (12.0 * drift**2) - sum2
@@ -329,6 +325,17 @@ def wait_moments(eq: float, varq: float, y: ArrivalMoments, lam: float
     return q_t / lam, (qq_t - q_t) / (lam * lam)
 
 
+def _check_moments(eq: float, varq: float, varw: float, y: ArrivalMoments) -> None:
+    """Raise SolverError unless E[Q] >= E[A], Var[Q] >= Var[A] and Var[W] >= 0,
+    to 1e-9 of each bound, as Q = L + A: the riders left behind plus the
+    headway's arrivals A, which are independent of L.  Near an empty station
+    the closed forms' rounding outgrows the moments and breaks a bound."""
+    for name, value, bound in (("E[Q]", eq, y.mean), ("Var[Q]", varq, y.central2),
+                               ("Var[W]", varw, 0.0)):
+        if not value >= bound * (1.0 - 1e-9):
+            raise SolverError(f"{name} = {value:.6g} below its bound {bound:.6g}")
+
+
 # ---------------------------------------------------------------------------
 # Full pipeline
 
@@ -337,8 +344,9 @@ def _solve_station(base: StationMetrics, model: HeadwayModel) -> StationMetrics:
     """The record of one stable station, filled in from its unsolved ``base``.
 
     With no arrivals the queue is empty and the wait undefined (NaN, not
-    zero); otherwise the roots, the queue front and the moments are solved,
-    and any failure of those stages is raised tagged with the station and stage.
+    zero); otherwise the roots, the queue front and the checked moments are
+    solved, and a failure of any stage, arithmetic ones included, is raised
+    tagged with the station and stage.
     """
     n, s, y, lam = base.station, base.service_dist, base.arrivals, base.arrival_rate
     if lam == 0.0:
@@ -353,10 +361,11 @@ def _solve_station(base: StationMetrics, model: HeadwayModel) -> StationMetrics:
         front = queue_front_contour(s, roots, y, y_handle)
         stage = "moments"
         eq, varq = queue_moments(dist_moments(s), y, roots)
-    except SolverError as exc:
+        ew, varw = wait_moments(eq, varq, y, lam)
+        _check_moments(eq, varq, varw, y)
+    except (SolverError, ArithmeticError) as exc:
         raise StationSolveError(n, str(exc), stage) from exc
 
-    ew, varw = wait_moments(eq, varq, y, lam)
     return replace(base, eq=eq, varq=varq, ew=ew, varw=varw, roots=roots, queue_front=front)
 
 

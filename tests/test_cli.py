@@ -408,6 +408,21 @@ def test_config_directory_is_an_input_error(tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
+def test_near_empty_station_is_a_numeric_error(tmp_path, capsys):
+    # station 2 sees 1e-200 arrivals a minute, so the square of its mean
+    # arrivals per headway underflows in the wait moments: exit 3 and one
+    # line naming the station, not "float division by zero" without one
+    route = model.RouteConfig(stations=(
+        model.StationParams(arrival_rate=1.0, alight_prob=0.0),
+        model.StationParams(arrival_rate=1e-200, alight_prob=1.0)),
+        nominal_headway=0.5, capacity=5)
+    path = tmp_path / "near-empty.json"
+    model.save_scenario(model.Scenario(route=route, incidents=model.IncidentParams(0.0, 1.0)),
+                        path)
+    assert main(["analyze", "--config", str(path)]) == EXIT_NUMERIC
+    assert _assert_one_error_line(capsys).startswith("error: station 2: ")
+
+
 def _config_with(tmp_path, **fields):
     """The reference config with route, station-1 or incident fields replaced."""
     doc = model.scenario_to_dict(model.reference_scenario())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from transitq import report, solver
+from transitq import model, report, solver
 from transitq.report import (
     COMPARISON_COLUMNS,
     ROOT_COLUMNS,
@@ -25,7 +25,7 @@ from transitq.report import (
     write_route_report,
     write_sim_stats,
 )
-from transitq.simulator import SimConfig, compare, run_simulation
+from transitq.simulator import ComparisonRow, SimConfig, compare, run_simulation
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +123,27 @@ def test_route_report_round_trip(reference_report, tmp_path, fmt):
 
 
 def test_route_round_trip_keeps_terminal_semantics(reference_report, tmp_path):
-    # the terminal station's undefined wait must come back as a zero-arrival
-    # station so downstream comparisons keep excluding it
+    # the terminal station's undefined wait, the solver's mark of a station
+    # without arrivals, must come back so downstream comparisons keep
+    # excluding it; the file carries no arrival rate, so none is made up
     path = tmp_path / "route.csv"
     write_route_report(reference_report, path)
     back = read_route_report(path)
     assert math.isnan(back.stations[-1].ew)
-    assert back.stations[-1].arrival_rate == 0.0
-    assert all(sm.arrival_rate > 0 for sm in back.stations[:-1])
+    assert all(math.isnan(sm.arrival_rate) for sm in back.stations)
+
+
+@pytest.mark.parametrize("name", model.PRESETS)
+def test_read_back_report_compares_like_the_fresh_one(name, tmp_path):
+    scenario = model.preset(name)
+    fresh = solver.analyze_route(scenario)
+    stats = run_simulation(scenario, SimConfig(runs=2000, seed=5))
+    statuses = [row.status for row in compare(fresh, stats).rows]
+    assert "excluded-no-arrivals" in statuses
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"route.{fmt}"
+        write_route_report(fresh, path, fmt=fmt)
+        assert [row.status for row in compare(read_route_report(path), stats).rows] == statuses
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -272,6 +285,21 @@ def test_comparison_csv(small_table):
     assert statuses <= {"pass", "fail", "excluded-unstable", "excluded-no-arrivals"}
     for row in rows:
         parse_value(row[2])  # numeric columns must parse
+
+
+def test_comparison_row_fields_follow_the_columns():
+    # comparison_to_json writes each row as dataclasses.astuple, so the
+    # dataclass's field order is the column order
+    pairs = [("station", "station"), ("status", "status"),
+             ("eq_theory", "e_queue"), ("eq_sim", "e_queue_sim"),
+             ("eq_gap", "e_queue_gap"), ("eq_tol", "e_queue_tol"),
+             ("ew_theory", "e_wait"), ("ew_sim", "e_wait_sim"),
+             ("ew_gap", "e_wait_gap"), ("ew_tol", "e_wait_tol"),
+             ("q_sd_theory", "sd_queue"), ("q_sd_sim", "sd_queue_sim"),
+             ("q_sd_rel_gap", "sd_queue_rel_gap"), ("w_sd_theory", "sd_wait"),
+             ("w_sd_sim", "sd_wait_sim"), ("w_sd_rel_gap", "sd_wait_rel_gap")]
+    assert [f.name for f in dataclasses.fields(ComparisonRow)] == [f for f, _ in pairs]
+    assert COMPARISON_COLUMNS == [c for _, c in pairs]
 
 
 def test_comparison_json(small_table):

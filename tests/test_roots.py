@@ -264,6 +264,47 @@ def test_cheap_attempt_certifies_every_preset_station(monkeypatch):
     assert made == [[rootsmod.CHEAP_PASSES, rootsmod.CHEAP_STEPS]] * solves
 
 
+def test_each_preset_root_search_validates_once(monkeypatch):
+    # every search of both presets certifies at its first attempt, so it
+    # runs the certificate once; a station that needs a second attempt, or
+    # a certificate run twice, shows here
+    calls = []
+    search, validate = solver.find_all_roots, rootsmod.validate_root_set
+
+    def counted_search(*args):
+        calls.append(0)
+        return search(*args)
+
+    def counted_validate(*args):
+        calls[-1] += 1
+        return validate(*args)
+
+    monkeypatch.setattr(solver, "find_all_roots", counted_search)
+    monkeypatch.setattr(rootsmod, "validate_root_set", counted_validate)
+    for name in model.PRESETS:
+        solver.analyze_route(model.preset(name))
+    assert calls and calls == [1] * len(calls)
+
+
+@pytest.mark.parametrize("capacity", [34, 300])
+def test_space_poly_matches_polyval_on_certified_roots(reference, capacity):
+    # the search and the certificate evaluate P(z) with _space_poly; numpy's
+    # Horner evaluation is the independent reference.  Near a root P(z)
+    # cancels (at C = 300 to 1e-10 of its terms' size), so the gap is
+    # measured against sum_u s_u |z|^{C-u}, the size of the terms
+    scenario = dataclasses.replace(
+        reference, route=dataclasses.replace(reference.route, capacity=capacity))
+    checked = 0
+    for sm in solver.analyze_route(scenario).stations:
+        if not sm.roots:
+            continue
+        z, probs = np.array(sm.roots), sm.service_dist.probs
+        gap = np.abs(rootsmod._space_poly(probs, z)[0] - np.polyval(probs, z))
+        assert np.max(gap / np.polyval(probs, np.abs(z))) < 1e-13
+        checked += 1
+    assert checked
+
+
 def test_deflation_steers_newton_off_known_roots():
     # z^6 = 1 (Y = 1, all six seats free): from next to z = 1, plain Newton
     # returns to it, and deflated against z = 1 it finds another sixth root

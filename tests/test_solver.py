@@ -552,6 +552,30 @@ def test_full_vehicles_at_station_2_end_in_a_report_or_a_typed_error(capacity):
     assert rep.stations[1].stable and math.isfinite(rep.stations[1].eq)
 
 
+# A two-station line whose station 2 sees about lam * H = lam / 2 arrivals a
+# headway.  The closed forms round at the scale of C while the true moments
+# shrink with lam, so below about lam = 1e-12 they are noise.  Unchecked,
+# they read Var[W] = -7.1e8 at 1e-12 and E[W] = -0.5 (true 0.25) at 1e-18,
+# and the wait raised a raw ZeroDivisionError once (lam / 2)^2 underflowed.
+@pytest.mark.parametrize("lam, message", [
+    (1e-12, r"Var\[Q\] = \S+ below its bound"),
+    (1e-18, r"E\[Q\] = 0 below its bound"),
+    (1e-200, "float division by zero")])
+def test_near_empty_station_ends_in_a_moments_error(lam, message):
+    with pytest.raises(StationSolveError, match="station 2: " + message) as err:
+        analyze_route(_line((1.0, lam), (0.0, 1.0), 5, 0.5))
+    assert (err.value.station, err.value.stage) == (2, "moments")
+
+
+@pytest.mark.parametrize("eq, varq, varw", [(0.5 - 1e-6, 1.0, 1.0), (1.0, 0.75 - 1e-6, 1.0),
+                                            (1.0, 1.0, -1e-12), (math.nan, 1.0, 1.0)])
+def test_check_moments_holds_q_above_its_arrivals(eq, varq, varw):
+    y = headway.ArrivalMoments(0.5, 0.75, 1.0)
+    solver._check_moments(1.0, 1.0, 1.0, y)
+    with pytest.raises(SolverError, match="below its bound"):
+        solver._check_moments(eq, varq, varw, y)
+
+
 def test_exception_hierarchy():
     # one numeric-failure type, defined where the root search raises it and
     # the same object in the solver and the package namespace
