@@ -1,7 +1,10 @@
 """A look inside the root finder.
 
-The queue front at each station is fixed by the in-disk zeros of
-Den(z) = z^C / Y(z) - sum_u s_u z^(C-u).  This script prints the root
+The paper fixes the queue front at each station by the in-disk zeros of
+Den(z) = z^C / Y(z) - sum_u s_u z^(C-u).  ``analyze_route`` solves the
+station without them, by a Wiener-Hopf factorization, and keeps each
+station's root set pending: the search runs, and certifies the set, when
+``sm.roots`` is first read, as it is here.  This script prints the root
 ring for a reference station with the two residuals of each root that the
 certificate gates, |J - 1| and |Den| (``root_residuals``), and then walks a
 heavy-truncation scenario whose roots stack radially — a buried conjugate
@@ -10,7 +13,8 @@ fixed-point iteration reaches from its ray.  Every set printed
 here passed ``validate_root_set``: exactly C roots, z = 1 among them, all
 in the closed disk, distinct, conjugate-closed, with |J - 1| and |Den|
 below 1e-8 at each.  The argument-principle census that counts Den's zeros
-independently runs in the test suite (acceptance criterion 4), not here.
+independently of the search runs in the test suite (acceptance criterion 4),
+not here.
 """
 
 import cmath
@@ -29,7 +33,7 @@ rep = solver.analyze_route(scenario)
 sm = rep.stations[1]          # station 2, the busier of the early stops
 hw = rep.headway[1]
 
-roots = np.asarray(sm.roots)
+roots = np.asarray(sm.roots)  # the first read runs the search
 j_resid, den_resid = root_residuals(roots, sm.service_dist.probs,
                                     lambda z: y_pgf(z, sm.arrival_rate, hw))
 print(f"station 2: {len(roots)} roots for capacity {scenario.route.capacity}")
@@ -72,6 +76,6 @@ print(f"  radial spread: {ring[0]:.3f} (innermost) .. {ring[-2]:.3f} "
 pair = sorted(sm2.roots, key=abs)[:2]
 print(f"  the buried conjugate pair: {pair[0]:.4f} and {pair[1]:.4f} "
       f"(radius {abs(pair[0]):.3f}, next root at {ring[2]:.3f})")
-print("Drop those two and the queue front would come out wrong with no warning —")
+print("Drop those two and a front built from the roots would come out wrong with no warning —")
 print("which is why no set is accepted unless it holds exactly C distinct roots,")
 print("each with |J - 1| and |Den| below 1e-8.")

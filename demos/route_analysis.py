@@ -2,8 +2,8 @@
 
 Walks the whole analytical pipeline once: incident-adjusted headway,
 per-station headway spread, utilization, and the steady-state queue and
-wait moments, printed as one table.  Everything here is exact (up to
-root-finding tolerance) — no simulation involved.
+wait moments, printed as one table.  Everything here is exact (up to the
+factorization's rounding, near 1e-12 relative) — no simulation involved.
 """
 
 import numpy as np

@@ -150,8 +150,8 @@ def cmd_compare(args) -> int:
 
 def cmd_roots(args) -> int:
     from .headway import y_pgf
-    from .roots import SolverError, find_all_roots, root_residuals
-    from .solver import analyze_route
+    from .roots import SolverError, root_residuals
+    from .solver import PendingRoots, analyze_route
     route_report = analyze_route(_load_config(args.config))
     if not 1 <= args.station <= route_report.num_stations:
         raise ValueError(f"station {args.station} outside 1..{route_report.num_stations}")
@@ -161,9 +161,10 @@ def cmd_roots(args) -> int:
                           f"{report.fmt_value(sm.rho)}); no root set exists")
     probs = sm.service_dist.probs
     y_handle = partial(y_pgf, lam=sm.arrival_rate, model=route_report.headway[sm.station - 1])
-    # analyze_route stores the root set of every station with arrivals;
-    # without arrivals Y = 1 and the roots are those of z^C = P(z)
-    roots = sm.roots or find_all_roots(probs, y_handle, sm.rho)
+    # reading a station's root set searches for it, and a set that does not
+    # certify raises StationSolveError naming the station; without arrivals
+    # Y = 1, no set is pending, and the roots are those of z^C = P(z)
+    roots = tuple(sm.roots or PendingRoots(sm.station, probs, y_handle, sm.rho))
     # the |Den| residual that validate_root_set gated
     residuals = root_residuals(roots, probs, y_handle)[1]
     _emit(report.roots_to_csv(roots, residuals, route_report.label), args.out)

@@ -15,6 +15,11 @@ again, with Newton deflated against its pool and the new roots merged into
 it.  The last two do not depend on the cheap attempt, so it never costs a
 certification.  Every function here reads C off the space pmf s_0..s_C it
 is given (C = len(probs) - 1); none takes the capacity separately.
+
+No stage of ``solver.analyze_route`` needs these roots: it solves each
+station by factorization.  The search runs when a station's root set is
+first read (``solver.PendingRoots``), as ``transitq roots`` and the
+acceptance census do.
 """
 
 from __future__ import annotations
@@ -31,15 +36,10 @@ FULL_PASSES, FULL_STEPS = 12, 40
 
 
 class SolverError(RuntimeError):
-    """A numeric failure: no certified root set, a queue front that fails its
-    checks, or a station with no stationary regime.  Its subtype
+    """A numeric failure: no certified root set, no factorization circle that
+    passes its checks, a queue front or moments that fail theirs, or a
+    station with no stationary regime.  Its subtype
     ``solver.StationSolveError`` adds the station and the stage."""
-
-
-def inner_roots(roots: Sequence[complex]) -> np.ndarray:
-    """All roots of a set except the unit root z=1, as a complex array."""
-    arr = np.asarray(roots, dtype=complex)
-    return arr[np.abs(arr - 1.0) > 1e-9]
 
 
 def _ordered(roots: np.ndarray) -> tuple[complex, ...]:

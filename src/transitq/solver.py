@@ -1,14 +1,19 @@
-"""Analytical pipeline: alighting/boarding recursions, queue-front solve, moments.
+"""Analytical pipeline: alighting/boarding recursions, station solve, moments.
 
 Stations are processed in order; the load distribution leaving station n
 becomes the arriving-load distribution at n+1.  ``alight`` thins it
 binomially and ``board`` refills it from the queue front, both on pmf
 vectors, with no transition matrix.  Per station the available
-space S (capacity minus surviving load) and arrival count Y define a
-bulk-service queue whose steady state at vehicle arrivals is recovered from
-the C in-disk roots of the PGF denominator.  C is the route capacity: the
-root search, the queue front and the moments all get the space pmf s_0..s_C
-as the recursion built it, with no cut of its small top entries.
+space S (capacity minus surviving load) and arrival count A define a
+bulk-service queue whose steady state at vehicle arrivals is solved by a
+Wiener-Hopf factorization of 1 - J, J the PGF of A - S, read off FFT
+circles that pass an argument-principle census and a fold check
+(``factorize``); the queue front and the moments follow from it with no
+root of the PGF denominator.  The C in-disk roots the paper's closed forms
+use are still each station's ``roots``, searched for and certified only
+when read (``PendingRoots``).  C is the route capacity: the factorization
+and the root search get the space pmf s_0..s_C as the recursion built it,
+with no cut of its small top entries.
 """
 
 from __future__ import annotations
@@ -16,20 +21,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .headway import (ArrivalMoments, HeadwayModel, truncated_headway,
                       y_moments, y_pgf)
 from .model import Scenario, require_valid
-from .roots import SolverError, find_all_roots, inner_roots
+from .roots import SolverError, find_all_roots
 
 UNBOUNDED = math.inf        # sentinel for moments of an unstable station
 
 
 class StationSolveError(SolverError):
-    """Numeric failure inside analyze_route, tagged with the 1-based station
-    and the stage that failed: "roots", "front" or "moments"."""
+    """Numeric failure of one station, tagged with the 1-based station and
+    the stage that failed: "factorization", "front" or "moments" inside
+    analyze_route, or "roots" when its root set is read."""
 
     def __init__(self, station: int, message: str, stage: str):
         super().__init__(f"station {station}: {message}")
@@ -109,7 +116,7 @@ class StationMetrics:
     varq: float
     ew: float                        # NaN when no passengers arrive here
     varw: float
-    roots: tuple[complex, ...] = ()
+    roots: tuple[complex, ...] | PendingRoots = ()
     queue_front: QueueFront | None = None
     service_dist: DiscreteDist | None = None
     arrivals: ArrivalMoments | None = None
@@ -125,6 +132,56 @@ class RouteReport:
     @property
     def num_stations(self) -> int:
         return len(self.stations)
+
+
+class PendingRoots:
+    """A station's certified root set, searched for when it is first read.
+
+    It reads as the tuple ``find_all_roots`` returns: ``len``, truth,
+    indexing and slicing, iteration, ``repr``, ``==``, ``hash`` and pickling
+    each run the search the first time, and this object keeps its result.  A
+    search that fails raises ``StationSolveError`` with stage "roots",
+    naming the station, at every read.
+    """
+
+    __slots__ = ("_station", "_search", "_roots")
+
+    def __init__(self, station: int, s_probs, y_pgf_handle, rho: float):
+        self._station = station
+        self._search = (s_probs, y_pgf_handle, rho)
+        self._roots = None
+
+    def _tuple(self) -> tuple[complex, ...]:
+        if self._roots is None:
+            try:
+                self._roots = find_all_roots(*self._search)
+            except (SolverError, ArithmeticError) as exc:
+                raise StationSolveError(self._station, str(exc), "roots") from exc
+            self._search = None
+        return self._roots
+
+    def __len__(self) -> int:
+        return len(self._tuple())
+
+    def __getitem__(self, index):
+        return self._tuple()[index]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PendingRoots):
+            other = other._tuple()
+        return self._tuple() == other
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __reduce__(self):
+        return tuple, (self._tuple(),)
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +239,7 @@ def utilization(s: DiscreteDist, y: ArrivalMoments) -> tuple[float, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Queue front
-
-
-def _real_checked(value: complex, what: str, tol: float = 1e-8) -> float:
-    if abs(value.imag) > tol:
-        raise SolverError(f"{what} has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+# Queue front checks
 
 
 def normalization_gap(s, q, s_mean: float, y_mean: float) -> float:
@@ -222,90 +273,181 @@ def _front_diagnostics(raw_q: np.ndarray, s, s_mean: float, y_mean: float) -> np
     return q
 
 
-def contour_size(capacity: int) -> tuple[float, int]:
-    """(radius, points) of the FFT circle for a front of ``capacity`` entries.
+# ---------------------------------------------------------------------------
+# Station solve: Wiener-Hopf factorization of g = 1 - J
 
-    Coefficient j comes back divided by radius^j, so the radius
-    max(0.97, 10^(-1/C)) bounds that amplification by 10 at j < C.  The
-    point count is the next power of two at or above max(1024, 40/(1-r)),
-    which keeps the aliased tail, of order r^N, below e^-40.
+
+# the largest Laurent coefficient the middle quarter of a circle's FFT may
+# hold, and the most points a circle may take before the ladder gives up
+FOLD_TOL = 1e-10
+MAX_POINTS = 1 << 20
+
+
+class Factorization(NamedTuple):
+    """log E of one station, read off the circle |w| = ``radius``.
+
+    ``log_e`` holds c_n r^n, n < N/2, where log E~(w) = sum_n c_n w^n and
+    E~ = E / (1 - w/x*) (E itself when ``x_star`` is 0); ``y_vals`` is Y on
+    the upper half of the circle's N points.
     """
-    radius = max(0.97, 10.0 ** (-1.0 / capacity))
-    need = max(1024.0, 40.0 / (1.0 - radius))
-    return radius, 1 << math.ceil(math.log2(need))
+
+    x_star: float
+    radius: float
+    log_e: np.ndarray
+    y_vals: np.ndarray
 
 
-def queue_front_contour(s: DiscreteDist, roots: tuple[complex, ...], y: ArrivalMoments,
-                        y_pgf_handle) -> QueueFront:
-    """Extract q_0..q_{C-1} as power-series coefficients of the queue PGF.
+def _jump(probs: np.ndarray, y_handle, x: np.ndarray) -> np.ndarray:
+    """J(x) = Y(x) sum_u s_u x^(-u) at points with |x| >= 1, from one table of
+    powers of 1/x, which cannot overflow there."""
+    inv = np.cumprod(np.broadcast_to(1.0 / x[:, None], (len(x), len(probs) - 1)), axis=1)
+    return np.asarray(y_handle(x), dtype=complex) * (probs[0] + inv @ probs[1:])
 
-    The PGF is assembled in root-factored form
-        Q(z) = (S_mean - Y_mean)(z - 1) prod(z - z_i) / [prod(1 - z_i) Den(z)]
-    and integrated over the circle ``contour_size(C)`` inside the unit disk
-    via the FFT, with Den(z) = z^C / Y(z) - P(z); where Y(z) = 0 on the
-    circle it raises SolverError.  The root product is accumulated one root
-    at a time, and P on the circle is one real FFT of its scaled
-    coefficients, so no (points x roots) array is built and the cost stays
-    O(N C) at any capacity.  Unlike matching polynomial
-    coefficients, whose triangular solve divides by s_C, this stays accurate
-    when s_C is tiny.  Q has real coefficients and the validated inner roots
-    are closed under conjugation, so Q(conj z) = conj Q(z): the samples on
-    the lower half circle mirror the upper ones, and only the N/2 + 1 points
-    with angle in [0, pi] are evaluated and inverted by ``np.fft.hfft``.
+
+def _outer_zero(probs: np.ndarray, y_handle) -> float:
+    """x* in (1, 1 + 8/C] with J(x*) = 1, or 0 when J < 1 on all of it.
+
+    J(x) = E[x^(A - S)] is real and convex for x > 0, with J(1) = 1 and
+    J'(1) = E[A] - E[S] < 0 at a stable station, so above 1 it reaches 1 at
+    most once more; as |J(w)| <= J(|w|), that x* is the zero of g nearest
+    outside the unit circle.  Sixteen points bracket it, and Newton from the
+    bracket's right end, safeguarded by bisection and with J' from one
+    complex step, runs it to the last bits: an x* off by 3e-8 moves E[Q] by
+    5e-8 relative.  A J that overflows at a point reads as beyond x*.
+    """
+    cap = len(probs) - 1
+    grid = 1.0 + (8.0 / cap) * np.arange(1, 17) / 16.0
+    beyond = ~(_jump(probs, y_handle, grid).real < 1.0)
+    if not beyond.any():
+        return 0.0
+    k = int(np.argmax(beyond))
+    lo, hi = (grid[k - 1] if k else 1.0), grid[k]
+    x = hi
+    for _ in range(64):
+        val = _jump(probs, y_handle, np.array([complex(x, 1e-20)]))[0]
+        if val.real < 1.0:
+            lo = x
+        else:
+            hi = x
+        step = (val.real - 1.0) / (val.imag * 1e20)
+        nxt = x - step
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - x) <= 4e-16 * x or hi - lo <= 4e-16 * hi:
+            return nxt
+        x = nxt
+    return x
+
+
+def _g_on_circle(probs: np.ndarray, y_handle, radius: float, n_points: int,
+                 x_star: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, g~) at the N/2 + 1 points of angle in [0, pi] on |w| = ``radius``.
+
+    g = 1 - Y(w) sum_u s_u w^(-u), the sum one real FFT of s_u r^(-u); with
+    x* given, g~ = g / (1 - w/x*).  No Y divides anything, so a Y that
+    underflows costs nothing.
+    """
+    w = radius * np.exp(2j * np.pi / n_points * np.arange(n_points // 2 + 1))
+    y_vals = np.asarray(y_handle(w), dtype=complex)
+    g = 1.0 - y_vals * np.fft.rfft(probs * radius ** -np.arange(len(probs)), n_points)
+    if x_star:
+        g /= 1.0 - w / x_star
+    return y_vals, g
+
+
+def _phase(g: np.ndarray) -> np.ndarray:
+    """Continuous phase of g along the half circle, from its value at angle 0."""
+    return np.concatenate(([np.angle(g[0])],
+                           np.angle(g[0]) + np.cumsum(np.angle(g[1:] / g[:-1]))))
+
+
+def factorize(probs: np.ndarray, y_handle) -> Factorization:
+    """Split log g = log(1 - J) into its outer and inner parts on a checked circle.
+
+    g = f / w^C with f(w) = w^C - P(w) Y(w), so on a circle between the C
+    in-disk zeros of f and its outer ones log g has zero winding, and its
+    Laurent series is log prod(1 - z_i / w) (negative powers) plus log E
+    (the rest), with E free of zeros inside the circle (Spitzer's identity;
+    Janssen & van Leeuwaarden, Stat. Neerl. 62, 2008).  g has real
+    coefficients, so the upper half circle carries it.
+
+    With x* = ``_outer_zero`` found, g~ = g / (1 - w/x*) is used and base =
+    x*; else g and base = 1.  For a = 8, 4, 2, ... the census at
+    base (1 + a/C) must count winding 0 (its phase change over [0, pi],
+    over pi), and on base (1 + a/(2C)), sampled at the next power of two at
+    or above max(1024, 100 C / a) points N, every coefficient in the middle
+    quarter of the FFT must be at most ``FOLD_TOL``: the census alone does
+    not rule out a coefficient tail folded onto the ones kept.  Raises
+    SolverError when no circle of at most ``MAX_POINTS`` points passes.
+    """
+    cap = len(probs) - 1
+    # an overflow or a zero of g leaves a non-finite circle, which fails its check
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x_star = _outer_zero(probs, y_handle)
+        base = x_star or 1.0
+        a = 8.0
+        while True:
+            n_points = 1 << max(10, math.ceil(math.log2(100.0 * cap / a)))
+            if n_points > MAX_POINTS:
+                raise SolverError(f"no circle of up to {MAX_POINTS} points passed: {problem}")
+            census = _phase(_g_on_circle(probs, y_handle, base * (1.0 + a / cap), n_points,
+                                         x_star)[1])
+            winding = (census[-1] - census[0]) / np.pi
+            if not abs(winding) < 0.5:
+                problem = f"census at a = {a:g} counts winding {winding:.3f}, not 0"
+            else:
+                radius = base * (1.0 + a / (2.0 * cap))
+                y_vals, g = _g_on_circle(probs, y_handle, radius, n_points, x_star)
+                coef = np.fft.hfft(np.log(np.abs(g)) + 1j * _phase(g), n_points) / n_points
+                fold = np.max(np.abs(coef[3 * n_points // 8:5 * n_points // 8 + 1]))
+                if fold <= FOLD_TOL:
+                    return Factorization(x_star, radius, coef[:n_points // 2], y_vals)
+                problem = f"fold coefficient {fold:.3e} above {FOLD_TOL:g} at a = {a:g}"
+            a /= 2.0
+
+
+def _log_e_at_one(fact: Factorization) -> tuple[float, float, float]:
+    """(log E(1), (log E)'(1), (log E)''(1)), the pole at x* put back."""
+    n = np.arange(len(fact.log_e))
+    c = fact.log_e * fact.radius ** -n
+    value, slope, curve = c.sum(), n @ c, (n * (n - 1.0)) @ c
+    if fact.x_star:
+        gap = fact.x_star - 1.0
+        value += math.log1p(-1.0 / fact.x_star)
+        slope -= 1.0 / gap
+        curve -= 1.0 / gap**2
+    return value, slope, curve
+
+
+def factor_front(fact: Factorization, s: DiscreteDist, y: ArrivalMoments) -> QueueFront:
+    """q_0..q_{C-1}, the Taylor coefficients of Q(z) = Y(z) E(1) / E(z).
+
+    With x*, Q = R / (1 - z/x*) and R = Y E(1) / E~, so q_j = r_j + q_{j-1}/x*,
+    written as x*^(-j) times a prefix sum of r_k x*^k (x*^C <= e^8).  R is
+    sampled on the factorization's own circle, with log E~ there the inverse
+    FFT of the kept coefficients, and r_j comes back divided by r^j.
     """
     cap = s.top_index
-    s_mean = dist_moments(s)[0]
-    if s_mean <= y.mean:
-        raise SolverError(
-            f"mean free space {s_mean:.6g} does not exceed mean arrivals {y.mean:.6g}")
-    inner = inner_roots(roots)
-    if len(inner) != cap - 1:
-        raise ValueError(f"expected {cap - 1} non-unit roots, got {len(inner)}")
-    scale = (s_mean - y.mean) / _real_checked(np.prod(1.0 - inner), "root product normalizer")
-
-    radius, n_points = contour_size(cap)
-    theta = 2.0 * np.pi * np.arange(n_points // 2 + 1) / n_points
-    z = radius * np.exp(1j * theta)
-    # an overflow here leaves a non-finite front, which the diagnostics reject
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        num = scale * (z - 1.0)
-        for root in inner:
-            num *= z - root
-        # P(z_j) = sum_k s_{C-k} r^k e^{+2 pi i jk/N}: the conjugate of one real FFT
-        space_poly = np.fft.rfft(s.probs[::-1] * radius ** np.arange(cap + 1), n_points).conj()
-        y_vals = np.asarray(y_pgf_handle(z), dtype=complex)
-        if np.any(y_vals == 0):  # Y underflows at hundreds of arrivals a headway
-            raise SolverError("Y(z) = 0 at a denominator evaluation point")
-        # hfft(x, N) is the (real) forward FFT of the Hermitian extension of x
-        coef = np.fft.hfft(num / (z**cap / y_vals - space_poly), n_points) / n_points
-        q = coef[:cap] / radius ** np.arange(cap)
-    return QueueFront(_front_diagnostics(q, s, s_mean, y.mean))
+    n_points = 2 * len(fact.log_e)
+    log_e1 = _log_e_at_one(fact)[0]
+    # sum_n c_n w^n at the half circle's points: the conjugate of one real FFT
+    log_e = np.fft.rfft(fact.log_e, n_points).conj()
+    j = np.arange(cap)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = (np.fft.hfft(fact.y_vals * np.exp(log_e1 - log_e), n_points)[:cap] / n_points
+             * fact.radius ** -j)
+        q = r if not fact.x_star else fact.x_star ** -j * np.cumsum(r * fact.x_star ** j)
+    return QueueFront(_front_diagnostics(q, s, dist_moments(s)[0], y.mean))
 
 
-# ---------------------------------------------------------------------------
-# Closed-form moments
+def factor_moments(fact: Factorization, y: ArrivalMoments) -> tuple[float, float]:
+    """E[Q] = E[A] - (log E)'(1) and Var[Q] = Var[A] - (log E)''(1) - (log E)'(1).
 
-
-def queue_moments(s_mom: tuple[float, float, float], y: ArrivalMoments,
-                  roots: tuple[complex, ...]) -> tuple[float, float]:
-    """Mean and variance of the queue at vehicle arrival, central-moment form.
-
-    Each expression splits into a moment part and a sum over the non-unit
-    roots; conjugate pairs make the root sums real.
+    Q = L + A with L's PGF E(1) / E(z), so the riders left behind are all
+    that the factorization adds to the headway's arrivals A.
     """
-    s_mean, s_c2, s_c3 = s_mom
-    y_mean, y_c2, y_c3 = y.mean, y.central2, y.central3
-    drift = s_mean - y_mean
-    if drift <= 0:
-        return UNBOUNDED, UNBOUNDED
-    cap = len(roots)
-    inner = inner_roots(roots)
-    sum1 = _real_checked(np.sum(1.0 / (1.0 - inner)), "first root sum")
-    sum2 = _real_checked(np.sum(inner / (1.0 - inner) ** 2), "second root sum")
-    eq = (s_c2 + y_c2 + drift * (1.0 + 2.0 * (s_mean - cap)) - drift**2) / (2.0 * drift) + sum1
-    varq = (-4.0 * (s_c3 - y_c3) * drift + 3.0 * (s_c2 + y_c2) ** 2
-            - (6.0 * (s_c2 - y_c2) - 1.0) * drift**2 - drift**4) / (12.0 * drift**2) - sum2
-    return eq, varq
+    _, slope, curve = _log_e_at_one(fact)
+    return y.mean - slope, y.central2 - curve - slope
 
 
 def wait_moments(eq: float, varq: float, y: ArrivalMoments, lam: float
@@ -329,7 +471,7 @@ def _check_moments(eq: float, varq: float, varw: float, y: ArrivalMoments) -> No
     """Raise SolverError unless E[Q] >= E[A], Var[Q] >= Var[A] and Var[W] >= 0,
     to 1e-9 of each bound, as Q = L + A: the riders left behind plus the
     headway's arrivals A, which are independent of L.  Near an empty station
-    the closed forms' rounding outgrows the moments and breaks a bound."""
+    the factorization's rounding outgrows the moments and breaks a bound."""
     for name, value, bound in (("E[Q]", eq, y.mean), ("Var[Q]", varq, y.central2),
                                ("Var[W]", varw, 0.0)):
         if not value >= bound * (1.0 - 1e-9):
@@ -344,9 +486,10 @@ def _solve_station(base: StationMetrics, model: HeadwayModel) -> StationMetrics:
     """The record of one stable station, filled in from its unsolved ``base``.
 
     With no arrivals the queue is empty and the wait undefined (NaN, not
-    zero); otherwise the roots, the queue front and the checked moments are
-    solved, and a failure of any stage, arithmetic ones included, is raised
-    tagged with the station and stage.
+    zero); otherwise the factorization, the queue front and the checked
+    moments are solved, and a failure of any stage, arithmetic ones
+    included, is raised tagged with the station and stage.  The root set is
+    left pending, searched for only when it is read.
     """
     n, s, y, lam = base.station, base.service_dist, base.arrivals, base.arrival_rate
     if lam == 0.0:
@@ -354,19 +497,20 @@ def _solve_station(base: StationMetrics, model: HeadwayModel) -> StationMetrics:
                        queue_front=QueueFront(np.r_[1.0, np.zeros(s.top_index - 1)]))
 
     y_handle = partial(y_pgf, lam=lam, model=model)
-    stage = "roots"
+    stage = "factorization"
     try:
-        roots = find_all_roots(s.probs, y_handle, base.rho)
+        fact = factorize(s.probs, y_handle)
         stage = "front"
-        front = queue_front_contour(s, roots, y, y_handle)
+        front = factor_front(fact, s, y)
         stage = "moments"
-        eq, varq = queue_moments(dist_moments(s), y, roots)
+        eq, varq = factor_moments(fact, y)
         ew, varw = wait_moments(eq, varq, y, lam)
         _check_moments(eq, varq, varw, y)
     except (SolverError, ArithmeticError) as exc:
         raise StationSolveError(n, str(exc), stage) from exc
 
-    return replace(base, eq=eq, varq=varq, ew=ew, varw=varw, roots=roots, queue_front=front)
+    return replace(base, eq=eq, varq=varq, ew=ew, varw=varw, queue_front=front,
+                   roots=PendingRoots(n, s.probs, y_handle, base.rho))
 
 
 def analyze_route(scenario: Scenario) -> RouteReport:
@@ -374,8 +518,9 @@ def analyze_route(scenario: Scenario) -> RouteReport:
 
     Every station starts from the record of an unstable one: unbounded
     moments, an all-zero queue front, and a vehicle that departs full.
-    Stable stations then get roots, queue front, and queue/wait moments;
-    those with no arrivals get an empty queue and NaN wait moments.
+    Stable stations then get their queue front, queue/wait moments and a
+    pending root set; those with no arrivals get an empty queue, NaN wait
+    moments and no root set.
     """
     require_valid(scenario)
     route = scenario.route

@@ -15,10 +15,9 @@ import numpy as np
 
 from transitq.headway import ArrivalMoments, HeadwayModel, y_pgf
 from transitq.model import Scenario, adjusted_headway, travel_time_to
-from transitq.roots import SolverError, inner_roots
+from transitq.roots import SolverError
 from transitq.solver import (UNBOUNDED, DiscreteDist, QueueFront,
-                             _front_diagnostics, _real_checked, contour_size,
-                             dist_moments)
+                             _front_diagnostics, dist_moments)
 
 TWO_PI = 2.0 * math.pi
 
@@ -278,6 +277,100 @@ def fixed_capacity_front(capacity: int, lam: float, model: HeadwayModel) -> np.n
     for zi in np.r_[1.0 + 0.0j, inner]:
         eta = np.convolve(eta, [1.0, -1.0 / zi])
     return (q0 * eta[:capacity]).real
+
+
+def inner_roots(roots) -> np.ndarray:
+    """All roots of a set except the unit root z=1, as a complex array."""
+    arr = np.asarray(roots, dtype=complex)
+    return arr[np.abs(arr - 1.0) > 1e-9]
+
+
+def _real_checked(value: complex, what: str, tol: float = 1e-8) -> float:
+    if abs(value.imag) > tol:
+        raise SolverError(f"{what} has imaginary residue {value.imag:.3e}")
+    return float(value.real)
+
+
+def contour_size(capacity: int) -> tuple[float, int]:
+    """(radius, points) of the FFT circle for a front of ``capacity`` entries.
+
+    Coefficient j comes back divided by radius^j, so the radius
+    max(0.97, 10^(-1/C)) bounds that amplification by 10 at j < C.  The
+    point count is the next power of two at or above max(1024, 40/(1-r)),
+    which keeps the aliased tail, of order r^N, below e^-40.
+    """
+    radius = max(0.97, 10.0 ** (-1.0 / capacity))
+    need = max(1024.0, 40.0 / (1.0 - radius))
+    return radius, 1 << math.ceil(math.log2(need))
+
+
+def queue_front_contour(s: DiscreteDist, roots: tuple[complex, ...], y: ArrivalMoments,
+                        y_pgf_handle) -> QueueFront:
+    """Extract q_0..q_{C-1} as power-series coefficients of the queue PGF.
+
+    The PGF is assembled in root-factored form
+        Q(z) = (S_mean - Y_mean)(z - 1) prod(z - z_i) / [prod(1 - z_i) Den(z)]
+    and integrated over the circle ``contour_size(C)`` inside the unit disk
+    via the FFT, with Den(z) = z^C / Y(z) - P(z); where Y(z) = 0 on the
+    circle it raises SolverError.  The root product is accumulated one root
+    at a time, and P on the circle is one real FFT of its scaled
+    coefficients, so no (points x roots) array is built and the cost stays
+    O(N C) at any capacity.  Unlike matching polynomial
+    coefficients, whose triangular solve divides by s_C, this stays accurate
+    when s_C is tiny.  Q has real coefficients and the validated inner roots
+    are closed under conjugation, so Q(conj z) = conj Q(z): the samples on
+    the lower half circle mirror the upper ones, and only the N/2 + 1 points
+    with angle in [0, pi] are evaluated and inverted by ``np.fft.hfft``.
+    """
+    cap = s.top_index
+    s_mean = dist_moments(s)[0]
+    if s_mean <= y.mean:
+        raise SolverError(
+            f"mean free space {s_mean:.6g} does not exceed mean arrivals {y.mean:.6g}")
+    inner = inner_roots(roots)
+    if len(inner) != cap - 1:
+        raise ValueError(f"expected {cap - 1} non-unit roots, got {len(inner)}")
+    scale = (s_mean - y.mean) / _real_checked(np.prod(1.0 - inner), "root product normalizer")
+
+    radius, n_points = contour_size(cap)
+    theta = 2.0 * np.pi * np.arange(n_points // 2 + 1) / n_points
+    z = radius * np.exp(1j * theta)
+    # an overflow here leaves a non-finite front, which the diagnostics reject
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        num = scale * (z - 1.0)
+        for root in inner:
+            num *= z - root
+        # P(z_j) = sum_k s_{C-k} r^k e^{+2 pi i jk/N}: the conjugate of one real FFT
+        space_poly = np.fft.rfft(s.probs[::-1] * radius ** np.arange(cap + 1), n_points).conj()
+        y_vals = np.asarray(y_pgf_handle(z), dtype=complex)
+        if np.any(y_vals == 0):  # Y underflows at hundreds of arrivals a headway
+            raise SolverError("Y(z) = 0 at a denominator evaluation point")
+        # hfft(x, N) is the (real) forward FFT of the Hermitian extension of x
+        coef = np.fft.hfft(num / (z**cap / y_vals - space_poly), n_points) / n_points
+        q = coef[:cap] / radius ** np.arange(cap)
+    return QueueFront(_front_diagnostics(q, s, s_mean, y.mean))
+
+
+def queue_moments(s_mom: tuple[float, float, float], y: ArrivalMoments,
+                  roots: tuple[complex, ...]) -> tuple[float, float]:
+    """Mean and variance of the queue at vehicle arrival, central-moment form.
+
+    Each expression splits into a moment part and a sum over the non-unit
+    roots; conjugate pairs make the root sums real.
+    """
+    s_mean, s_c2, s_c3 = s_mom
+    y_mean, y_c2, y_c3 = y.mean, y.central2, y.central3
+    drift = s_mean - y_mean
+    if drift <= 0:
+        return UNBOUNDED, UNBOUNDED
+    cap = len(roots)
+    inner = inner_roots(roots)
+    sum1 = _real_checked(np.sum(1.0 / (1.0 - inner)), "first root sum")
+    sum2 = _real_checked(np.sum(inner / (1.0 - inner) ** 2), "second root sum")
+    eq = (s_c2 + y_c2 + drift * (1.0 + 2.0 * (s_mean - cap)) - drift**2) / (2.0 * drift) + sum1
+    varq = (-4.0 * (s_c3 - y_c3) * drift + 3.0 * (s_c2 + y_c2) ** 2
+            - (6.0 * (s_c2 - y_c2) - 1.0) * drift**2 - drift**4) / (12.0 * drift**2) - sum2
+    return eq, varq
 
 
 def full_circle_front(s, roots, y, y_pgf_handle) -> np.ndarray:

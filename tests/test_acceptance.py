@@ -23,7 +23,7 @@ from transitq.model import adjusted_headway, travel_time_to
 from transitq.roots import find_all_roots
 from transitq.simulator import SimConfig, compare, run_simulation
 from oracles import queue_front
-from transitq.solver import SolverError, point_mass, queue_front_contour
+from transitq.solver import factor_front, factorize, point_mass
 
 GRID_CAPACITY = (30, 34, 38)
 GRID_GAMMA = (0.0, 0.1, 0.2, 1.0 / 3.0)
@@ -209,11 +209,7 @@ def test_criterion_5_degenerate_closed_forms(capsys, reference):
     for cap, lam, hw in fixed_cases:
         s = point_mass(cap, cap)
         ym = y_moments(lam, hw)
-        rs = find_all_roots(s.probs, lambda z: y_pgf(z, lam, hw), ym.mean / cap)
-        try:
-            front = queue_front(s, rs, ym)
-        except SolverError:
-            front = queue_front_contour(s, rs, ym, lambda z: y_pgf(z, lam, hw))
+        front = factor_front(factorize(s.probs, lambda z: y_pgf(z, lam, hw)), s, ym)
         gap = float(np.max(np.abs(front.q - oracles.fixed_capacity_front(cap, lam, hw))))
         worst_fixed = max(worst_fixed, gap)
     ok_fixed = worst_fixed < 1e-9

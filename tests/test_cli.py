@@ -225,17 +225,22 @@ def test_roots_dump(tmp_path):
 
 
 def test_roots_serves_stored_root_set(tmp_path, monkeypatch):
-    # the dump is the root set analyze_route stored; no second search runs
+    # the dump is the station's pending root set, searched for once when the
+    # command reads it; no other station's set is searched for
     first = tmp_path / "first.csv"
     assert main(["roots", "--station", "4", "--out", str(first)]) == EXIT_OK
+    calls = []
+    search = solver.find_all_roots
 
-    def no_search(*args, **kwargs):
-        raise AssertionError("the roots command searched for roots again")
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
 
-    monkeypatch.setattr(rootsmod, "find_all_roots", no_search)
+    monkeypatch.setattr(solver, "find_all_roots", counted)
     second = tmp_path / "second.csv"
     assert main(["roots", "--station", "4", "--out", str(second)]) == EXIT_OK
     assert second.read_text() == first.read_text()
+    assert len(calls) == 1
 
 
 def test_roots_residual_column_is_the_certificates(tmp_path):
@@ -298,7 +303,22 @@ def test_roots_station_without_arrivals_it_cannot_certify(tmp_path, capsys):
     assert sm.stable and sm.arrival_rate == 0.0
     assert main(["roots", "--config", str(path), "--station", "2"]) == EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert err.count("error:") == 1 and err.startswith("error: ")
+    assert err.count("error:") == 1 and err.startswith("error: station 2: ")
+
+
+def test_roots_where_the_root_set_does_not_certify(tmp_path, capsys):
+    # fuzz-corpus draw 27: its station 4 (C = 34) is solved and reported, but
+    # the root search finds 33 of its 34 roots; the dump ends in exit 3 and
+    # one error line naming the station, not in a traceback
+    import test_fuzz
+    sc = test_fuzz.corpus()[27]
+    path = tmp_path / "draw27.json"
+    model.save_scenario(sc, path)
+    assert main(["analyze", "--config", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["roots", "--config", str(path), "--station", "4"]) == EXIT_NUMERIC
+    err = _assert_one_error_line(capsys)
+    assert err.startswith("error: station 4: root set validation failed")
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +550,16 @@ def test_sweep_out_under_a_file_is_an_input_error(tmp_path, capsys):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers inherit the patched root finder only when forked")
 def test_parallel_sweep_reports_station_failure_like_serial(tmp_path, monkeypatch, capsys):
-    def failing_search(probs, y_handle, rho):
-        raise rootsmod.SolverError("expected 34 roots, have 33")
+    def failing_solve(probs, y_handle):
+        raise rootsmod.SolverError("no circle passed: census counts winding 1.000, not 0")
 
-    monkeypatch.setattr(solver, "find_all_roots", failing_search)
+    monkeypatch.setattr(solver, "factorize", failing_solve)
     errors = []
     for jobs in ("1", "2"):
         assert main(["sweep", "--param", "demand_factor", "--values", "0.6,0.8",
                      "--out", str(tmp_path / f"jobs{jobs}"), "--jobs", jobs]) == EXIT_NUMERIC
         errors.append(_assert_one_error_line(capsys))
-    assert "station 1: expected 34 roots" in errors[0]
+    assert "station 1: no circle passed" in errors[0]
     assert errors[1] == errors[0]
 
 

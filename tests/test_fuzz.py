@@ -2,10 +2,13 @@
 
 The corpus is drawn once from ``numpy.random.default_rng(3)``: 400 routes of
 1-7 stations with the capacity, demand, alighting, headway and incident
-ranges below.  Every draw must end in a report (whose root set, |Den|
-residual and queue front passed their checks) or in a ``StationSolveError``
-that names one of the route's stations.  The number of draws that give a
-report may not fall below the count recorded when the corpus was committed.
+ranges below.  Every draw must end in a report (whose factorization passed
+its census and fold check at every station, and whose queue fronts and
+moments passed theirs) or in a ``StationSolveError`` that names one of the
+route's stations.  A report no longer carries a searched root set, so the
+root sets are read as well: a draw counts as root-certified when the set of
+every station with arrivals certifies (count, |J - 1| and |Den| residuals)
+or names its station in the error.  Neither count may fall below its floor.
 """
 
 import numpy as np
@@ -19,11 +22,14 @@ ALPHAS = (0.0, 5e-324, 2.2e-308, 1e-6, 0.05, 0.2, 0.5, 0.9, 1.0)
 HEADWAYS = (0.5, 1.0, 2.0, 4.0, 6.0, 10.0, 20.0)
 GAMMAS = (0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 
-# draws of the corpus that gave a report when it was committed.  The floor is
-# knife-edge: draws 177 and 372 (both C = 250) certify with a largest
-# |J - 1| of 9.7e-9 and 9.6e-9, within 4% of the 1e-8 gate, so a change at
-# rounding level anywhere upstream of the root search can move this count.
-CERTIFIED = 363
+# draws that give a report, as measured when the factorization became the
+# station solve; and draws whose every root set certifies when read, as the
+# root path counted its reports before.  The second floor is knife-edge:
+# draws 177 and 372 (both C = 250) certify with a largest |J - 1| of 9.7e-9
+# and 9.6e-9, within 4% of the 1e-8 gate, so a change at rounding level
+# anywhere upstream of the root search can move this count.
+CERTIFIED = 400
+ROOTS_CERTIFIED = 363
 
 
 def corpus() -> list[model.Scenario]:
@@ -44,18 +50,33 @@ def corpus() -> list[model.Scenario]:
     return out
 
 
+def _station_error(sc, exc, stage=None):
+    assert 1 <= exc.station <= sc.route.num_stations, (sc.label, str(exc))
+    assert str(exc).startswith(f"station {exc.station}: "), (sc.label, str(exc))
+    assert stage is None or exc.stage == stage, (sc.label, exc.stage)
+
+
 def test_corpus_ends_in_a_report_or_a_station_error(record_testsuite_property):
-    certified = 0
+    certified = roots_certified = 0
     for sc in corpus():
         try:
             rep = solver.analyze_route(sc)
         except solver.StationSolveError as exc:
-            assert 1 <= exc.station <= sc.route.num_stations, (sc.label, str(exc))
-            assert str(exc).startswith(f"station {exc.station}: "), (sc.label, str(exc))
+            _station_error(sc, exc)
             continue
         assert rep.num_stations == sc.route.num_stations
         certified += 1
-    # the JUnit XML carries the count, so a CI summary can show it and not
-    # only whether it reached the floor
-    record_testsuite_property("fuzz_certified", f"{certified} of {DRAWS} (floor {CERTIFIED})")
+        try:
+            for sm in rep.stations:
+                len(sm.roots)
+        except solver.StationSolveError as exc:
+            _station_error(sc, exc, "roots")
+            continue
+        roots_certified += 1
+    # the JUnit XML carries the counts, so a CI summary can show them and
+    # not only whether they reached their floors
+    record_testsuite_property(
+        "fuzz_certified", f"{certified} of {DRAWS} reports (floor {CERTIFIED}); "
+        f"{roots_certified} of {DRAWS} root sets (floor {ROOTS_CERTIFIED})")
     assert certified >= CERTIFIED
+    assert roots_certified >= ROOTS_CERTIFIED

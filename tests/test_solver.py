@@ -4,6 +4,7 @@ import math
 import pickle
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,15 +21,13 @@ from transitq.solver import (
     QueueFront,
     SolverError,
     StationSolveError,
+    PendingRoots,
     alight,
     analyze_route,
     board,
-    contour_size,
     dist_moments,
     normalization_gap,
     point_mass,
-    queue_front_contour,
-    queue_moments,
     utilization,
     wait_moments,
 )
@@ -244,28 +243,30 @@ def test_queue_front_contour_agrees_with_direct():
     ym = headway.y_moments(lam, hm)
     rs = find_all_roots(s.probs, lambda z: headway.y_pgf(z, lam, hm), ym.mean / C)
     direct = oracles.queue_front(s, rs, ym)
-    contour = queue_front_contour(s, rs, ym, lambda z: headway.y_pgf(z, lam, hm))
+    contour = oracles.queue_front_contour(s, rs, ym, lambda z: headway.y_pgf(z, lam, hm))
     assert np.max(np.abs(direct.q - contour.q)) < 1e-10
 
 
 def test_queue_front_direct_falls_back_at_full_capacity(reference_report):
     # at C = 34 the 34-factor numerator product accumulates enough imaginary
-    # residue to trip the direct route's gate at every station; production
-    # then serves the contour result, byte-identical to the stored front
+    # residue to trip the direct route's gate at every station; the
+    # root-factored contour front then serves as the reference, and the
+    # factorization's front agrees with it to rounding
     sm = reference_report.stations[3]
     hm = reference_report.headway[3]
     with pytest.raises(SolverError, match="imaginary residue"):
         oracles.queue_front(sm.service_dist, sm.roots, sm.arrivals)
-    contour = queue_front_contour(
+    contour = oracles.queue_front_contour(
         sm.service_dist, sm.roots, sm.arrivals,
         lambda z: headway.y_pgf(z, sm.arrival_rate, hm))
-    assert np.max(np.abs(contour.q - sm.queue_front.q)) == 0.0
+    assert np.max(np.abs(contour.q - sm.queue_front.q)) < 1e-14
 
 
 @pytest.mark.parametrize("capacity", [34, 300])
 def test_half_circle_front_matches_full_circle(reference, capacity):
-    # production evaluates the upper half circle and relies on conjugate
-    # symmetry; the oracle samples and inverts the whole circle
+    # the factorization evaluates the upper half circle and relies on
+    # conjugate symmetry; the oracle samples and inverts the whole circle of
+    # the root-factored queue PGF
     rep = analyze_route(model.expand_grid(reference, "capacity", [capacity])[0])
     checked = 0
     for sm, hm in zip(rep.stations, rep.headway):
@@ -293,7 +294,7 @@ def test_queue_front_rejects_unstable_load(reference_report):
     hm = reference_report.headway[0]
     heavy = headway.ArrivalMoments(mean=40.0, central2=40.0, central3=40.0)
     with pytest.raises(SolverError, match="does not exceed mean arrivals"):
-        queue_front_contour(sm.service_dist, sm.roots, heavy,
+        oracles.queue_front_contour(sm.service_dist, sm.roots, heavy,
                             lambda z: headway.y_pgf(z, sm.arrival_rate, hm))
 
 
@@ -301,7 +302,7 @@ def test_queue_front_requires_full_root_set(reference_report):
     sm = reference_report.stations[0]
     hm = reference_report.headway[0]
     with pytest.raises(ValueError, match="non-unit roots"):
-        queue_front_contour(sm.service_dist, sm.roots[:5], sm.arrivals,
+        oracles.queue_front_contour(sm.service_dist, sm.roots[:5], sm.arrivals,
                             lambda z: headway.y_pgf(z, sm.arrival_rate, hm))
 
 
@@ -317,7 +318,7 @@ def test_normalization_gap_is_tiny(reference_report):
 
 def test_contour_size_bounds_amplification_and_aliasing():
     for cap in (1, 6, 34, 75, 76, 100, 300, 1000):
-        radius, points = contour_size(cap)
+        radius, points = oracles.contour_size(cap)
         assert radius ** -cap <= 10.0 * (1.0 + 1e-12)
         assert points >= 1024 and points & (points - 1) == 0
         assert points * (1.0 - radius) >= 40.0
@@ -395,6 +396,7 @@ def test_markov_chain_grows_past_its_tail_at_heavy_load():
 
 
 def test_queue_moment_forms_cross_validate(reference_report):
+    # the root sums in two transcriptions, and the factorization against them
     for sm in reference_report.stations:
         if not sm.roots:
             continue
@@ -404,10 +406,13 @@ def test_queue_moment_forms_cross_validate(reference_report):
         m = sm.arrivals.mean
         y_raw2 = sm.arrivals.central2 + m * m
         y_raw3 = sm.arrivals.central3 + 3.0 * m * y_raw2 - 2.0 * m**3
-        eq_a, varq_a = queue_moments(dist_moments(sm.service_dist), sm.arrivals, sm.roots)
+        eq_a, varq_a = oracles.queue_moments(dist_moments(sm.service_dist), sm.arrivals,
+                                             sm.roots)
         eq_b, varq_b = oracles.queue_moments_raw(s_raw, (m, y_raw2, y_raw3), sm.roots)
         assert eq_a == pytest.approx(eq_b, rel=1e-8)
         assert varq_a == pytest.approx(varq_b, rel=1e-7)
+        assert sm.eq == pytest.approx(eq_a, rel=1e-12)
+        assert sm.varq == pytest.approx(varq_a, rel=1e-12)
 
 
 def test_wait_moments_requires_arrivals():
@@ -469,26 +474,27 @@ def test_analyze_route_rejects_invalid():
         analyze_route(sc)
 
 
+def _boom(*args, **kwargs):
+    raise SolverError("forced failure")
+
+
 def test_station_solve_error_carries_station(monkeypatch):
-    def boom(*args, **kwargs):
-        raise SolverError("forced failure")
+    # a root search that fails surfaces where the root set is read, naming
+    # the station whose set it is
+    monkeypatch.setattr(solver, "find_all_roots", _boom)
+    rep = analyze_route(model.reference_scenario())
+    for sm in rep.stations[:9]:
+        with pytest.raises(StationSolveError, match=f"station {sm.station}: forced failure") as err:
+            len(sm.roots)
+        assert (err.value.station, err.value.stage) == (sm.station, "roots")
+        assert isinstance(err.value, SolverError)
 
-    monkeypatch.setattr(solver, "find_all_roots", boom)
-    with pytest.raises(StationSolveError, match="station 1: forced failure") as err:
-        analyze_route(model.reference_scenario())
-    assert (err.value.station, err.value.stage) == (1, "roots")
-    assert isinstance(err.value, SolverError)
 
-
-@pytest.mark.parametrize("stage, target", [("front", "queue_front_contour"),
-                                           ("moments", "queue_moments")])
+@pytest.mark.parametrize("stage, target", [("factorization", "factorize"),
+                                           ("front", "factor_front"),
+                                           ("moments", "factor_moments")])
 def test_station_solve_error_names_the_stage(stage, target, monkeypatch):
-    # a front check that fails inside queue_moments (an imaginary residue in
-    # a root sum) is tagged like a failure of the roots or the front
-    def boom(*args, **kwargs):
-        raise SolverError("forced failure")
-
-    monkeypatch.setattr(solver, target, boom)
+    monkeypatch.setattr(solver, target, _boom)
     with pytest.raises(StationSolveError, match="station 1: forced failure") as err:
         analyze_route(model.reference_scenario())
     assert (err.value.station, err.value.stage) == (1, stage)
@@ -496,19 +502,88 @@ def test_station_solve_error_names_the_stage(stage, target, monkeypatch):
 
 def test_station_solve_error_on_den_residual(monkeypatch):
     # every attempt's roots land a relative 1e-7 inside Den's true zeros, so
-    # no attempt may certify them: the station fails before its queue front
-    # is solved, naming the |Den| gate
+    # no attempt may certify them: the report is whole, and reading the
+    # station's root set names the |Den| gate
     polish = rootsmod.newton_polish
 
     def off_root(z, probs, y_pgf_handle, steps, known=()):
         return polish(z, probs, y_pgf_handle, steps, known) * (1.0 - 1e-7)
 
     monkeypatch.setattr(rootsmod, "newton_polish", off_root)
+    rep = analyze_route(model.reference_scenario())
     with pytest.raises(StationSolveError,
                        match=r"max \|Den\(root\)\| = \S+ exceeds 1e-8") as err:
-        analyze_route(model.reference_scenario())
+        rep.stations[0].roots[0]
     assert str(err.value).startswith("station 1: ")
-    assert err.value.station == 1
+    assert (err.value.station, err.value.stage) == (1, "roots")
+
+
+def test_root_search_runs_only_when_the_roots_are_read(monkeypatch):
+    # no stage of analyze_route needs the roots: with the search failing,
+    # both presets still report every station's moments and front
+    monkeypatch.setattr(rootsmod, "find_all_roots", _boom)
+    monkeypatch.setattr(solver, "find_all_roots", _boom)
+    for name in model.PRESETS:
+        rep = analyze_route(model.preset(name))
+        for sm in rep.stations:
+            assert sm.stable and math.isfinite(sm.eq) and math.isfinite(sm.varq)
+            assert len(sm.queue_front.q) == sm.service_dist.top_index
+
+
+def _counted_search(monkeypatch):
+    calls = []
+    search = solver.find_all_roots
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(solver, "find_all_roots", counted)
+    return calls
+
+
+def test_reading_the_roots_searches_once_per_station(monkeypatch):
+    calls = _counted_search(monkeypatch)
+    rep = analyze_route(model.reference_scenario())
+    assert calls == []
+    for n, (sm, hm) in enumerate(zip(rep.stations, rep.headway), start=1):
+        if sm.arrival_rate == 0.0:
+            assert sm.roots == ()  # no arrivals, no root set
+            continue
+        first = tuple(sm.roots)
+        assert len(sm.roots) == len(first) == 34 and sm.roots == first
+        assert len(calls) == n
+        want = rootsmod.find_all_roots(
+            sm.service_dist.probs, partial(headway.y_pgf, lam=sm.arrival_rate, model=hm),
+            sm.rho)
+        assert first == want
+
+
+@pytest.mark.parametrize("read", [
+    len, bool, list, repr, hash, lambda r: r[3], lambda r: r[1:4], lambda r: r[-1],
+    lambda r: r == tuple(r), lambda r: pickle.loads(pickle.dumps(r))],
+    ids=["len", "bool", "iter", "repr", "hash", "index", "slice", "last", "eq", "pickle"])
+def test_pending_roots_read_as_the_certified_tuple(read, reference_report, monkeypatch):
+    sm, hm = reference_report.stations[3], reference_report.headway[3]
+    certified = tuple(sm.roots)
+    calls = _counted_search(monkeypatch)
+    pending = PendingRoots(sm.station, sm.service_dist.probs,
+                           partial(headway.y_pgf, lam=sm.arrival_rate, model=hm), sm.rho)
+    assert calls == []
+    assert read(pending) == read(certified)
+    assert len(calls) == 1
+    assert read(pending) == read(certified) and pending == certified
+    assert len(calls) == 1
+    assert type(pickle.loads(pickle.dumps(pending))) is tuple
+
+
+def test_replaced_roots_are_kept_as_given(reference_report):
+    # perfbench's self-test builds a wrong input this way
+    sm = reference_report.stations[3]
+    short = dataclasses.replace(sm, roots=sm.roots[:-1])
+    assert type(short.roots) is tuple and len(short.roots) == 33
+    assert short.roots == tuple(sm.roots)[:-1]
+    assert dataclasses.replace(sm, eq=0.0).roots == sm.roots
 
 
 def _line(rates, alphas, capacity, headway_min):
@@ -519,47 +594,61 @@ def _line(rates, alphas, capacity, headway_min):
     return model.Scenario(route=route, incidents=model.IncidentParams(0.0, 1.0))
 
 
-def test_station_solve_error_on_non_finite_front():
-    # at C = 500 and 360 arrivals a headway, z^C / Y(z) overflows on the
-    # contour circle and every front entry comes out NaN; the diagnostics
-    # must stop the station instead of passing the NaNs downstream
-    with pytest.raises(StationSolveError, match="not finite") as err:
-        analyze_route(_line((60.0, 1.0), (1.0, 0.5), 500, 6.0))
-    assert err.value.station == 1
+def test_hundreds_of_arrivals_a_headway_at_capacity_500():
+    # z^C / Y(z) overflowed on the root path's contour circle here, and every
+    # front entry came out NaN; the factorization divides by no Y.  With no
+    # incidents the headway is exactly H, so E[Q] = lam H at station 1 and,
+    # behind a vehicle that fills there, at station 2
+    rep = analyze_route(_line((60.0, 1.0), (1.0, 0.5), 500, 6.0))
+    assert [sm.eq for sm in rep.stations] == pytest.approx([360.0, 6.0], rel=1e-12)
+    assert [sm.varq for sm in rep.stations] == pytest.approx([360.0, 6.0], rel=1e-12)
 
 
-def test_station_solve_error_on_zero_pgf_on_the_contour():
-    # Y underflows to zero on the contour circle: the front's error reaches
-    # the caller tagged with the station, like every other solver failure
-    with pytest.raises(StationSolveError, match=r"station 1: Y\(z\) = 0") as err:
-        analyze_route(_line((40.0,), (1.0,), 500, 10.0))
-    assert err.value.station == 1
+def test_underflowing_arrival_pgf_matches_the_markov_chain():
+    # Y(z) underflowed to zero on the root path's contour circle here, which
+    # the front could not divide by; the factorization multiplies by Y only
+    rep = analyze_route(_line((40.0,), (1.0,), 500, 10.0))
+    sm, hm = rep.stations[0], rep.headway[0]
+    pi = oracles.markov_queue_stationary(sm.service_dist.probs, sm.arrival_rate, hm,
+                                         truncate_at=1500)
+    assert oracles.markov_tail(pi) < oracles.MARKOV_TAIL
+    mean, var = oracles.pmf_mean_var(pi)
+    assert sm.eq == pytest.approx(mean, rel=1e-12) and sm.eq == pytest.approx(400.000003)
+    assert sm.varq == pytest.approx(var, rel=1e-9)
+    assert np.max(np.abs(pi[:500] - sm.queue_front.q)) < 1e-13
 
 
 @pytest.mark.parametrize("capacity", [20, 34])
 def test_full_vehicles_at_station_2_end_in_a_report_or_a_typed_error(capacity):
     # station 1 is overloaded, so vehicles reach station 2 full and leave half
-    # of their riders there; at C = 34 the root search finds 21 of station
-    # 2's 34 roots (ROADMAP item 1), at C = 20 the line gives a report
+    # of their riders there; the root search finds 21 of station 2's 34
+    # roots at C = 34, but the solve needs none of them
     line = dataclasses.replace(_line((20.0, 1e-3), (1.0, 0.5), capacity, 6.0),
                                incidents=model.IncidentParams(1.0, 0.496))
-    try:
-        rep = analyze_route(line)
-    except StationSolveError as exc:
-        assert exc.station == 2, exc
-        return
+    rep = analyze_route(line)
     assert not rep.stations[0].stable
-    assert rep.stations[1].stable and math.isfinite(rep.stations[1].eq)
+    sm, hm = rep.stations[1], rep.headway[1]
+    assert sm.stable
+    pi = oracles.markov_queue_stationary(sm.service_dist.probs, sm.arrival_rate, hm)
+    mean, var = oracles.pmf_mean_var(pi)
+    assert sm.eq == pytest.approx(mean, rel=1e-12)
+    assert sm.varq == pytest.approx(var, rel=1e-12)
+    assert np.max(np.abs(pi[:capacity] - sm.queue_front.q)) < 1e-15
+    if capacity == 34:
+        assert sm.eq == pytest.approx(0.01036693339, abs=5e-12)
+        with pytest.raises(StationSolveError, match="expected 34 roots, have 21") as err:
+            len(sm.roots)
+        assert (err.value.station, err.value.stage) == (2, "roots")
 
 
 # A two-station line whose station 2 sees about lam * H = lam / 2 arrivals a
-# headway.  The closed forms round at the scale of C while the true moments
-# shrink with lam, so below about lam = 1e-12 they are noise.  Unchecked,
-# they read Var[W] = -7.1e8 at 1e-12 and E[W] = -0.5 (true 0.25) at 1e-18,
-# and the wait raised a raw ZeroDivisionError once (lam / 2)^2 underflowed.
+# headway.  The moments round at the scale of C while the true ones shrink
+# with lam, so below about lam = 1e-9 they are noise.  Unchecked, they read
+# Var[W] = -4.2e7 at 1e-12 and -9.8e17 at 1e-18, and the wait raised a raw
+# ZeroDivisionError once (lam / 2)^2 underflowed.
 @pytest.mark.parametrize("lam, message", [
-    (1e-12, r"Var\[Q\] = \S+ below its bound"),
-    (1e-18, r"E\[Q\] = 0 below its bound"),
+    (1e-12, r"Var\[W\] = \S+ below its bound"),
+    (1e-18, r"Var\[W\] = \S+ below its bound"),
     (1e-200, "float division by zero")])
 def test_near_empty_station_ends_in_a_moments_error(lam, message):
     with pytest.raises(StationSolveError, match="station 2: " + message) as err:
