@@ -385,7 +385,7 @@ def factorize(probs: np.ndarray, y_handle) -> Factorization:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x_star = _outer_zero(probs, y_handle)
         base = x_star or 1.0
-        a = 8.0
+        a, problem = 8.0, "the first circle alone needs more"
         while True:
             n_points = 1 << max(10, math.ceil(math.log2(100.0 * cap / a)))
             if n_points > MAX_POINTS:

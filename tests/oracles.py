@@ -279,6 +279,11 @@ def fixed_capacity_front(capacity: int, lam: float, model: HeadwayModel) -> np.n
     return (q0 * eta[:capacity]).real
 
 
+# ---------------------------------------------------------------------------
+# The root path: the queue front and moments from the certified root set,
+# the paper's closed forms and the production solve before the factorization
+
+
 def inner_roots(roots) -> np.ndarray:
     """All roots of a set except the unit root z=1, as a complex array."""
     arr = np.asarray(roots, dtype=complex)
@@ -376,7 +381,7 @@ def queue_moments(s_mom: tuple[float, float, float], y: ArrivalMoments,
 def full_circle_front(s, roots, y, y_pgf_handle) -> np.ndarray:
     """Raw q_0..q_{C-1} from the queue PGF sampled on the whole contour circle.
 
-    The same root-factored Q(z) and circle as ``solver.queue_front_contour``,
+    The same root-factored Q(z) and circle as ``queue_front_contour``,
     but every one of the N points is evaluated and inverted by a full complex
     FFT, so nothing rests on the conjugate symmetry of the samples.
     """
@@ -399,9 +404,9 @@ def queue_front(s: DiscreteDist, roots: tuple[complex, ...], y: ArrivalMoments) 
     follow from the triangular Toeplitz system with the coefficients of
     prod_i (1 - z/z_i).  Exact while s_C is healthy; for tiny s_C the
     triangle is ill-conditioned (error grows like eps/s_C), so a numerically
-    zero s_C raises ValueError.  Production reads the front off the contour
-    (``solver.queue_front_contour``); this is the independent reference, and
-    it runs the same diagnostics, so a front that fails them raises
+    zero s_C raises ValueError.  ``queue_front_contour`` reads the same
+    front off the contour; this is the independent reference, and it runs
+    the production diagnostics, so a front that fails them raises
     ``SolverError``.
     """
     probs = s.probs
@@ -436,7 +441,7 @@ def queue_front(s: DiscreteDist, roots: tuple[complex, ...], y: ArrivalMoments) 
 
 def queue_moments_raw(s_raw: tuple[float, float, float], y_raw: tuple[float, float, float],
                       roots: tuple[complex, ...]) -> tuple[float, float]:
-    """``solver.queue_moments`` written in raw (non-central) moments.
+    """``queue_moments`` written in raw (non-central) moments.
 
     Algebraically identical to the production form; kept as an independent
     transcription so a typo in either version shows up as a disagreement.

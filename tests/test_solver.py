@@ -500,6 +500,16 @@ def test_station_solve_error_names_the_stage(stage, target, monkeypatch):
     assert (err.value.station, err.value.stage) == (1, stage)
 
 
+def test_factorization_gives_up_at_its_point_budget(monkeypatch):
+    # a capacity so large that even the first circle needs more than the
+    # budget ends in a typed error, like one whose every circle fails
+    monkeypatch.setattr(solver, "MAX_POINTS", 512)
+    with pytest.raises(StationSolveError, match="station 1: no circle of up to 512 points "
+                                                "passed: the first circle alone") as err:
+        analyze_route(model.reference_scenario())
+    assert err.value.stage == "factorization"
+
+
 def test_station_solve_error_on_den_residual(monkeypatch):
     # every attempt's roots land a relative 1e-7 inside Den's true zeros, so
     # no attempt may certify them: the report is whole, and reading the
