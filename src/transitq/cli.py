@@ -159,12 +159,12 @@ def cmd_roots(args) -> int:
     if not sm.stable:
         raise SolverError(f"station {args.station} is unstable (rho = "
                           f"{report.fmt_value(sm.rho)}); no root set exists")
-    probs = sm.service_dist.probs
-    y_handle = partial(y_pgf, lam=sm.arrival_rate, model=route_report.headway[sm.station - 1])
+    probs, hw = sm.service_dist.probs, route_report.headway[sm.station - 1]
+    y_handle = partial(y_pgf, lam=sm.arrival_rate, model=hw)
     # reading a station's root set searches for it, and a set that does not
     # certify raises StationSolveError naming the station; without arrivals
     # Y = 1, no set is pending, and the roots are those of z^C = P(z)
-    roots = tuple(sm.roots or PendingRoots(sm.station, probs, y_handle, sm.rho))
+    roots = tuple(sm.roots or PendingRoots(sm.station, probs, sm.arrival_rate, hw, sm.rho))
     # the |Den| residual that validate_root_set gated
     residuals = root_residuals(roots, probs, y_handle)[1]
     _emit(report.roots_to_csv(roots, residuals, route_report.label), args.out)

@@ -186,6 +186,8 @@ def read_table(table: Table, path) -> tuple[dict, list[dict]]:
         records = [dict(zip(header, row)) for row in rows]
     typed = []
     for rec in records:
+        if not isinstance(rec, dict):
+            raise ValueError(f"{table.name} record {rec!r} is not an object")
         missing = [c for c in table.columns if c not in rec]
         if missing:
             raise ValueError(f"{table.name} record lacks column {missing[0]!r}")
@@ -265,9 +267,12 @@ def read_sim_stats(path) -> SimStats:
         headway_var=rec["headway_sigma_sim"] * rec["headway_sigma_sim"],
         boarded=rec["boarded"])
         for rec in records)
-    return SimStats(label=meta.get("label", ""), runs=int(meta.get("runs", 0)),
-                    seed=int(meta.get("seed", 0)), warmup=float(meta.get("warmup", 0.0)),
-                    stations=stations, rng_layout=int(meta.get("rng_layout", 0)))
+    try:
+        return SimStats(label=meta.get("label", ""), runs=int(meta.get("runs", 0)),
+                        seed=int(meta.get("seed", 0)), warmup=float(meta.get("warmup", 0.0)),
+                        stations=stations, rng_layout=int(meta.get("rng_layout", 0)))
+    except TypeError as exc:
+        raise ValueError(f"{SIM.name} metadata has a value of the wrong type: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ binomially and ``board`` refills it from the queue front, both on pmf
 vectors, with no transition matrix.  Per station the available
 space S (capacity minus surviving load) and arrival count A define a
 bulk-service queue whose steady state at vehicle arrivals is solved by a
-Wiener-Hopf factorization of 1 - J, J the PGF of A - S, read off FFT
-circles that pass an argument-principle census and a fold check
-(``factorize``); the queue front and the moments follow from it with no
-root of the PGF denominator.  The C in-disk roots the paper's closed forms
+Wiener-Hopf factorization of 1 - J, J the PGF of A - S, read off the
+first FFT circle whose samples pass an argument-principle census and a fold
+check (``factorize``); the queue front and the moments follow from it with
+no root of the PGF denominator.  The C in-disk roots the paper's closed forms
 use are still each station's ``roots``, searched for and certified only
 when read (``PendingRoots``).  C is the route capacity: the factorization
 and the root search get the space pmf s_0..s_C as the recursion built it,
@@ -141,20 +141,22 @@ class PendingRoots:
     indexing and slicing, iteration, ``repr``, ``==``, ``hash`` and pickling
     each run the search the first time, and this object keeps its result.  A
     search that fails raises ``StationSolveError`` with stage "roots",
-    naming the station, at every read.
+    naming the station, at every read.  It keeps the rate and the headway
+    model, not a ``y_pgf`` partial, which would add 13% to a C = 34 report.
     """
 
     __slots__ = ("_station", "_search", "_roots")
 
-    def __init__(self, station: int, s_probs, y_pgf_handle, rho: float):
+    def __init__(self, station: int, s_probs, lam: float, model: HeadwayModel, rho: float):
         self._station = station
-        self._search = (s_probs, y_pgf_handle, rho)
+        self._search = (s_probs, lam, model, rho)
         self._roots = None
 
     def _tuple(self) -> tuple[complex, ...]:
         if self._roots is None:
+            s_probs, lam, model, rho = self._search
             try:
-                self._roots = find_all_roots(*self._search)
+                self._roots = find_all_roots(s_probs, partial(y_pgf, lam=lam, model=model), rho)
             except (SolverError, ArithmeticError) as exc:
                 raise StationSolveError(self._station, str(exc), "roots") from exc
             self._search = None
@@ -372,12 +374,11 @@ def factorize(probs: np.ndarray, y_handle) -> Factorization:
     coefficients, so the upper half circle carries it.
 
     With x* = ``_outer_zero`` found, g~ = g / (1 - w/x*) is used and base =
-    x*; else g and base = 1.  For a = 8, 4, 2, ... the census at
-    base (1 + a/C) must count winding 0 (its phase change over [0, pi],
-    over pi), and on base (1 + a/(2C)), sampled at the next power of two at
-    or above max(1024, 100 C / a) points N, every coefficient in the middle
-    quarter of the FFT must be at most ``FOLD_TOL``: the census alone does
-    not rule out a coefficient tail folded onto the ones kept.  Raises
+    x*; else g and base = 1.  For a = 8, 4, 2, ... the one circle base
+    (1 + a/(2C)), at the next power of two at or above max(1024, 100 C / a)
+    points N, must wind 0 times, which makes log g~ single-valued there, and
+    hold at most ``FOLD_TOL`` in every coefficient of its FFT's middle
+    quarter, a folded tail that winding 0 alone does not rule out.  Raises
     SolverError when no circle of at most ``MAX_POINTS`` points passes.
     """
     cap = len(probs) - 1
@@ -390,15 +391,14 @@ def factorize(probs: np.ndarray, y_handle) -> Factorization:
             n_points = 1 << max(10, math.ceil(math.log2(100.0 * cap / a)))
             if n_points > MAX_POINTS:
                 raise SolverError(f"no circle of up to {MAX_POINTS} points passed: {problem}")
-            census = _phase(_g_on_circle(probs, y_handle, base * (1.0 + a / cap), n_points,
-                                         x_star)[1])
-            winding = (census[-1] - census[0]) / np.pi
+            radius = base * (1.0 + a / (2.0 * cap))
+            y_vals, g = _g_on_circle(probs, y_handle, radius, n_points, x_star)
+            phase = _phase(g)
+            winding = (phase[-1] - phase[0]) / np.pi
             if not abs(winding) < 0.5:
                 problem = f"census at a = {a:g} counts winding {winding:.3f}, not 0"
             else:
-                radius = base * (1.0 + a / (2.0 * cap))
-                y_vals, g = _g_on_circle(probs, y_handle, radius, n_points, x_star)
-                coef = np.fft.hfft(np.log(np.abs(g)) + 1j * _phase(g), n_points) / n_points
+                coef = np.fft.hfft(np.log(np.abs(g)) + 1j * phase, n_points) / n_points
                 fold = np.max(np.abs(coef[3 * n_points // 8:5 * n_points // 8 + 1]))
                 if fold <= FOLD_TOL:
                     return Factorization(x_star, radius, coef[:n_points // 2], y_vals)
@@ -510,7 +510,7 @@ def _solve_station(base: StationMetrics, model: HeadwayModel) -> StationMetrics:
         raise StationSolveError(n, str(exc), stage) from exc
 
     return replace(base, eq=eq, varq=varq, ew=ew, varw=varw, queue_front=front,
-                   roots=PendingRoots(n, s.probs, y_handle, base.rho))
+                   roots=PendingRoots(n, s.probs, lam, model, base.rho))
 
 
 def analyze_route(scenario: Scenario) -> RouteReport:

@@ -205,6 +205,27 @@ def test_compare_missing_file(tmp_path, capsys):
                  "--sim", str(tmp_path / "absent.csv")]) == EXIT_INPUT
 
 
+def test_compare_theory_record_that_is_not_an_object(tmp_path, capsys):
+    th = tmp_path / "theory.json"
+    th.write_text(json.dumps({"label": "x", "stations": [1, 2]}))
+    assert main(["compare", "--theory", str(th), "--sim", str(th)]) == EXIT_INPUT
+    assert "route report record 1 is not an object" in _assert_one_error_line(capsys)
+
+
+def test_compare_sim_stats_with_null_runs(tmp_path, capsys):
+    th = tmp_path / "theory.json"
+    sim = tmp_path / "sim.json"
+    assert main(["analyze", "--format", "json", "--out", str(th)]) == EXIT_OK
+    assert main(["simulate", "--runs", "200", "--format", "json", "--out", str(sim)]) == EXIT_OK
+    doc = json.loads(sim.read_text())
+    doc["runs"] = None
+    sim.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="simulation stats metadata has a value of the wrong"):
+        report.read_sim_stats(sim)
+    assert main(["compare", "--theory", str(th), "--sim", str(sim)]) == EXIT_INPUT
+    _assert_one_error_line(capsys)
+
+
 # ---------------------------------------------------------------------------
 # roots
 

@@ -510,6 +510,76 @@ def test_factorization_gives_up_at_its_point_budget(monkeypatch):
     assert err.value.stage == "factorization"
 
 
+def _spy_circles(monkeypatch) -> list:
+    """Record (Y, g~, radius, N) of every circle ``factorize`` samples."""
+    circles = []
+    g_on_circle = solver._g_on_circle
+
+    def spy(probs, y_handle, radius, n_points, x_star):
+        circles.append(g_on_circle(probs, y_handle, radius, n_points, x_star)
+                       + (radius, n_points))
+        return circles[-1][:2]
+
+    monkeypatch.setattr(solver, "_g_on_circle", spy)
+    return circles
+
+
+def test_each_ladder_step_samples_one_circle(monkeypatch, reference):
+    # the census reads the winding off the circle whose coefficients are
+    # kept, so each of the nine stations with arrivals evaluates one circle;
+    # at station 4 that is the first, a = 8
+    circles, solves = _spy_circles(monkeypatch), []
+    factorize = solver.factorize
+
+    def spy(probs, y_handle):
+        circles.clear()
+        fact = factorize(probs, y_handle)
+        solves.append(([radius for *_, radius, _ in circles], fact))
+        return fact
+
+    monkeypatch.setattr(solver, "factorize", spy)
+    analyze_route(reference)
+    assert len(solves) == 9
+    assert all(radii == [fact.radius] for radii, fact in solves)
+    fact = solves[3][1]
+    assert fact.radius == fact.x_star * (1.0 + 8.0 / (2.0 * 34))
+
+
+def test_ladder_steps_fail_the_census_then_the_fold_check(monkeypatch):
+    # fuzz draw 130, station 1: C = 120, rho = 0.993, x* - 1 = 7.0e-5.  Each
+    # budget of points ends the ladder after one more step, so the error
+    # names the check that rejected that step's circle: at a = 8 and 4 the
+    # circle winds -2 and 4 times, at a = 2 it winds 0 but a folded tail
+    # remains, and a = 1 passes both checks
+    from test_fuzz import corpus
+    rep = analyze_route(corpus()[130])
+    sm = rep.stations[0]
+    y_handle = partial(headway.y_pgf, lam=sm.arrival_rate, model=rep.headway[0])
+    circles = _spy_circles(monkeypatch)
+    for budget, problem in ((2048, r"census at a = 8 counts winding -2\.000, not 0"),
+                            (4096, r"census at a = 4 counts winding 4\.000, not 0"),
+                            (8192, r"fold coefficient 3\.3\d*e-08 above 1e-10 at a = 2")):
+        monkeypatch.setattr(solver, "MAX_POINTS", budget)
+        with pytest.raises(SolverError, match=problem):
+            solver.factorize(sm.service_dist.probs, y_handle)
+    monkeypatch.setattr(solver, "MAX_POINTS", 1 << 20)
+    circles.clear()
+    fact = solver.factorize(sm.service_dist.probs, y_handle)
+    assert len(circles) == 4
+    assert fact.x_star - 1.0 == pytest.approx(7.0e-5, rel=0.01)
+    assert fact.radius == fact.x_star * (1.0 + 1.0 / (2.0 * 120))
+    assert solver.factor_moments(fact, sm.arrivals)[0] == pytest.approx(14234.8195, abs=1e-4)
+    # what the circles the census rejects would have given
+    for (y_vals, g, radius, n_points), eq in zip(circles, (14255.4, 14066.8)):
+        coef = np.fft.hfft(np.log(np.abs(g)) + 1j * solver._phase(g), n_points) / n_points
+        wrong = solver.Factorization(fact.x_star, radius, coef[:n_points // 2], y_vals)
+        assert solver.factor_moments(wrong, sm.arrivals)[0] == pytest.approx(eq, abs=0.05)
+    # with no fold check the a = 2 circle, which winds 0, is taken
+    monkeypatch.setattr(solver, "FOLD_TOL", math.inf)
+    fact = solver.factorize(sm.service_dist.probs, y_handle)
+    assert fact.radius == fact.x_star * (1.0 + 2.0 / (2.0 * 120))
+
+
 def test_station_solve_error_on_den_residual(monkeypatch):
     # every attempt's roots land a relative 1e-7 inside Den's true zeros, so
     # no attempt may certify them: the report is whole, and reading the
@@ -577,8 +647,7 @@ def test_pending_roots_read_as_the_certified_tuple(read, reference_report, monke
     sm, hm = reference_report.stations[3], reference_report.headway[3]
     certified = tuple(sm.roots)
     calls = _counted_search(monkeypatch)
-    pending = PendingRoots(sm.station, sm.service_dist.probs,
-                           partial(headway.y_pgf, lam=sm.arrival_rate, model=hm), sm.rho)
+    pending = PendingRoots(sm.station, sm.service_dist.probs, sm.arrival_rate, hm, sm.rho)
     assert calls == []
     assert read(pending) == read(certified)
     assert len(calls) == 1
