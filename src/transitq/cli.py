@@ -134,8 +134,11 @@ def _sim_stats_from_report(route_report):
 def _load_sim_side(path: str):
     try:
         return report.read_sim_stats(path)
-    except ValueError:
-        return _sim_stats_from_report(report.read_route_report(path))
+    except ValueError as exc:
+        try:
+            return _sim_stats_from_report(report.read_route_report(path))
+        except ValueError:
+            raise exc from None
 
 
 def cmd_compare(args) -> int:

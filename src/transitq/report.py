@@ -267,12 +267,14 @@ def read_sim_stats(path) -> SimStats:
         headway_var=rec["headway_sigma_sim"] * rec["headway_sigma_sim"],
         boarded=rec["boarded"])
         for rec in records)
-    try:
-        return SimStats(label=meta.get("label", ""), runs=int(meta.get("runs", 0)),
-                        seed=int(meta.get("seed", 0)), warmup=float(meta.get("warmup", 0.0)),
-                        stations=stations, rng_layout=int(meta.get("rng_layout", 0)))
-    except TypeError as exc:
-        raise ValueError(f"{SIM.name} metadata has a value of the wrong type: {exc}") from exc
+    head = {}
+    for key, kind in (("runs", int), ("seed", int), ("warmup", float), ("rng_layout", int)):
+        try:
+            head[key] = kind(meta.get(key, 0))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{SIM.name} metadata has a value of the wrong type: "
+                             f"{key} = {meta[key]!r}") from exc
+    return SimStats(label=meta.get("label", ""), stations=stations, **head)
 
 
 # ---------------------------------------------------------------------------

@@ -313,9 +313,10 @@ def _outer_zero(probs: np.ndarray, y_handle) -> float:
     J'(1) = E[A] - E[S] < 0 at a stable station, so above 1 it reaches 1 at
     most once more; as |J(w)| <= J(|w|), that x* is the zero of g nearest
     outside the unit circle.  Sixteen points bracket it, and Newton from the
-    bracket's right end, safeguarded by bisection and with J' from one
-    complex step, runs it to the last bits: an x* off by 3e-8 moves E[Q] by
-    5e-8 relative.  A J that overflows at a point reads as beyond x*.
+    bracket's right end, with J' from one complex step, runs it to the last
+    bits (an x* off by 3e-8 moves E[Q] by 5e-8 relative): a step of at most
+    4e-16 x ends the search, even at a bracket end.  A J that overflows
+    reads as beyond x*; only that or a step out of the bracket bisects it.
     """
     cap = len(probs) - 1
     grid = 1.0 + (8.0 / cap) * np.arange(1, 17) / 16.0
@@ -332,6 +333,8 @@ def _outer_zero(probs: np.ndarray, y_handle) -> float:
         else:
             hi = x
         step = (val.real - 1.0) / (val.imag * 1e20)
+        if abs(step) <= 4e-16 * x:
+            return x - step
         nxt = x - step
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)

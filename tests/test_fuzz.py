@@ -9,9 +9,12 @@ route's stations.  A report no longer carries a searched root set, so the
 root sets are read as well: a draw counts as root-certified when the set of
 every station with arrivals certifies (count, |J - 1| and |Den| residuals)
 or names its station in the error.  Neither count may fall below its floor.
+The corpus is solved once, counting the Newton evaluations of each station's
+x* search, which must stay a handful.
 """
 
 import numpy as np
+import pytest
 
 from transitq import model, solver
 
@@ -30,6 +33,9 @@ GAMMAS = (0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 # anywhere upstream of the root search can move this count.
 CERTIFIED = 400
 ROOTS_CERTIFIED = 363
+# the most single-point J evaluations one x* search may take: the largest is
+# 14, against 48 when a converged Newton iterate still started a bisection
+NEWTON_CAP = 20
 
 
 def corpus() -> list[model.Scenario]:
@@ -56,13 +62,36 @@ def _station_error(sc, exc, stage=None):
     assert stage is None or exc.stage == stage, (sc.label, exc.stage)
 
 
-def test_corpus_ends_in_a_report_or_a_station_error(record_testsuite_property):
+@pytest.fixture(scope="module")
+def solved():
+    """Each draw with its report or StationSolveError, and the single-point
+    ``_jump`` calls of every x* search: Newton's, after the bracket's one
+    multi-point call that starts each search."""
+    out, newton = [], []
+    jump = solver._jump
+
+    def spy(probs, y_handle, x):
+        if len(x) > 1:
+            newton.append(0)
+        else:
+            newton[-1] += 1
+        return jump(probs, y_handle, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_jump", spy)
+        for sc in corpus():
+            try:
+                out.append((sc, solver.analyze_route(sc)))
+            except solver.StationSolveError as exc:
+                out.append((sc, exc))
+    return out, newton
+
+
+def test_corpus_ends_in_a_report_or_a_station_error(solved, record_testsuite_property):
     certified = roots_certified = 0
-    for sc in corpus():
-        try:
-            rep = solver.analyze_route(sc)
-        except solver.StationSolveError as exc:
-            _station_error(sc, exc)
+    for sc, rep in solved[0]:
+        if isinstance(rep, solver.StationSolveError):
+            _station_error(sc, rep)
             continue
         assert rep.num_stations == sc.route.num_stations
         certified += 1
@@ -80,3 +109,12 @@ def test_corpus_ends_in_a_report_or_a_station_error(record_testsuite_property):
         f"{roots_certified} of {DRAWS} root sets (floor {ROOTS_CERTIFIED})")
     assert certified >= CERTIFIED
     assert roots_certified >= ROOTS_CERTIFIED
+
+
+def test_corpus_x_star_searches_take_a_handful_of_newton_steps(solved, record_testsuite_property):
+    newton = solved[1]
+    found = sum(1 for n in newton if n)
+    record_testsuite_property(
+        "fuzz_newton", f"{sum(newton)} Newton evaluations over {found} x* searches; "
+        f"at most {max(newton)} at one station (cap {NEWTON_CAP})")
+    assert max(newton) <= NEWTON_CAP

@@ -580,6 +580,42 @@ def test_ladder_steps_fail_the_census_then_the_fold_check(monkeypatch):
     assert fact.radius == fact.x_star * (1.0 + 2.0 / (2.0 * 120))
 
 
+def _spy_newton(monkeypatch) -> list:
+    """Record the point of every single-point J evaluation, Newton's."""
+    points = []
+    jump = solver._jump
+
+    def spy(probs, y_handle, x):
+        if len(x) == 1:
+            points.append(x[0])
+        return jump(probs, y_handle, x)
+
+    monkeypatch.setattr(solver, "_jump", spy)
+    return points
+
+
+def test_outer_zero_takes_a_handful_of_newton_steps(monkeypatch, reference_report):
+    # reference station 4: Newton reaches x* to the last bit in five
+    # evaluations, and a converged iterate that equals the bracket's upper
+    # end ends the search instead of starting a bisection from its lower end
+    sm = reference_report.stations[3]
+    y_handle = partial(headway.y_pgf, lam=sm.arrival_rate, model=reference_report.headway[3])
+    points = _spy_newton(monkeypatch)
+    fact = solver.factorize(sm.service_dist.probs, y_handle)
+    assert fact.x_star > 1.0
+    assert len(points) <= 8
+
+
+def test_outer_zero_returns_an_iterate_where_j_is_exactly_one(monkeypatch):
+    # C = 1, s = point mass at 1 and Y(x) = (x^2 + 2) / 3 give J(x) = Y(x) / x,
+    # which is 1 exactly at the bracket's right end x = 2 (J(1.5) < 1), so
+    # the first Newton step is 0 and that point is x*
+    points = _spy_newton(monkeypatch)
+    x_star = solver._outer_zero(np.array([0.0, 1.0]), lambda x: (x * x + 2.0) / 3.0)
+    assert x_star == 2.0
+    assert [p.real for p in points] == [2.0]
+
+
 def test_station_solve_error_on_den_residual(monkeypatch):
     # every attempt's roots land a relative 1e-7 inside Den's true zeros, so
     # no attempt may certify them: the report is whole, and reading the
