@@ -19,9 +19,8 @@ with no cut of its small top entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +57,7 @@ class DiscreteDist:
     of one.
     """
 
-    __slots__ = ("probs",)
+    __slots__ = ("probs", "_mean")
 
     def __init__(self, probs):
         arr = np.array(probs, dtype=float)
@@ -75,9 +74,16 @@ class DiscreteDist:
             raise ValueError(f"distribution sums to {total!r}, outside 1 +- 1e-9")
         self.probs = arr / total
         self.probs.setflags(write=False)
+        self._mean = None
 
     def __len__(self) -> int:
         return len(self.probs)
+
+    @property
+    def mean(self) -> float:
+        if self._mean is None:
+            self._mean = float(np.arange(len(self.probs)) @ self.probs)
+        return self._mean
 
     @property
     def top_index(self) -> int:
@@ -107,7 +113,7 @@ class QueueFront:
         self.q.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StationMetrics:
     station: int                     # 1-based
     rho: float
@@ -196,12 +202,18 @@ def alight(v: np.ndarray, alpha: float) -> np.ndarray:
     Binomial thinning G(z) = V(alpha + (1 - alpha) z), by Horner's rule over
     the load pmf ``v``: acc <- alpha * acc + (1 - alpha) * shift(acc), then
     acc_0 += v_i.  Every term is non-negative, so nothing cancels; subnormal
-    alpha and alpha in {0, 1} need no special case.
+    alpha and alpha in {0, 1} need no special case.  Steps run in place on
+    views made once, with 0-d array factors and acc_0 a Python float.
     """
-    acc = np.zeros(len(v))
-    for vi in v[::-1]:
-        acc[1:] = alpha * acc[1:] + (1.0 - alpha) * acc[:-1]
-        acc[0] = alpha * acc[0] + vi
+    acc, tmp = np.zeros(len(v)), np.empty(len(v) - 1)
+    top, low, acc0 = acc[1:], acc[:-1], 0.0
+    off, keep = np.array(alpha), np.array(1.0 - alpha)
+    for vi in v[::-1].tolist():
+        np.multiply(low, keep, tmp)
+        np.multiply(top, off, top)
+        np.add(top, tmp, top)
+        acc0 = alpha * acc0 + vi
+        acc[0] = acc0
     return acc
 
 
@@ -221,18 +233,9 @@ def board(g: np.ndarray, q: np.ndarray) -> np.ndarray:
     return v
 
 
-def dist_moments(d) -> tuple[float, float, float]:
-    """(mean, 2nd central, 3rd central) of a pmf by direct summation."""
-    p = np.asarray(getattr(d, "probs", d), dtype=float)
-    k = np.arange(len(p))
-    mean = float(k @ p)
-    dev = k - mean
-    return mean, float((dev**2) @ p), float((dev**3) @ p)
-
-
 def utilization(s: DiscreteDist, y: ArrivalMoments) -> tuple[float, bool]:
     """(rho, stable) — arrivals per vehicle over expected free space, strict < 1."""
-    s_mean = dist_moments(s)[0]
+    s_mean = s.mean
     if s_mean <= 0.0:
         # vehicle always arrives full and nobody alights; nothing can board
         return math.inf, False
@@ -285,18 +288,32 @@ FOLD_TOL = 1e-10
 MAX_POINTS = 1 << 20
 
 
-class Factorization(NamedTuple):
+@dataclass(frozen=True)
+class Factorization:
     """log E of one station, read off the circle |w| = ``radius``.
 
     ``log_e`` holds c_n r^n, n < N/2, where log E~(w) = sum_n c_n w^n and
     E~ = E / (1 - w/x*) (E itself when ``x_star`` is 0); ``y_vals`` is Y on
-    the upper half of the circle's N points.
+    the upper half of the circle's N points.  ``at_one``, summed once, is
+    (log E(1), (log E)'(1), (log E)''(1)) with the pole at x* put back.
     """
 
     x_star: float
     radius: float
     log_e: np.ndarray
     y_vals: np.ndarray
+    at_one: tuple[float, float, float] = field(init=False)
+
+    def __post_init__(self):
+        n = np.arange(len(self.log_e))
+        c = self.log_e * self.radius ** -n
+        value, slope, curve = c.sum(), n @ c, (n * (n - 1.0)) @ c
+        if self.x_star:
+            gap = self.x_star - 1.0
+            value += math.log1p(-1.0 / self.x_star)
+            slope -= 1.0 / gap
+            curve -= 1.0 / gap**2
+        object.__setattr__(self, "at_one", (value, slope, curve))
 
 
 def _jump(probs: np.ndarray, y_handle, x: np.ndarray) -> np.ndarray:
@@ -317,8 +334,13 @@ def _outer_zero(probs: np.ndarray, y_handle) -> float:
     bits (an x* off by 3e-8 moves E[Q] by 5e-8 relative): a step of at most
     4e-16 x ends the search, even at a bracket end.  A J that overflows
     reads as beyond x*; only that or a step out of the bracket bisects it.
+    Before the bracket: J lies under its chord from J(1) = 1, so a real
+    J(1 + 8/C) < 1 - 1e-9 holds all sixteen points under 1 - 6e-11: no x*.
     """
     cap = len(probs) - 1
+    right = 1.0 + 8.0 / cap
+    if y_handle(right) * (probs @ right ** -np.arange(cap + 1.0)) < 1.0 - 1e-9:
+        return 0.0
     grid = 1.0 + (8.0 / cap) * np.arange(1, 17) / 16.0
     beyond = ~(_jump(probs, y_handle, grid).real < 1.0)
     if not beyond.any():
@@ -409,19 +431,6 @@ def factorize(probs: np.ndarray, y_handle) -> Factorization:
             a /= 2.0
 
 
-def _log_e_at_one(fact: Factorization) -> tuple[float, float, float]:
-    """(log E(1), (log E)'(1), (log E)''(1)), the pole at x* put back."""
-    n = np.arange(len(fact.log_e))
-    c = fact.log_e * fact.radius ** -n
-    value, slope, curve = c.sum(), n @ c, (n * (n - 1.0)) @ c
-    if fact.x_star:
-        gap = fact.x_star - 1.0
-        value += math.log1p(-1.0 / fact.x_star)
-        slope -= 1.0 / gap
-        curve -= 1.0 / gap**2
-    return value, slope, curve
-
-
 def factor_front(fact: Factorization, s: DiscreteDist, y: ArrivalMoments) -> QueueFront:
     """q_0..q_{C-1}, the Taylor coefficients of Q(z) = Y(z) E(1) / E(z).
 
@@ -432,7 +441,7 @@ def factor_front(fact: Factorization, s: DiscreteDist, y: ArrivalMoments) -> Que
     """
     cap = s.top_index
     n_points = 2 * len(fact.log_e)
-    log_e1 = _log_e_at_one(fact)[0]
+    log_e1 = fact.at_one[0]
     # sum_n c_n w^n at the half circle's points: the conjugate of one real FFT
     log_e = np.fft.rfft(fact.log_e, n_points).conj()
     j = np.arange(cap)
@@ -440,7 +449,7 @@ def factor_front(fact: Factorization, s: DiscreteDist, y: ArrivalMoments) -> Que
         r = (np.fft.hfft(fact.y_vals * np.exp(log_e1 - log_e), n_points)[:cap] / n_points
              * fact.radius ** -j)
         q = r if not fact.x_star else fact.x_star ** -j * np.cumsum(r * fact.x_star ** j)
-    return QueueFront(_front_diagnostics(q, s, dist_moments(s)[0], y.mean))
+    return QueueFront(_front_diagnostics(q, s, s.mean, y.mean))
 
 
 def factor_moments(fact: Factorization, y: ArrivalMoments) -> tuple[float, float]:
@@ -449,7 +458,7 @@ def factor_moments(fact: Factorization, y: ArrivalMoments) -> tuple[float, float
     Q = L + A with L's PGF E(1) / E(z), so the riders left behind are all
     that the factorization adds to the headway's arrivals A.
     """
-    _, slope, curve = _log_e_at_one(fact)
+    _, slope, curve = fact.at_one
     return y.mean - slope, y.central2 - curve - slope
 
 
@@ -485,8 +494,9 @@ def _check_moments(eq: float, varq: float, varw: float, y: ArrivalMoments) -> No
 # Full pipeline
 
 
-def _solve_station(base: StationMetrics, model: HeadwayModel) -> StationMetrics:
-    """The record of one stable station, filled in from its unsolved ``base``.
+def _solve_station(n: int, s: DiscreteDist, y: ArrivalMoments, lam: float,
+                   model: HeadwayModel, rho: float) -> dict:
+    """The solved fields of the record of stable station ``n``.
 
     With no arrivals the queue is empty and the wait undefined (NaN, not
     zero); otherwise the factorization, the queue front and the checked
@@ -494,10 +504,9 @@ def _solve_station(base: StationMetrics, model: HeadwayModel) -> StationMetrics:
     included, is raised tagged with the station and stage.  The root set is
     left pending, searched for only when it is read.
     """
-    n, s, y, lam = base.station, base.service_dist, base.arrivals, base.arrival_rate
     if lam == 0.0:
-        return replace(base, eq=0.0, varq=0.0, ew=math.nan, varw=math.nan,
-                       queue_front=QueueFront(np.r_[1.0, np.zeros(s.top_index - 1)]))
+        return dict(eq=0.0, varq=0.0, ew=math.nan, varw=math.nan,
+                    queue_front=QueueFront(np.r_[1.0, np.zeros(s.top_index - 1)]))
 
     y_handle = partial(y_pgf, lam=lam, model=model)
     stage = "factorization"
@@ -512,18 +521,17 @@ def _solve_station(base: StationMetrics, model: HeadwayModel) -> StationMetrics:
     except (SolverError, ArithmeticError) as exc:
         raise StationSolveError(n, str(exc), stage) from exc
 
-    return replace(base, eq=eq, varq=varq, ew=ew, varw=varw, queue_front=front,
-                   roots=PendingRoots(n, s.probs, lam, model, base.rho))
+    return dict(eq=eq, varq=varq, ew=ew, varw=varw, queue_front=front,
+                roots=PendingRoots(n, s.probs, lam, model, rho))
 
 
 def analyze_route(scenario: Scenario) -> RouteReport:
     """Run the station recursion end to end and report per-station metrics.
 
-    Every station starts from the record of an unstable one: unbounded
-    moments, an all-zero queue front, and a vehicle that departs full.
-    Stable stations then get their queue front, queue/wait moments and a
-    pending root set; those with no arrivals get an empty queue, NaN wait
-    moments and no root set.
+    An unstable station reports unbounded moments and an all-zero queue
+    front, and its vehicle departs full.  Stable stations get their queue
+    front, queue/wait moments and a pending root set; those with no
+    arrivals get an empty queue, NaN wait moments and no root set.
     """
     require_valid(scenario)
     route = scenario.route
@@ -542,16 +550,15 @@ def analyze_route(scenario: Scenario) -> RouteReport:
         s = DiscreteDist(g.probs[::-1])
         ym = y_moments(lam, model)
         rho, stable = utilization(s, ym)
-        sm = StationMetrics(station=n, rho=rho, stable=stable,
-                            eq=UNBOUNDED, varq=UNBOUNDED, ew=UNBOUNDED, varw=UNBOUNDED,
-                            queue_front=QueueFront(np.zeros(capacity)),
-                            service_dist=s, arrivals=ym, arrival_rate=lam)
         if stable:
-            sm = _solve_station(sm, model)
-            v = DiscreteDist(board(g.probs, sm.queue_front.q))
+            solved = _solve_station(n, s, ym, lam, model, rho)
+            v = DiscreteDist(board(g.probs, solved["queue_front"].q))
         else:
+            solved = dict(eq=UNBOUNDED, varq=UNBOUNDED, ew=UNBOUNDED, varw=UNBOUNDED,
+                          queue_front=QueueFront(np.zeros(capacity)))
             v = point_mass(capacity, capacity)
-        metrics.append(sm)
+        metrics.append(StationMetrics(station=n, rho=rho, stable=stable, service_dist=s,
+                                      arrivals=ym, arrival_rate=lam, **solved))
 
     return RouteReport(label=scenario.label, stations=tuple(metrics),
                        headway=tuple(models))

@@ -17,7 +17,7 @@ from transitq.headway import ArrivalMoments, HeadwayModel, y_pgf
 from transitq.model import Scenario, adjusted_headway, travel_time_to
 from transitq.roots import SolverError
 from transitq.solver import (UNBOUNDED, DiscreteDist, QueueFront,
-                             _front_diagnostics, dist_moments)
+                             _front_diagnostics)
 
 TWO_PI = 2.0 * math.pi
 
@@ -134,6 +134,15 @@ def pgf_factorial_moments(pgf, order: int = 3, radius: float = 0.1,
             for k in range(1, order + 1)]
 
 
+def dist_moments(d) -> tuple[float, float, float]:
+    """(mean, 2nd central, 3rd central) of a pmf by direct summation."""
+    p = np.asarray(getattr(d, "probs", d), dtype=float)
+    k = np.arange(len(p))
+    mean = float(k @ p)
+    dev = k - mean
+    return mean, float((dev**2) @ p), float((dev**3) @ p)
+
+
 def factorial_to_central(fm: list[float]) -> tuple[float, float, float]:
     """(mean, variance, third central moment) from factorial moments."""
     m1 = fm[0]
@@ -146,6 +155,16 @@ def factorial_to_central(fm: list[float]) -> tuple[float, float, float]:
 
 # ---------------------------------------------------------------------------
 # Station-to-station transition matrices
+
+
+def alight_loop(v: np.ndarray, alpha: float) -> np.ndarray:
+    """Binomial thinning by Horner's rule, each step written out on slices:
+    the loop ``solver.alight`` runs in place, which must match it bit for bit."""
+    acc = np.zeros(len(v))
+    for vi in v[::-1]:
+        acc[1:] = alpha * acc[1:] + (1.0 - alpha) * acc[:-1]
+        acc[0] = alpha * acc[0] + vi
+    return acc
 
 
 def alighting_matrix(alpha: float, capacity: int) -> np.ndarray:

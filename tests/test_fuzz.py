@@ -10,7 +10,8 @@ root sets are read as well: a draw counts as root-certified when the set of
 every station with arrivals certifies (count, |J - 1| and |Den| residuals)
 or names its station in the error.  Neither count may fall below its floor.
 The corpus is solved once, counting the Newton evaluations of each station's
-x* search, which must stay a handful.
+x* search, which must stay a handful, and checking that each search ends at
+one real-axis J exactly where the sixteen-point bracket reads no x*.
 """
 
 import numpy as np
@@ -62,29 +63,49 @@ def _station_error(sc, exc, stage=None):
     assert stage is None or exc.stage == stage, (sc.label, exc.stage)
 
 
-@pytest.fixture(scope="module")
-def solved():
-    """Each draw with its report or StationSolveError, and the single-point
-    ``_jump`` calls of every x* search: Newton's, after the bracket's one
-    multi-point call that starts each search."""
-    out, newton = [], []
-    jump = solver._jump
+def spy_x_star_searches(mp) -> tuple[list[tuple[bool, bool]], list[int]]:
+    """Record, for every x* search, whether it ended at its one real-axis J
+    and whether the sixteen-point complex bracket reads J < 1 at all its
+    points; and, for every search that takes the bracket, the only kind to
+    make a multi-point ``_jump`` call, the single-point calls that follow
+    it, Newton's."""
+    searches, bracketed, newton = [], [], []
+    jump, outer_zero = solver._jump, solver._outer_zero
 
-    def spy(probs, y_handle, x):
+    def jump_spy(probs, y_handle, x):
         if len(x) > 1:
+            bracketed.append(True)
             newton.append(0)
         else:
             newton[-1] += 1
         return jump(probs, y_handle, x)
 
+    def outer_zero_spy(probs, y_handle):
+        bracketed.clear()
+        x_star = outer_zero(probs, y_handle)
+        grid = 1.0 + (8.0 / (len(probs) - 1)) * np.arange(1, 17) / 16.0
+        searches.append((not bracketed, bool(np.all(jump(probs, y_handle, grid).real < 1.0))))
+        return x_star
+
+    mp.setattr(solver, "_jump", jump_spy)
+    mp.setattr(solver, "_outer_zero", outer_zero_spy)
+    return searches, newton
+
+
+@pytest.fixture(scope="module")
+def solved():
+    """Each draw with its report or StationSolveError; the Newton
+    evaluations of every x* search that took the bracket; and what
+    ``spy_x_star_searches`` records of every search."""
+    out = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_jump", spy)
+        searches, newton = spy_x_star_searches(mp)
         for sc in corpus():
             try:
                 out.append((sc, solver.analyze_route(sc)))
             except solver.StationSolveError as exc:
                 out.append((sc, exc))
-    return out, newton
+    return out, newton, searches
 
 
 def test_corpus_ends_in_a_report_or_a_station_error(solved, record_testsuite_property):
@@ -118,3 +139,13 @@ def test_corpus_x_star_searches_take_a_handful_of_newton_steps(solved, record_te
         "fuzz_newton", f"{sum(newton)} Newton evaluations over {found} x* searches; "
         f"at most {max(newton)} at one station (cap {NEWTON_CAP})")
     assert max(newton) <= NEWTON_CAP
+
+
+def test_corpus_x_star_is_ruled_out_by_one_real_j_where_the_bracket_would_be(
+        solved, record_testsuite_property):
+    searches = solved[2]
+    ended = sum(fired for fired, _ in searches)
+    record_testsuite_property(
+        "fuzz_bracket", f"{ended} of {len(searches)} x* searches ended at one real-axis J; "
+        f"{len(searches) - ended} took the bracket")
+    assert all(fired == below for fired, below in searches)

@@ -153,6 +153,53 @@ def test_y_pgf_branch_seam_is_continuous():
     assert np.max(steps) < 1e-4
 
 
+# (mu, sigma, lam, C): the models of the tests above, and stressed ones: a
+# headway deterministic to within 1e-12 and to 1e-6, a spread 800 times the
+# mean, a long headway at a high rate, a rate of 1e-9 and one of 10 per
+# near-zero headway, each read on the interval (1, 1 + 8/C] the x* search uses
+REAL_AXIS_CASES = [(4.0, 2.0, 0.5, 1), (7.2, 4.47, 2.4, 34), (5.0, 3.0, 1.1, 1),
+                   (4.0, 0.0, 0.7, 34), (6.0, 6e-12, 3.0, 34), (6.0, 6e-6, 3.0, 34),
+                   (0.05, 40.0, 1.0, 400), (20.0, 3.0, 15.0, 400), (6.0, 2.0, 1e-9, 1),
+                   (0.05, 5.0, 10.0, 60)]
+
+
+def test_y_pgf_real_axis_closed_form_matches_the_complex_path():
+    # a real float z >= 1 takes the closed form in math's scalar functions,
+    # which must give the complex path's value to 1e-14 relative wherever
+    # the x* search reads it: at every station of both presets and above
+    cases = list(REAL_AXIS_CASES)
+    for name in model.PRESETS:
+        sc = model.preset(name)
+        cases += [(hw.mu, hw.sigma, lam, sc.route.capacity)
+                  for n, lam in enumerate(sc.route.arrival_rates(), 1)
+                  for hw in [headway.truncated_headway(sc, n)]]
+    assert len(cases) == 30
+    for mu, sigma, lam, cap in cases:
+        hm = _model(mu, sigma)
+        for x in 1.0 + (8.0 / cap) * np.arange(1, 65) / 64.0:
+            real = headway.y_pgf(float(x), lam, hm)
+            full = headway.y_pgf(complex(x), lam, hm)
+            assert isinstance(real, float)
+            assert abs(real - full.real) <= 1e-14 * real, (mu, sigma, lam, x)
+            assert abs(full.imag) <= 1e-14 * real, (mu, sigma, lam, x)
+
+
+@pytest.mark.parametrize("sigma, lam, x", [(2.0, 500.0, 9.0), (0.0, 500.0, 9.0),
+                                           (2.0, 1e300, 2.0), (1e-300, 1e300, 1.5)])
+def test_y_pgf_real_axis_overflow_reads_inf(sigma, lam, x):
+    # exp overflows, or u^2 does, but the real branch returns inf and the
+    # x* search reads that as beyond x*
+    assert headway.y_pgf(x, lam, _model(6.0, sigma)) == math.inf
+
+
+def test_y_pgf_real_branch_takes_only_finite_floats_from_one():
+    hm = _model(4.0, 2.0)
+    assert isinstance(headway.y_pgf(0.5, 1.0, hm), complex)
+    assert isinstance(headway.y_pgf(1.5 + 0j, 1.0, hm), complex)
+    with pytest.raises(ValueError, match="non-finite"):
+        headway.y_pgf(math.inf, 1.0, hm)
+
+
 # exp(x^2) erfc(x), computed once with mpmath at 60 digits
 ERFCX_REFERENCE = [
     (0j, 1 + 0j),

@@ -25,7 +25,6 @@ from transitq.solver import (
     alight,
     analyze_route,
     board,
-    dist_moments,
     normalization_gap,
     point_mass,
     utilization,
@@ -95,7 +94,8 @@ def test_queue_front_container_guards():
 def test_discrete_dist_moments_match_numpy(values):
     arr = np.array(values) / sum(values)
     d = DiscreteDist(arr)
-    mean, c2, c3 = dist_moments(d)
+    mean, c2, c3 = oracles.dist_moments(d)
+    assert d.mean == mean
     ks = np.arange(len(arr))
     assert mean == pytest.approx(float(arr @ ks), abs=1e-12)
     assert c2 == pytest.approx(float(arr @ (ks - mean) ** 2), abs=1e-10)
@@ -146,6 +146,23 @@ def test_alight_matches_binomial_pmf():
     for alpha in np.r_[alphas[::4], 5e-324]:
         sums = _alight_rows(alpha, 300, loads=(0, 1, 2, 150, 299, 300)).sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
+
+
+def test_alight_matches_the_written_out_loop_bit_for_bit():
+    # the in-place steps must round exactly as the loop written on slices,
+    # down to subnormal alpha and loads whose top entries are subnormal
+    rng = np.random.default_rng(20)
+    for C in (1, 2, 34, 300, 1000):
+        dense = rng.random(C + 1)
+        sparse = dense * (rng.random(C + 1) < 0.3)
+        sparse[0] += 0.1
+        subnormal_top = dense / dense.sum()
+        subnormal_top[-min(C, 4):] = (5e-324, 2.2e-310, 1e-315, 4e-320)[:min(C, 4)]
+        for v in (dense / dense.sum(), sparse / sparse.sum(), subnormal_top,
+                  point_mass(C, C).probs):
+            for alpha in (0.0, 5e-324, 2.2e-308, 1e-6, 0.25, 0.8, 1.0):
+                assert alight(v, alpha).tobytes() == oracles.alight_loop(v, alpha).tobytes(), \
+                    (C, alpha)
 
 
 @pytest.mark.parametrize("C", [1, 2, 13, 34])
@@ -310,7 +327,7 @@ def test_normalization_gap_is_tiny(reference_report):
     for sm in reference_report.stations:
         if not sm.stable or sm.arrival_rate == 0.0:
             continue
-        s_mean = dist_moments(sm.service_dist)[0]
+        s_mean = oracles.dist_moments(sm.service_dist)[0]
         gap = normalization_gap(sm.service_dist, sm.queue_front.q,
                                 s_mean, sm.arrivals.mean)
         assert abs(gap) < 1e-8
@@ -406,8 +423,8 @@ def test_queue_moment_forms_cross_validate(reference_report):
         m = sm.arrivals.mean
         y_raw2 = sm.arrivals.central2 + m * m
         y_raw3 = sm.arrivals.central3 + 3.0 * m * y_raw2 - 2.0 * m**3
-        eq_a, varq_a = oracles.queue_moments(dist_moments(sm.service_dist), sm.arrivals,
-                                             sm.roots)
+        eq_a, varq_a = oracles.queue_moments(oracles.dist_moments(sm.service_dist),
+                                             sm.arrivals, sm.roots)
         eq_b, varq_b = oracles.queue_moments_raw(s_raw, (m, y_raw2, y_raw3), sm.roots)
         assert eq_a == pytest.approx(eq_b, rel=1e-8)
         assert varq_a == pytest.approx(varq_b, rel=1e-7)
@@ -604,6 +621,39 @@ def test_outer_zero_takes_a_handful_of_newton_steps(monkeypatch, reference_repor
     fact = solver.factorize(sm.service_dist.probs, y_handle)
     assert fact.x_star > 1.0
     assert len(points) <= 8
+
+
+def test_x_star_bracket_runs_only_at_stations_with_an_x_star(monkeypatch, reference):
+    # one real J at 1 + 8/C rules x* out at seven of the nine stations with
+    # arrivals; only stations 4 and 5 make the sixteen-point complex call
+    station, bracketed = [0], []
+    solve, jump = solver._solve_station, solver._jump
+
+    def solve_spy(n, *args):
+        station[0] = n
+        return solve(n, *args)
+
+    def jump_spy(probs, y_handle, x):
+        if len(x) > 1:
+            bracketed.append(station[0])
+        return jump(probs, y_handle, x)
+
+    monkeypatch.setattr(solver, "_solve_station", solve_spy)
+    monkeypatch.setattr(solver, "_jump", jump_spy)
+    analyze_route(reference)
+    assert bracketed == [4, 5]
+
+
+@pytest.mark.parametrize("name", model.PRESETS)
+def test_x_star_early_exit_decides_as_the_bracket_does(monkeypatch, name):
+    # at every station the factorization solves, the real-axis exit fires
+    # exactly where the sixteen-point bracket reads J < 1 at every point
+    from test_fuzz import spy_x_star_searches
+    searches, _ = spy_x_star_searches(monkeypatch)
+    analyze_route(model.preset(name))
+    assert len(searches) == 9
+    assert all(fired == below for fired, below in searches)
+    assert sum(fired for fired, _ in searches) == (7 if name == "reference" else 8)
 
 
 def test_outer_zero_returns_an_iterate_where_j_is_exactly_one(monkeypatch):
@@ -820,7 +870,7 @@ def test_alighting_conserves_mass(load, alpha):
     C = 8
     g = alight(point_mass(load, C).probs, alpha)
     assert g.sum() == pytest.approx(1.0, abs=1e-12)
-    mean_after = dist_moments(g)[0]
+    mean_after = oracles.dist_moments(g)[0]
     assert mean_after == pytest.approx(load * (1.0 - alpha), abs=1e-9)
 
 
