@@ -237,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # before numpy loads: the root search's matvecs gain nothing from BLAS
-    # threads, which forked `sweep --jobs N` workers would make contend; a
+    # before numpy loads: a solve's matvecs gain nothing from BLAS threads,
+    # whose pools forked `sweep --jobs N` workers would oversubscribe; a
     # count the caller set is kept, and one set here is removed on the way out
     blas_unset = "OPENBLAS_NUM_THREADS" not in os.environ
     if blas_unset:

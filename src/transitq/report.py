@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -162,19 +163,26 @@ def render(table: Table, doc: dict, fmt: str = "csv") -> str:
     return _csv_text(comments, table.columns, rows)
 
 
-def _parse(kind, v):
-    """A CSV field or a JSON value back to the column's type."""
-    if kind is bool:
+def _parse(kind, v, from_json: bool):
+    """A JSON value or a CSV field back to the column's type.  A bool column
+    takes only true/false and an int column only an integer, and no column
+    takes a JSON boolean for a number; anything else raises ValueError."""
+    if kind is bool and (isinstance(v, bool) if from_json else v in ("true", "false")):
         return v is True or v == "true"
-    if kind is not float:
-        return kind(v)
+    if kind is int and (type(v) is int if from_json else re.fullmatch(r"[+-]?[0-9]+", v)):
+        return int(v)
+    if kind is str:
+        return str(v)
+    if kind is not float or isinstance(v, bool):
+        raise ValueError(f"not a {kind.__name__}")
     return math.nan if v is None else parse_value(v) if isinstance(v, str) else float(v)
 
 
 def read_table(table: Table, path) -> tuple[dict, list[dict]]:
     """Metadata and typed records of a document (CSV or JSON, sniffed)."""
     text = Path(path).read_text(encoding="utf-8")
-    if _looks_like_json(text):
+    from_json = _looks_like_json(text)
+    if from_json:
         doc = json.loads(text)
         if not isinstance(doc, dict) or not isinstance(doc.get(table.key), list):
             raise ValueError(f"{table.name} JSON has no {table.key!r} list")
@@ -191,12 +199,14 @@ def read_table(table: Table, path) -> tuple[dict, list[dict]]:
         missing = [c for c in table.columns if c not in rec]
         if missing:
             raise ValueError(f"{table.name} record lacks column {missing[0]!r}")
-        try:
-            typed.append({c: _parse(table.types.get(c, float), rec[c])
-                          for c in table.columns})
-        except TypeError as exc:
-            raise ValueError(f"{table.name} record has a value of the wrong type: "
-                             f"{exc}") from exc
+        row = {}
+        for c in table.columns:
+            try:
+                row[c] = _parse(table.types.get(c, float), rec[c], from_json)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{table.name} record has a value of the wrong type: "
+                                 f"{c} = {rec[c]!r}") from exc
+        typed.append(row)
     return {k: meta[k] for k in table.meta if k in meta}, typed
 
 

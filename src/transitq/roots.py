@@ -7,14 +7,13 @@ fixed-point iteration z <- w (P(z) Y(z))^{1/C}, one start on each ray
 w = e^{i pi k / C}, k = 1..C, of the upper half-plane; it merges conjugates
 and duplicates, and accepts a set only once ``validate_root_set`` passes.
 
-Up to three attempts run, cheapest first, until one certifies: a small
-budget (``CHEAP_PASSES`` fixed-point passes, at most ``CHEAP_STEPS`` Newton
-steps) in a pool of its own; the full budget in a fresh pool; and, for
-starts that keep landing on roots already found, the full attempt's seeds
-again, with Newton deflated against its pool and the new roots merged into
-it.  The last two do not depend on the cheap attempt, so it never costs a
-certification.  Every function here reads C off the space pmf s_0..s_C it
-is given (C = len(probs) - 1); none takes the capacity separately.
+One seed set is drawn (``SEED_PASSES`` fixed-point passes) and at most two
+attempts run, until one certifies: Newton (at most ``NEWTON_STEPS`` steps)
+from every seed into a fresh pool; then, for starts that keep landing on
+roots already found, the same seeds again, with Newton deflated against
+that pool and the new roots merged into it.  Every function here reads C
+off the space pmf s_0..s_C it is given (C = len(probs) - 1); none takes the
+capacity separately.
 
 No stage of ``solver.analyze_route`` needs these roots: it solves each
 station by factorization.  The search runs when a station's root set is
@@ -28,11 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-# Fixed-point passes and Newton steps of the cheap attempt and of the full
-# one.  On the criterion-4 grid, 9 in 10 cheap starts still moving after six
-# Newton steps end, given 40, on a root another start has already found.
-CHEAP_PASSES, CHEAP_STEPS = 6, 6
-FULL_PASSES, FULL_STEPS = 12, 40
+# Fixed-point passes that draw the seeds, and Newton steps a start may take
+# before it is dropped as not converged.
+SEED_PASSES, NEWTON_STEPS = 12, 40
 
 
 class SolverError(RuntimeError):
@@ -109,10 +106,9 @@ def _space_poly(probs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     The one evaluator of P for the search and its certificate.  For the few
     dozen points evaluated at once, two matrix products beat Horner's
-    C + 1 Python-level passes (``np.polyval``): on a
-    2-core x86-64 host they cut ``find_all_roots`` on a tenth of the
-    criterion-4 solves from 4.4 to 2.4 ms per solve, and perfbench ``grid``
-    ``warm_call_s`` from 0.068 to 0.051 s (medians of 4 alternating pairs).
+    C + 1 Python-level passes (``np.polyval``): on a 2-core x86-64 host they
+    cut ``find_all_roots`` on a tenth of the criterion-4 solves from 4.4 to
+    2.4 ms per solve (medians of 4 alternating pairs).
     """
     cap = len(probs) - 1
     powers = np.cumprod(np.broadcast_to(z[:, None], (len(z), cap)), axis=1)  # z^1..z^C
@@ -122,7 +118,7 @@ def _space_poly(probs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return value, slope
 
 
-def fixed_point_seeds(probs: np.ndarray, y_pgf_handle, passes: int) -> np.ndarray:
+def fixed_point_seeds(probs: np.ndarray, y_pgf_handle) -> np.ndarray:
     """Iterate z <- w (P(z) Y(z))^{1/C} from z = 0 on the rays w = e^{i pi k / C}.
 
     Every root satisfies z^C = P(z) Y(z), so z = w (P Y)^{1/C} for some C-th
@@ -133,7 +129,8 @@ def fixed_point_seeds(probs: np.ndarray, y_pgf_handle, passes: int) -> np.ndarra
     multiples of pi / C run as well, with the cut moved to arg(P Y) = 0 by
     taking the root of -P Y (then w^C = -1).  Rays k pi / C, k = 1..C, cover
     the closed upper half-plane.  The iterates only seed Newton, so the
-    iteration stops once no point moves by 1e-6, or after ``passes`` passes.
+    iteration stops once no point moves by 1e-6, or after ``SEED_PASSES``
+    passes.
     """
     capacity = len(probs) - 1
     steps = np.arange(1, capacity + 1)
@@ -141,7 +138,7 @@ def fixed_point_seeds(probs: np.ndarray, y_pgf_handle, passes: int) -> np.ndarra
     turn = np.where(steps % 2, -1.0, 1.0)  # omega^C
     z = np.zeros(len(omega), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(passes):
+        for _ in range(SEED_PASSES):
             w = _space_poly(probs, z)[0] * np.asarray(y_pgf_handle(z), dtype=complex)
             z_new = omega * np.exp(np.log(turn * w) / capacity)
             z_new[~np.isfinite(z_new)] = 0.0
@@ -152,15 +149,14 @@ def fixed_point_seeds(probs: np.ndarray, y_pgf_handle, passes: int) -> np.ndarra
     return z
 
 
-def newton_polish(z, probs: np.ndarray, y_pgf_handle, steps: int,
-                  known=()) -> np.ndarray:
+def newton_polish(z, probs: np.ndarray, y_pgf_handle, known=()) -> np.ndarray:
     """Complex Newton on Den(z) = z^C / Y(z) - P(z) from every start at once.
 
     Y' is central-differenced (step 1e-6, one batched Y call per step); its
     error only slows the final convergence, which ends once a step falls to
     1e-15 or stops shrinking at the rounding floor.  Starts whose step turns
-    non-finite, or that have not converged after ``steps`` steps, come back
-    as NaN.  Given ``known`` roots, Newton runs on Den(z) / prod(z - z_k)
+    non-finite, or that have not converged after ``NEWTON_STEPS`` steps, come
+    back as NaN.  Given ``known`` roots, Newton runs on Den(z) / prod(z - z_k)
     without forming it, with the step Den / (Den' - Den sum 1/(z - z_k))
     (Maehly's implicit deflation, Z. Angew. Math. Phys. 5, 1954), so that
     no start can converge to a known root.
@@ -172,7 +168,7 @@ def newton_polish(z, probs: np.ndarray, y_pgf_handle, steps: int,
     last = np.full(len(z), np.inf)
     active = np.arange(len(z))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(steps):
+        for _ in range(NEWTON_STEPS):
             if not len(active):
                 break
             za = z[active]
@@ -218,18 +214,16 @@ def _merge(z: np.ndarray) -> np.ndarray:
 
 
 def find_all_roots(s_probs, y_pgf_handle, rho: float) -> tuple[complex, ...]:
-    """All C in-disk roots of Den, from the cheapest attempt that certifies.
+    """All C in-disk roots of Den, from the first attempt that certifies.
 
     ``s_probs`` is the available-space pmf (index 0..C, so it fixes C, which
     must be at least 1); ``y_pgf_handle`` must accept complex ndarray
     arguments; ``rho`` is the station's utilization, which must lie in [0, 1)
     for the C roots to exist.  A pmf or ``rho`` out of range raises ValueError.
-    The cheap fixed-point attempt, the full one and the full one's seeds
-    deflated against its pool (see the module docstring) are tried in that
-    order; each pools its Newton-polished candidates, and the pool is
-    returned, z = 1 first and the rest by ascending polar angle, as soon as
-    it passes ``validate_root_set``.  Raises SolverError, whose message lists
-    the last attempt's problems, when no attempt yields such a set.
+    The pool of the first attempt (see the module docstring) that passes
+    ``validate_root_set`` is returned, z = 1 first and the rest by ascending
+    polar angle; SolverError, whose message lists the last attempt's
+    problems, is raised when neither attempt passes.
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"find_all_roots needs 0 <= rho < 1, got {rho}")
@@ -238,20 +232,11 @@ def find_all_roots(s_probs, y_pgf_handle, rho: float) -> tuple[complex, ...]:
         raise ValueError(f"find_all_roots needs a space pmf s_0..s_C with C >= 1, "
                          f"got shape {probs.shape}")
 
-    def attempts():
-        # (seeds, Newton steps, whether they deflate against and join the
-        # previous attempt's pool); the full seeds are drawn only when the
-        # cheap attempt has failed
-        yield fixed_point_seeds(probs, y_pgf_handle, CHEAP_PASSES), CHEAP_STEPS, False
-        seeds = fixed_point_seeds(probs, y_pgf_handle, FULL_PASSES)
-        yield seeds, FULL_STEPS, False
-        yield seeds, FULL_STEPS, True
-
+    seeds = _upper(fixed_point_seeds(probs, y_pgf_handle))
     pool = np.array([1.0 + 0j])
-    for seeds, steps, joins in attempts():
-        seeds = _upper(seeds[np.isfinite(seeds)])
-        polished = newton_polish(seeds, probs, y_pgf_handle, steps, pool if joins else ())
-        pool = _merge(np.concatenate([pool if joins else [1.0 + 0j], polished]))
+    for deflate in (False, True):
+        polished = newton_polish(seeds, probs, y_pgf_handle, pool if deflate else ())
+        pool = _merge(np.concatenate([pool, polished]))
         roots = _ordered(np.concatenate([pool, pool[pool.imag > 0.0].conj()]))
         problems = validate_root_set(roots, probs, y_pgf_handle)
         if not problems:

@@ -459,7 +459,7 @@ def factor_moments(fact: Factorization, y: ArrivalMoments) -> tuple[float, float
     that the factorization adds to the headway's arrivals A.
     """
     _, slope, curve = fact.at_one
-    return y.mean - slope, y.central2 - curve - slope
+    return float(y.mean - slope), float(y.central2 - curve - slope)
 
 
 def wait_moments(eq: float, varq: float, y: ArrivalMoments, lam: float
@@ -476,7 +476,7 @@ def wait_moments(eq: float, varq: float, y: ArrivalMoments, lam: float
     q_t = eq - yb + 0.5 * (yc2 / yb + yb - 1.0)
     qq_t = varq - yc2 + (4.0 * yb * yc3 + 6.0 * yb * yb * yc2
                          - yb * yb + yb**4 - 3.0 * yc2**2) / (12.0 * yb * yb)
-    return q_t / lam, (qq_t - q_t) / (lam * lam)
+    return float(q_t / lam), float((qq_t - q_t) / (lam * lam))
 
 
 def _check_moments(eq: float, varq: float, varw: float, y: ArrivalMoments) -> None:

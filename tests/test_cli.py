@@ -212,6 +212,21 @@ def test_compare_theory_record_that_is_not_an_object(tmp_path, capsys):
     assert "route report record 1 is not an object" in _assert_one_error_line(capsys)
 
 
+def test_compare_theory_with_a_stable_flag_that_is_not_a_boolean(tmp_path, capsys):
+    # "True" is no JSON boolean; read as false, it would mark stations 4-5
+    # excluded-unstable and let the comparison pass
+    th = tmp_path / "theory.json"
+    doctored = tmp_path / "doctored.json"
+    assert main(["analyze", "--format", "json", "--out", str(th)]) == EXIT_OK
+    doc = json.loads(th.read_text())
+    for rec in doc["stations"][3:5]:
+        rec["stable"] = "True"
+    doctored.write_text(json.dumps(doc))
+    assert main(["compare", "--theory", str(doctored), "--sim", str(th)]) == EXIT_INPUT
+    assert _assert_one_error_line(capsys).rstrip().endswith(
+        "route report record has a value of the wrong type: stable = 'True'")
+
+
 def test_compare_sim_stats_with_null_runs(tmp_path, capsys):
     th = tmp_path / "theory.json"
     sim = tmp_path / "sim.json"

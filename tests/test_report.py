@@ -193,6 +193,47 @@ def test_json_value_of_wrong_type_rejected(reference_report, tmp_path):
         read_route_report(path)
 
 
+# values a typed column must refuse, rather than read as something else:
+# a bool column takes only true/false, an int column only an integer, and
+# no column takes a JSON boolean for a number
+@pytest.mark.parametrize("column, value", [
+    ("stable", "True"), ("stable", "yes"), ("stable", 1), ("stable", "true"),
+    ("station", 3.7), ("station", True), ("station", "3"), ("rho", True)])
+def test_json_typed_column_rejects_a_foreign_value(reference_report, tmp_path, column, value):
+    path = tmp_path / "route.json"
+    write_route_report(reference_report, path, fmt="json")
+    doc = json.loads(path.read_text())
+    doc["stations"][3][column] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^route report record has a value of the "
+                                         f"wrong type: {column} = {value!r}$"):
+        read_route_report(path)
+
+
+@pytest.mark.parametrize("column, text", [
+    ("stable", "True"), ("stable", "1"), ("station", "3.7"), ("station", "")])
+def test_csv_typed_column_rejects_a_foreign_field(reference_report, tmp_path, column, text):
+    path = tmp_path / "route.csv"
+    write_route_report(reference_report, path)
+    comments, header, rows = report._read_csv_text(path.read_text())
+    rows[3][header.index(column)] = text
+    path.write_text(report._csv_text(comments, header, rows))
+    with pytest.raises(ValueError, match=f"^route report record has a value of the "
+                                         f"wrong type: {column} = {text!r}$"):
+        read_route_report(path)
+
+
+def test_sim_stats_int_column_rejects_a_json_boolean(small_stats, tmp_path):
+    path = tmp_path / "stats.json"
+    write_sim_stats(small_stats, path, fmt="json")
+    doc = json.loads(path.read_text())
+    doc["stations"][0]["boarded"] = True
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="^simulation stats record has a value of the "
+                                         "wrong type: boarded = True$"):
+        read_sim_stats(path)
+
+
 def test_json_without_record_list_rejected(tmp_path):
     path = tmp_path / "stats.json"
     path.write_text('{"label": "x", "rows": []}')

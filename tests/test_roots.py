@@ -216,51 +216,41 @@ def test_polar_stall_scenarios_certify(row):
     assert solved >= 8
 
 
-def _record_budgets(monkeypatch):
-    """Log [fixed-point passes, Newton steps] of every attempt made; an attempt
-    that deflates against known roots logs ["deflated", Newton steps]."""
+def _record_attempts(monkeypatch):
+    """Log every attempt made: "plain", or "deflated" when its Newton
+    deflates against the roots already pooled."""
     made = []
-    fixed_point, polish = rootsmod.fixed_point_seeds, rootsmod.newton_polish
+    polish = rootsmod.newton_polish
 
-    def seeds(probs, y, passes):
-        made.append([passes])
-        return fixed_point(probs, y, passes)
+    def newton(z, probs, y, known=()):
+        made.append("deflated" if len(known) else "plain")
+        return polish(z, probs, y, known)
 
-    def newton(z, probs, y, steps, known=()):
-        if len(known):
-            made.append(["deflated"])
-        made[-1].append(steps)
-        return polish(z, probs, y, steps, known)
-
-    monkeypatch.setattr(rootsmod, "fixed_point_seeds", seeds)
     monkeypatch.setattr(rootsmod, "newton_polish", newton)
     return made
 
 
-def test_full_attempt_certifies_when_the_cheap_one_fails(reference_report, monkeypatch):
-    # with no Newton step to spend, every cheap start comes back NaN; the
-    # full fixed-point attempt must then find the companion-matrix roots
-    # without deflating
+def test_first_attempt_matches_companion_matrix_and_stored_set(reference_report, monkeypatch):
+    # the plain attempt alone must find the companion-matrix roots, and the
+    # same set that the report's pending roots hold
     sm, hw, cap, probs = _station_inputs(reference_report, 1)
-    made = _record_budgets(monkeypatch)
-    monkeypatch.setattr(rootsmod, "CHEAP_STEPS", 0)
+    made = _record_attempts(monkeypatch)
     got = find_all_roots(probs, lambda z: headway.y_pgf(z, sm.arrival_rate, hw), sm.rho)
-    assert made == [[rootsmod.CHEAP_PASSES, 0],
-                    [rootsmod.FULL_PASSES, rootsmod.FULL_STEPS]]
+    assert made == ["plain"]
     expected = oracles.poly_roots_in_disk(probs, sm.arrival_rate, hw, cap)
     assert len(got) == len(expected) == cap
     assert max(np.min(np.abs(expected - z)) for z in got) < 1e-6
     assert np.max(np.abs(np.array(got) - np.array(sm.roots))) < 1e-12
 
 
-def test_cheap_attempt_certifies_every_preset_station(monkeypatch):
-    made = _record_budgets(monkeypatch)
+def test_first_attempt_certifies_every_preset_station(monkeypatch):
+    made = _record_attempts(monkeypatch)
     solves = 0
     for name in model.PRESETS:
         rep = solver.analyze_route(model.preset(name))
         solves += sum(bool(sm.roots) for sm in rep.stations)
     assert solves > 0
-    assert made == [[rootsmod.CHEAP_PASSES, rootsmod.CHEAP_STEPS]] * solves
+    assert made == ["plain"] * solves
 
 
 def test_each_preset_root_search_validates_once(monkeypatch):
@@ -309,15 +299,15 @@ def test_deflation_steers_newton_off_known_roots():
     # z^6 = 1 (Y = 1, all six seats free): from next to z = 1, plain Newton
     # returns to it, and deflated against z = 1 it finds another sixth root
     probs, start = _point_mass_probs(6), [1.02 + 0.01j]
-    plain = rootsmod.newton_polish(start, probs, _unit_y, 40)
+    plain = rootsmod.newton_polish(start, probs, _unit_y)
     assert abs(plain[0] - 1.0) < 1e-12
-    deflated = rootsmod.newton_polish(start, probs, _unit_y, 40, known=[1.0])
+    deflated = rootsmod.newton_polish(start, probs, _unit_y, known=[1.0])
     gaps = np.abs(_roots_of_unity(6) - deflated[0])
     assert np.argmin(gaps) != 0 and np.min(gaps) < 1e-12
 
 
-# The criterion-4 routes with a solve (station 6) that no fixed-point attempt
-# certifies: both pool all roots but one conjugate pair, because Newton takes
+# The criterion-4 routes with a solve (station 6) that the plain attempt does
+# not certify: both pool all roots but one conjugate pair, because Newton takes
 # every start to a root another start has already found.
 DEFLATED_SCENARIOS = [
     (34, 1.0 / 3.0, 0.5, 2.0, 1.0),
@@ -328,22 +318,20 @@ DEFLATED_SCENARIOS = [
 
 @pytest.mark.parametrize("row", DEFLATED_SCENARIOS)
 def test_one_deflated_attempt_certifies_each_stalling_route(row, monkeypatch):
-    made = _record_budgets(monkeypatch)
+    made = _record_attempts(monkeypatch)
     for sm in solver.analyze_route(_grid_scenario(*row)).stations:
         len(sm.roots)  # raises unless the station's root set certifies
-    deflated = [k for k, attempt in enumerate(made) if attempt[0] == "deflated"]
+    deflated = [k for k, attempt in enumerate(made) if attempt == "deflated"]
     assert len(deflated) == 1
     k = deflated[0]
-    assert made[k - 2:k + 1] == [[rootsmod.CHEAP_PASSES, rootsmod.CHEAP_STEPS],
-                                 [rootsmod.FULL_PASSES, rootsmod.FULL_STEPS],
-                                 ["deflated", rootsmod.FULL_STEPS]]
+    assert made[k - 1:k + 1] == ["plain", "deflated"]
 
 
 def test_stacked_pair_certifies_without_deflation(monkeypatch):
-    made = _record_budgets(monkeypatch)
+    made = _record_attempts(monkeypatch)
     y = partial(headway.y_pgf, lam=STACKED_LAM, model=STACKED_MODEL)
     rs = find_all_roots(STACKED_S, y, STACKED_RHO)
-    assert len(made) <= 2 and all(attempt[0] != "deflated" for attempt in made)
+    assert made == ["plain"]
     assert validate_root_set(rs, STACKED_S, y) == []
     assert min(abs(z - STACKED_ROOT) for z in rs) < 1e-9
 
@@ -358,10 +346,10 @@ def test_slowly_decaying_batch_certifies_without_deflation(monkeypatch):
     def y(z):
         return (1.0 - q) / (1.0 - q * np.asarray(z, dtype=complex))
 
-    made = _record_budgets(monkeypatch)
+    made = _record_attempts(monkeypatch)
     probs = _point_mass_probs(cap)
     rs = find_all_roots(probs, y, q / (1.0 - q) / cap)
-    assert len(made) <= 2 and all(attempt[0] != "deflated" for attempt in made)
+    assert made == ["plain"]
     assert validate_root_set(rs, probs, y) == []
     coeffs = np.zeros(cap + 2)
     coeffs[:2] = -q, 1.0

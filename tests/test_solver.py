@@ -437,6 +437,15 @@ def test_wait_moments_requires_arrivals():
         wait_moments(1.0, 1.0, headway.ArrivalMoments(0.0, 0.0, 0.0), 0.0)
 
 
+def test_station_metrics_numbers_are_python_floats():
+    # the moments come out of numpy arithmetic; a report holds them as
+    # plain floats at every station, so each prints as a number
+    for name in model.PRESETS:
+        for sm in analyze_route(model.preset(name)).stations:
+            for field in ("rho", "eq", "varq", "ew", "varw", "arrival_rate"):
+                assert type(getattr(sm, field)) is float, (name, sm.station, field)
+
+
 def test_reference_route_metrics(reference_report):
     for row, sm in zip(REFERENCE_TABLE, reference_report.stations):
         _, rho, eq, varq, ew, varw = row
@@ -672,8 +681,8 @@ def test_station_solve_error_on_den_residual(monkeypatch):
     # station's root set names the |Den| gate
     polish = rootsmod.newton_polish
 
-    def off_root(z, probs, y_pgf_handle, steps, known=()):
-        return polish(z, probs, y_pgf_handle, steps, known) * (1.0 - 1e-7)
+    def off_root(z, probs, y_pgf_handle, known=()):
+        return polish(z, probs, y_pgf_handle, known) * (1.0 - 1e-7)
 
     monkeypatch.setattr(rootsmod, "newton_polish", off_root)
     rep = analyze_route(model.reference_scenario())
