@@ -250,8 +250,9 @@ def expand_grid(base: Scenario, parameter: str, values: Iterable[float]) -> list
 
 
 def _number(value, field: str) -> float:
-    """A JSON number as a float; JSON's true and false are not numbers."""
-    if isinstance(value, bool):  # float(True) would read it as 1.0
+    """A JSON number as a float: an int or a float, and neither JSON's true
+    and false nor a string, which float() would read as 1.0 or parse."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{field!r}: {json.dumps(value)} is not a number")
     return float(value)
 

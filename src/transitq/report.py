@@ -2,10 +2,10 @@
 
 Each document kind (route report, simulation stats, comparison table, root
 dump, sweep index) is a ``Table``: its columns, the columns that hold ints,
-bools or strings (the rest are floats), its metadata keys and the key of its
-record list in JSON.  Builders turn a result object into a JSON-shaped
-document; ``render`` prints that document as CSV or JSON and ``read_table``
-sniffs a file and returns its metadata and typed records.
+bools or strings (the rest are floats), its metadata keys with their types
+and the key of its record list in JSON.  Builders turn a result object into
+a JSON-shaped document; ``render`` prints that document as CSV or JSON and
+``read_table`` sniffs a file and returns its typed metadata and records.
 
 Numbers are printed with 9 significant digits and a '.' decimal separator.
 Unbounded moments serialize as the literal string "inf"; undefined values
@@ -47,21 +47,22 @@ SWEEP_COLUMNS = ["parameter", "value", "station", "stable",
 
 @dataclass(frozen=True)
 class Table:
-    """One document kind; columns not named in ``types`` hold floats."""
+    """One document kind; columns not named in ``types`` hold floats, and
+    ``meta`` maps each metadata key to its type."""
 
     name: str
     columns: list[str]
     types: dict = field(default_factory=dict)
-    meta: tuple[str, ...] = ("label",)
+    meta: dict = field(default_factory=lambda: {"label": str})
     key: str = "stations"
 
 
 ROUTE = Table("route report", ROUTE_COLUMNS, {"station": int, "stable": bool})
 SIM = Table("simulation stats", SIM_COLUMNS, {"station": int, "boarded": int},
-            ("label", "runs", "seed", "warmup", "rng_layout"))
+            {"label": str, "runs": int, "seed": int, "warmup": float, "rng_layout": int})
 COMPARISON = Table("comparison table", COMPARISON_COLUMNS,
                    {"station": int, "status": str},
-                   ("label", "tol_mean", "tol_sd", "passed"), "rows")
+                   {"label": str, "tol_mean": float, "tol_sd": float, "passed": bool}, "rows")
 ROOTS = Table("root dump", ROOT_COLUMNS, key="roots")
 SWEEP = Table("sweep index", SWEEP_COLUMNS,
               {"parameter": str, "station": int, "stable": bool, "report_file": str},
@@ -165,21 +166,23 @@ def render(table: Table, doc: dict, fmt: str = "csv") -> str:
 
 def _parse(kind, v, from_json: bool):
     """A JSON value or a CSV field back to the column's type.  A bool column
-    takes only true/false and an int column only an integer, and no column
-    takes a JSON boolean for a number; anything else raises ValueError."""
+    takes only true/false, an int column only an integer and a str column
+    only a string, and no column takes a JSON boolean for a number; anything
+    else raises ValueError."""
     if kind is bool and (isinstance(v, bool) if from_json else v in ("true", "false")):
         return v is True or v == "true"
     if kind is int and (type(v) is int if from_json else re.fullmatch(r"[+-]?[0-9]+", v)):
         return int(v)
-    if kind is str:
-        return str(v)
+    if kind is str and isinstance(v, str):
+        return v
     if kind is not float or isinstance(v, bool):
         raise ValueError(f"not a {kind.__name__}")
     return math.nan if v is None else parse_value(v) if isinstance(v, str) else float(v)
 
 
 def read_table(table: Table, path) -> tuple[dict, list[dict]]:
-    """Metadata and typed records of a document (CSV or JSON, sniffed)."""
+    """Typed metadata and records of a document (CSV or JSON, sniffed); each
+    metadata value is read by the rules of a column of its type."""
     text = Path(path).read_text(encoding="utf-8")
     from_json = _looks_like_json(text)
     if from_json:
@@ -207,7 +210,15 @@ def read_table(table: Table, path) -> tuple[dict, list[dict]]:
                 raise ValueError(f"{table.name} record has a value of the wrong type: "
                                  f"{c} = {rec[c]!r}") from exc
         typed.append(row)
-    return {k: meta[k] for k in table.meta if k in meta}, typed
+    head = {}
+    for k, kind in table.meta.items():
+        if k in meta:
+            try:
+                head[k] = _parse(kind, meta[k], from_json)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{table.name} metadata has a value of the wrong type: "
+                                 f"{k} = {meta[k]!r}") from exc
+    return head, typed
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +288,9 @@ def read_sim_stats(path) -> SimStats:
         headway_var=rec["headway_sigma_sim"] * rec["headway_sigma_sim"],
         boarded=rec["boarded"])
         for rec in records)
-    head = {}
-    for key, kind in (("runs", int), ("seed", int), ("warmup", float), ("rng_layout", int)):
-        try:
-            head[key] = kind(meta.get(key, 0))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{SIM.name} metadata has a value of the wrong type: "
-                             f"{key} = {meta[key]!r}") from exc
-    return SimStats(label=meta.get("label", ""), stations=stations, **head)
+    return SimStats(label=meta.get("label", ""), stations=stations, runs=meta.get("runs", 0),
+                    seed=meta.get("seed", 0), warmup=meta.get("warmup", 0.0),
+                    rng_layout=meta.get("rng_layout", 0))
 
 
 # ---------------------------------------------------------------------------

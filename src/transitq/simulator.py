@@ -70,9 +70,12 @@ class SimConfig:
     warmup: float = 0.10    # fraction of vehicles dropped from statistics
 
     def __post_init__(self):
+        # a bool is an int to operator.index and a Real, and True would run as 1
         for name in ("runs", "seed"):
             value = getattr(self, name)
             try:
+                if isinstance(value, bool):
+                    raise TypeError
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -80,7 +83,8 @@ class SimConfig:
             raise ValueError(f"need at least 100 vehicles, got {self.runs}")
         if not 0 <= self.seed < 1 << 64:  # the high half of every stream's Philox key
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if not isinstance(self.warmup, numbers.Real) or not 0.0 <= self.warmup < 1.0:
+        if (isinstance(self.warmup, bool) or not isinstance(self.warmup, numbers.Real)
+                or not 0.0 <= self.warmup < 1.0):
             raise ValueError(f"warmup fraction must lie in [0, 1), got {self.warmup!r}")
         if self.runs - math.ceil(self.warmup * self.runs) < 2:
             raise ValueError("warmup leaves fewer than 2 vehicles for statistics")

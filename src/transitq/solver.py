@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -68,7 +68,8 @@ class DiscreteDist:
         low = arr.min()
         if low < -1e-12:
             raise ValueError(f"distribution entry {low:.3e} below the -1e-12 clamp floor")
-        arr[arr < 0.0] = 0.0
+        if low < 0.0:
+            arr[arr < 0.0] = 0.0
         total = arr.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"distribution sums to {total!r}, outside 1 +- 1e-9")
@@ -292,6 +293,8 @@ MAX_POINTS = 1 << 20
 class Factorization:
     """log E of one station, read off the circle |w| = ``radius``.
 
+    ``inv_powers`` holds r^(-n), n < N/2, built once for the circle and read
+    as prefixes by every step that takes coefficients back to |w| = 1.
     ``log_e`` holds c_n r^n, n < N/2, where log E~(w) = sum_n c_n w^n and
     E~ = E / (1 - w/x*) (E itself when ``x_star`` is 0); ``y_vals`` is Y on
     the upper half of the circle's N points.  ``at_one``, summed once, is
@@ -300,13 +303,14 @@ class Factorization:
 
     x_star: float
     radius: float
+    inv_powers: np.ndarray
     log_e: np.ndarray
     y_vals: np.ndarray
     at_one: tuple[float, float, float] = field(init=False)
 
     def __post_init__(self):
         n = np.arange(len(self.log_e))
-        c = self.log_e * self.radius ** -n
+        c = self.log_e * self.inv_powers
         value, slope, curve = c.sum(), n @ c, (n * (n - 1.0)) @ c
         if self.x_star:
             gap = self.x_star - 1.0
@@ -316,67 +320,90 @@ class Factorization:
         object.__setattr__(self, "at_one", (value, slope, curve))
 
 
-def _jump(probs: np.ndarray, y_handle, x: np.ndarray) -> np.ndarray:
-    """J(x) = Y(x) sum_u s_u x^(-u) at points with |x| >= 1, from one table of
-    powers of 1/x, which cannot overflow there."""
-    inv = np.cumprod(np.broadcast_to(1.0 / x[:, None], (len(x), len(probs) - 1)), axis=1)
-    return np.asarray(y_handle(x), dtype=complex) * (probs[0] + inv @ probs[1:])
-
-
 def _outer_zero(probs: np.ndarray, y_handle) -> float:
     """x* in (1, 1 + 8/C] with J(x*) = 1, or 0 when J < 1 on all of it.
 
     J(x) = E[x^(A - S)] is real and convex for x > 0, with J(1) = 1 and
     J'(1) = E[A] - E[S] < 0 at a stable station, so above 1 it reaches 1 at
     most once more; as |J(w)| <= J(|w|), that x* is the zero of g nearest
-    outside the unit circle.  Sixteen points bracket it, and Newton from the
-    bracket's right end, with J' from one complex step, runs it to the last
-    bits (an x* off by 3e-8 moves E[Q] by 5e-8 relative): a step of at most
-    4e-16 x ends the search, even at a bracket end.  A J that overflows
-    reads as beyond x*; only that or a step out of the bracket bisects it.
-    Before the bracket: J lies under its chord from J(1) = 1, so a real
-    J(1 + 8/C) < 1 - 1e-9 holds all sixteen points under 1 - 6e-11: no x*.
+    outside the unit circle.  The search runs in floats on the real axis,
+    where ``y_handle`` takes a float and no term of J is negative; a J that
+    overflows is inf and reads as beyond x*.  J(1 + 8/C) < 1 means no x*
+    there.  Else a binary search finds the first of the sixteen points
+    1 + (8/C) k/16, k = 1..16, with J >= 1, and a secant on
+    h(x) = (J(x) - 1) / (x - 1), which is increasing as J is convex and
+    vanishes only at x*, runs inside that bracket from the last two points
+    read, bisecting it when a step leaves it or the two h give no finite
+    slope (an overflow, or equal values).  It stops at a step of at most
+    4e-16 x, at a J within one rounding unit of 1 (its floor), or at a
+    bracket that narrow: an x* off by 3e-8 moves E[Q] by 5e-8 relative.
     """
     cap = len(probs) - 1
+    powers, floor = -np.arange(cap + 1.0), 2.0 ** -52
+
+    def excess(x: float) -> float:
+        return float(y_handle(x) * (probs @ x ** powers)) - 1.0
+
     right = 1.0 + 8.0 / cap
-    if y_handle(right) * (probs @ right ** -np.arange(cap + 1.0)) < 1.0 - 1e-9:
+    d = excess(right)
+    if d < 0.0:
         return 0.0
-    grid = 1.0 + (8.0 / cap) * np.arange(1, 17) / 16.0
-    beyond = ~(_jump(probs, y_handle, grid).real < 1.0)
-    if not beyond.any():
-        return 0.0
-    k = int(np.argmax(beyond))
-    lo, hi = (grid[k - 1] if k else 1.0), grid[k]
-    x = hi
+    points = (1.0 + (8.0 / cap) * np.arange(1, 17) / 16.0).tolist()
+    x1, h1 = right, d / (right - 1.0)
+    lo, hi, i, k = 1.0, right, -1, 15
+    while k - i > 1:
+        m = (i + k) // 2
+        x = points[m]
+        d = excess(x)
+        if abs(d) <= floor:
+            return x
+        x0, h0, x1, h1 = x1, h1, x, d / (x - 1.0)
+        if d < 0.0:
+            i, lo = m, x
+        else:
+            k, hi = m, x
     for _ in range(64):
-        val = _jump(probs, y_handle, np.array([complex(x, 1e-20)]))[0]
-        if val.real < 1.0:
+        x = 0.5 * (lo + hi)
+        if h1 != h0 and math.isfinite(h1 - h0):
+            step = h1 * (x1 - x0) / (h1 - h0)
+            if abs(step) <= 4e-16 * x1:
+                return x1 - step
+            if lo < x1 - step < hi:
+                x = x1 - step
+        d = excess(x)
+        if abs(d) <= floor:
+            return x
+        x0, h0, x1, h1 = x1, h1, x, d / (x - 1.0)
+        if d < 0.0:
             lo = x
         else:
             hi = x
-        step = (val.real - 1.0) / (val.imag * 1e20)
-        if abs(step) <= 4e-16 * x:
-            return x - step
-        nxt = x - step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= 4e-16 * x or hi - lo <= 4e-16 * hi:
-            return nxt
-        x = nxt
-    return x
+        if hi - lo <= 4e-16 * hi:
+            return x
+    return x1
 
 
-def _g_on_circle(probs: np.ndarray, y_handle, radius: float, n_points: int,
+@cache
+def _half_circle(n_points: int) -> np.ndarray:
+    """exp(2 pi i k / N) for k = 0..N/2, built once per point count N."""
+    w = np.exp(2j * np.pi / n_points * np.arange(n_points // 2 + 1))
+    w.setflags(write=False)
+    return w
+
+
+def _g_on_circle(probs: np.ndarray, y_handle, radius: float, inv_powers: np.ndarray,
                  x_star: float) -> tuple[np.ndarray, np.ndarray]:
     """(Y, g~) at the N/2 + 1 points of angle in [0, pi] on |w| = ``radius``.
 
-    g = 1 - Y(w) sum_u s_u w^(-u), the sum one real FFT of s_u r^(-u); with
-    x* given, g~ = g / (1 - w/x*).  No Y divides anything, so a Y that
+    g = 1 - Y(w) sum_u s_u w^(-u), the sum one real FFT of s_u r^(-u), with
+    r^(-u) the first C + 1 of the circle's N/2 ``inv_powers``; with x*
+    given, g~ = g / (1 - w/x*).  No Y divides anything, so a Y that
     underflows costs nothing.
     """
-    w = radius * np.exp(2j * np.pi / n_points * np.arange(n_points // 2 + 1))
+    n_points = 2 * len(inv_powers)
+    w = radius * _half_circle(n_points)
     y_vals = np.asarray(y_handle(w), dtype=complex)
-    g = 1.0 - y_vals * np.fft.rfft(probs * radius ** -np.arange(len(probs)), n_points)
+    g = 1.0 - y_vals * np.fft.rfft(probs * inv_powers[:len(probs)], n_points)
     if x_star:
         g /= 1.0 - w / x_star
     return y_vals, g
@@ -384,8 +411,11 @@ def _g_on_circle(probs: np.ndarray, y_handle, radius: float, n_points: int,
 
 def _phase(g: np.ndarray) -> np.ndarray:
     """Continuous phase of g along the half circle, from its value at angle 0."""
-    return np.concatenate(([np.angle(g[0])],
-                           np.angle(g[0]) + np.cumsum(np.angle(g[1:] / g[:-1]))))
+    phase = np.empty(len(g))
+    phase[0] = np.angle(g[0])
+    np.cumsum(np.angle(g[1:] / g[:-1]), out=phase[1:])
+    phase[1:] += phase[0]
+    return phase
 
 
 def factorize(probs: np.ndarray, y_handle) -> Factorization:
@@ -403,8 +433,10 @@ def factorize(probs: np.ndarray, y_handle) -> Factorization:
     (1 + a/(2C)), at the next power of two at or above max(1024, 100 C / a)
     points N, must wind 0 times, which makes log g~ single-valued there, and
     hold at most ``FOLD_TOL`` in every coefficient of its FFT's middle
-    quarter, a folded tail that winding 0 alone does not rule out.  Raises
-    SolverError when no circle of at most ``MAX_POINTS`` points passes.
+    quarter, a folded tail that winding 0 alone does not rule out.  Each
+    circle builds r^(-n), n < N/2, once, and the passing circle keeps it in
+    its ``Factorization``.  Raises SolverError when no circle of at most
+    ``MAX_POINTS`` points passes.
     """
     cap = len(probs) - 1
     # an overflow or a zero of g leaves a non-finite circle, which fails its check
@@ -417,7 +449,8 @@ def factorize(probs: np.ndarray, y_handle) -> Factorization:
             if n_points > MAX_POINTS:
                 raise SolverError(f"no circle of up to {MAX_POINTS} points passed: {problem}")
             radius = base * (1.0 + a / (2.0 * cap))
-            y_vals, g = _g_on_circle(probs, y_handle, radius, n_points, x_star)
+            inv_powers = radius ** -np.arange(n_points // 2)
+            y_vals, g = _g_on_circle(probs, y_handle, radius, inv_powers, x_star)
             phase = _phase(g)
             winding = (phase[-1] - phase[0]) / np.pi
             if not abs(winding) < 0.5:
@@ -426,7 +459,8 @@ def factorize(probs: np.ndarray, y_handle) -> Factorization:
                 coef = np.fft.hfft(np.log(np.abs(g)) + 1j * phase, n_points) / n_points
                 fold = np.max(np.abs(coef[3 * n_points // 8:5 * n_points // 8 + 1]))
                 if fold <= FOLD_TOL:
-                    return Factorization(x_star, radius, coef[:n_points // 2], y_vals)
+                    return Factorization(x_star, radius, inv_powers, coef[:n_points // 2],
+                                         y_vals)
                 problem = f"fold coefficient {fold:.3e} above {FOLD_TOL:g} at a = {a:g}"
             a /= 2.0
 
@@ -437,7 +471,7 @@ def factor_front(fact: Factorization, s: DiscreteDist, y: ArrivalMoments) -> Que
     With x*, Q = R / (1 - z/x*) and R = Y E(1) / E~, so q_j = r_j + q_{j-1}/x*,
     written as x*^(-j) times a prefix sum of r_k x*^k (x*^C <= e^8).  R is
     sampled on the factorization's own circle, with log E~ there the inverse
-    FFT of the kept coefficients, and r_j comes back divided by r^j.
+    FFT of the kept coefficients, and r_j comes back times the circle's r^(-j).
     """
     cap = s.top_index
     n_points = 2 * len(fact.log_e)
@@ -447,7 +481,7 @@ def factor_front(fact: Factorization, s: DiscreteDist, y: ArrivalMoments) -> Que
     j = np.arange(cap)
     with np.errstate(over="ignore", invalid="ignore"):
         r = (np.fft.hfft(fact.y_vals * np.exp(log_e1 - log_e), n_points)[:cap] / n_points
-             * fact.radius ** -j)
+             * fact.inv_powers[:cap])
         q = r if not fact.x_star else fact.x_star ** -j * np.cumsum(r * fact.x_star ** j)
     return QueueFront(_front_diagnostics(q, s, s.mean, y.mean))
 

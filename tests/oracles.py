@@ -117,6 +117,50 @@ def den(z, s_probs, lam: float, model: HeadwayModel) -> np.ndarray:
     return z ** (len(probs) - 1) / y - np.polyval(probs, z)
 
 
+def jump(probs: np.ndarray, y_handle, x: np.ndarray) -> np.ndarray:
+    """J(x) = Y(x) sum_u s_u x^(-u) at complex points with |x| >= 1, from one
+    table of powers of 1/x, which cannot overflow there."""
+    inv = np.cumprod(np.broadcast_to(1.0 / x[:, None], (len(x), len(probs) - 1)), axis=1)
+    return np.asarray(y_handle(x), dtype=complex) * (probs[0] + inv @ probs[1:])
+
+
+def outer_zero(probs: np.ndarray, y_handle) -> float:
+    """x* in (1, 1 + 8/C] with J(x*) = 1, or 0, by the complex route.
+
+    The sixteen points 1 + (8/C) k/16 are read in one complex ``jump`` call,
+    and 0 means J < 1 at all of them; otherwise Newton runs from the first
+    point with J >= 1, its J' from one complex step of 1e-20, bisecting the
+    bracket on an overflow or a step out of it, and stops at a step of at
+    most 4e-16 x.  No float J and no secant: the library's search reads J on
+    the real axis in floats.
+    """
+    cap = len(probs) - 1
+    grid = 1.0 + (8.0 / cap) * np.arange(1, 17) / 16.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        beyond = ~(jump(probs, y_handle, grid).real < 1.0)
+        if not beyond.any():
+            return 0.0
+        k = int(np.argmax(beyond))
+        lo, hi = (grid[k - 1] if k else 1.0), grid[k]
+        x = hi
+        for _ in range(64):
+            val = jump(probs, y_handle, np.array([complex(x, 1e-20)]))[0]
+            if val.real < 1.0:
+                lo = x
+            else:
+                hi = x
+            step = (val.real - 1.0) / (val.imag * 1e20)
+            if abs(step) <= 4e-16 * x:
+                return float(x - step)
+            nxt = x - step
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            if abs(nxt - x) <= 4e-16 * x or hi - lo <= 4e-16 * hi:
+                return float(nxt)
+            x = nxt
+    return float(x)
+
+
 def pgf_factorial_moments(pgf, order: int = 3, radius: float = 0.1,
                           points: int = 128) -> list[float]:
     """First ``order`` factorial moments of a PGF from samples near z=1.

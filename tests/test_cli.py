@@ -244,6 +244,23 @@ def test_compare_sim_stats_with_null_runs(tmp_path, capsys):
         "simulation stats metadata has a value of the wrong type: runs = None")
 
 
+@pytest.mark.parametrize("field, value", [("runs", True), ("runs", 2.7), ("seed", False),
+                                          ("warmup", True), ("runs", "200")])
+def test_compare_sim_stats_with_metadata_of_the_wrong_type(field, value, tmp_path, capsys):
+    # int() and float() read true as 1, 2.7 as 2 and false as 0; the stats
+    # metadata takes a value only as a record column of its type would
+    th = tmp_path / "theory.json"
+    sim = tmp_path / "sim.json"
+    assert main(["analyze", "--format", "json", "--out", str(th)]) == EXIT_OK
+    assert main(["simulate", "--runs", "200", "--format", "json", "--out", str(sim)]) == EXIT_OK
+    doc = json.loads(sim.read_text())
+    doc[field] = value
+    sim.write_text(json.dumps(doc))
+    assert main(["compare", "--theory", str(th), "--sim", str(sim)]) == EXIT_INPUT
+    assert _assert_one_error_line(capsys).rstrip().endswith(
+        f"simulation stats metadata has a value of the wrong type: {field} = {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # roots
 
@@ -576,6 +593,16 @@ def test_boolean_number_is_an_input_error(command, field, tmp_path, capsys):
     config = _config_with(tmp_path, **{field: True})
     assert main(command + ["--config", config]) == EXIT_INPUT
     assert f"'{field}': true is not a number" in _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("field, value", [("lambda", "0.75"), ("capacity", "34"),
+                                          ("lambda", " inf ")])
+def test_string_number_is_an_input_error(field, value, tmp_path, capsys):
+    config = _config_with(tmp_path, **{field: value})
+    assert main(["analyze", "--config", config]) == EXIT_INPUT
+    err = _assert_one_error_line(capsys)
+    assert "malformed scenario document" in err
+    assert f"'{field}': {json.dumps(value)} is not a number" in err
 
 
 def test_sweep_out_under_a_file_is_an_input_error(tmp_path, capsys):

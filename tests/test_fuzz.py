@@ -9,14 +9,17 @@ route's stations.  A report no longer carries a searched root set, so the
 root sets are read as well: a draw counts as root-certified when the set of
 every station with arrivals certifies (count, |J - 1| and |Den| residuals)
 or names its station in the error.  Neither count may fall below its floor.
-The corpus is solved once, counting the Newton evaluations of each station's
-x* search, which must stay a handful, and checking that each search ends at
-one real-axis J exactly where the sixteen-point bracket reads no x*.
+The corpus is solved once, counting the float J evaluations of each
+station's x* search, which must stay a handful, and checking each search
+against the complex route of ``oracles.outer_zero``: it ends at one
+real-axis J exactly where the oracle's sixteen points read no x*, and
+otherwise agrees with its complex-step Newton to 1e-14.
 """
 
 import numpy as np
 import pytest
 
+import oracles
 from transitq import model, solver
 
 SEED = 3
@@ -34,9 +37,10 @@ GAMMAS = (0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 # anywhere upstream of the root search can move this count.
 CERTIFIED = 400
 ROOTS_CERTIFIED = 363
-# the most single-point J evaluations one x* search may take: the largest is
-# 14, against 48 when a converged Newton iterate still started a bisection
-NEWTON_CAP = 20
+# the most float J evaluations one x* search may take, its exit and binary
+# search included: the largest is 13, against 55 for a secant on J - 1 that
+# bisected once it reached J's rounding floor
+EVALUATION_CAP = 20
 
 
 def corpus() -> list[model.Scenario]:
@@ -63,49 +67,41 @@ def _station_error(sc, exc, stage=None):
     assert stage is None or exc.stage == stage, (sc.label, exc.stage)
 
 
-def spy_x_star_searches(mp) -> tuple[list[tuple[bool, bool]], list[int]]:
-    """Record, for every x* search, whether it ended at its one real-axis J
-    and whether the sixteen-point complex bracket reads J < 1 at all its
-    points; and, for every search that takes the bracket, the only kind to
-    make a multi-point ``_jump`` call, the single-point calls that follow
-    it, Newton's."""
-    searches, bracketed, newton = [], [], []
-    jump, outer_zero = solver._jump, solver._outer_zero
-
-    def jump_spy(probs, y_handle, x):
-        if len(x) > 1:
-            bracketed.append(True)
-            newton.append(0)
-        else:
-            newton[-1] += 1
-        return jump(probs, y_handle, x)
+def spy_x_star_searches(mp) -> list[tuple[float, int, float]]:
+    """Record, for every x* search, the x* it returns, the float J
+    evaluations it makes (one ``y_handle`` call each) and the x* of
+    ``oracles.outer_zero``, the complex route."""
+    searches = []
+    outer_zero = solver._outer_zero
 
     def outer_zero_spy(probs, y_handle):
-        bracketed.clear()
-        x_star = outer_zero(probs, y_handle)
-        grid = 1.0 + (8.0 / (len(probs) - 1)) * np.arange(1, 17) / 16.0
-        searches.append((not bracketed, bool(np.all(jump(probs, y_handle, grid).real < 1.0))))
+        evaluations = []
+
+        def counted(x):
+            evaluations.append(x)
+            return y_handle(x)
+
+        x_star = outer_zero(probs, counted)
+        searches.append((x_star, len(evaluations), oracles.outer_zero(probs, y_handle)))
         return x_star
 
-    mp.setattr(solver, "_jump", jump_spy)
     mp.setattr(solver, "_outer_zero", outer_zero_spy)
-    return searches, newton
+    return searches
 
 
 @pytest.fixture(scope="module")
 def solved():
-    """Each draw with its report or StationSolveError; the Newton
-    evaluations of every x* search that took the bracket; and what
-    ``spy_x_star_searches`` records of every search."""
+    """Each draw with its report or StationSolveError, and what
+    ``spy_x_star_searches`` records of every x* search."""
     out = []
     with pytest.MonkeyPatch.context() as mp:
-        searches, newton = spy_x_star_searches(mp)
+        searches = spy_x_star_searches(mp)
         for sc in corpus():
             try:
                 out.append((sc, solver.analyze_route(sc)))
             except solver.StationSolveError as exc:
                 out.append((sc, exc))
-    return out, newton, searches
+    return out, searches
 
 
 def test_corpus_ends_in_a_report_or_a_station_error(solved, record_testsuite_property):
@@ -132,20 +128,28 @@ def test_corpus_ends_in_a_report_or_a_station_error(solved, record_testsuite_pro
     assert roots_certified >= ROOTS_CERTIFIED
 
 
-def test_corpus_x_star_searches_take_a_handful_of_newton_steps(solved, record_testsuite_property):
-    newton = solved[1]
-    found = sum(1 for n in newton if n)
+def test_corpus_x_star_searches_take_a_handful_of_j_evaluations(solved,
+                                                               record_testsuite_property):
+    evaluations = [n for _, n, _ in solved[1]]
     record_testsuite_property(
-        "fuzz_newton", f"{sum(newton)} Newton evaluations over {found} x* searches; "
-        f"at most {max(newton)} at one station (cap {NEWTON_CAP})")
-    assert max(newton) <= NEWTON_CAP
+        "fuzz_x_star_evaluations", f"{sum(evaluations)} float J evaluations over "
+        f"{len(evaluations)} x* searches; at most {max(evaluations)} in one "
+        f"(cap {EVALUATION_CAP})")
+    assert max(evaluations) <= EVALUATION_CAP
 
 
 def test_corpus_x_star_is_ruled_out_by_one_real_j_where_the_bracket_would_be(
         solved, record_testsuite_property):
-    searches = solved[2]
-    ended = sum(fired for fired, _ in searches)
+    searches = solved[1]
+    ended = sum(n == 1 for _, n, _ in searches)
     record_testsuite_property(
-        "fuzz_bracket", f"{ended} of {len(searches)} x* searches ended at one real-axis J; "
-        f"{len(searches) - ended} took the bracket")
-    assert all(fired == below for fired, below in searches)
+        "fuzz_x_star_exit", f"{ended} of {len(searches)} x* searches ended at the "
+        f"real-axis exit; {len(searches) - ended} searched on")
+    assert all((n == 1) == (x_star == 0.0) == (oracle == 0.0)
+               for x_star, n, oracle in searches)
+
+
+def test_corpus_x_star_matches_the_complex_step_newton(solved):
+    found = [(x_star, oracle) for x_star, _, oracle in solved[1] if oracle]
+    assert len(found) == 65
+    assert all(abs(x_star - oracle) <= 1e-14 * oracle for x_star, oracle in found)

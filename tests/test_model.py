@@ -128,7 +128,12 @@ def test_fractional_capacity_is_malformed(reference):
     (("route", "stations", 3, "alpha"), False),
     (("route", "nominal_headway"), True),
     (("incidents", "theta"), False),
-], ids=["capacity", "lambda", "alpha", "nominal_headway", "theta"])
+    # float() would parse a JSON string, spaces and "inf" included
+    (("route", "stations", 0, "lambda"), "0.75"),
+    (("route", "capacity"), "34"),
+    (("route", "stations", 1, "lambda"), " inf "),
+], ids=["capacity", "lambda", "alpha", "nominal_headway", "theta",
+        "lambda-string", "capacity-string", "lambda-inf-string"])
 def test_boolean_number_is_malformed(reference, keys, value):
     doc = model.scenario_to_dict(reference)
     node = doc

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -210,6 +211,19 @@ def test_json_typed_column_rejects_a_foreign_value(reference_report, tmp_path, c
         read_route_report(path)
 
 
+@pytest.mark.parametrize("value", [None, 5, ["reference"]])
+def test_json_label_that_is_not_a_string_is_rejected(reference_report, tmp_path, value):
+    # str() would read null as the label "None"
+    path = tmp_path / "route.json"
+    write_route_report(reference_report, path, fmt="json")
+    doc = json.loads(path.read_text())
+    doc["label"] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^route report metadata has a value of the "
+                                         f"wrong type: label = {re.escape(repr(value))}$"):
+        read_route_report(path)
+
+
 @pytest.mark.parametrize("column, text", [
     ("stable", "True"), ("stable", "1"), ("station", "3.7"), ("station", "")])
 def test_csv_typed_column_rejects_a_foreign_field(reference_report, tmp_path, column, text):
@@ -295,6 +309,41 @@ def test_sim_stats_round_trip(small_stats, tmp_path, fmt):
                        if not line.startswith("# rng_layout:"))
     path.write_text(text, encoding="utf-8")
     assert read_sim_stats(path).rng_layout == 0
+
+
+@pytest.mark.parametrize("fmt, field, text", [
+    ("json", "runs", "true"), ("json", "runs", "2.7"), ("json", "seed", "false"),
+    ("json", "warmup", "true"), ("json", "seed", '"17"'), ("csv", "runs", "2.7"),
+    ("csv", "seed", "true"), ("csv", "warmup", "x")])
+def test_sim_stats_metadata_is_read_by_the_record_rules(small_stats, tmp_path, fmt, field,
+                                                        text):
+    path = tmp_path / f"sim.{fmt}"
+    write_sim_stats(small_stats, path, fmt=fmt)
+    if fmt == "json":
+        doc = json.loads(path.read_text())
+        doc[field] = json.loads(text)
+        path.write_text(json.dumps(doc))
+        shown = repr(doc[field])
+    else:
+        comments, header, rows = report._read_csv_text(path.read_text())
+        comments[field] = text
+        path.write_text(report._csv_text(comments, header, rows))
+        shown = repr(text)
+    with pytest.raises(ValueError, match=f"^simulation stats metadata has a value of the "
+                                         f"wrong type: {field} = {re.escape(shown)}$"):
+        read_sim_stats(path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sim_stats_metadata_round_trips_at_its_edges(small_stats, tmp_path, fmt):
+    # an int warmup, the largest seed and layout 0 read back as written
+    stats = dataclasses.replace(small_stats, seed=(1 << 64) - 1, warmup=0, rng_layout=0)
+    path = tmp_path / f"sim.{fmt}"
+    write_sim_stats(stats, path, fmt=fmt)
+    back = read_sim_stats(path)
+    assert (back.label, back.runs, back.seed, back.warmup, back.rng_layout) == (
+        stats.label, stats.runs, stats.seed, 0.0, 0)
+    assert type(back.runs) is int and type(back.seed) is int and type(back.warmup) is float
 
 
 def test_sim_csv_layout(small_stats):

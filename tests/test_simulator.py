@@ -95,6 +95,17 @@ def test_config_refuses_a_count_that_is_not_an_integer(field, value):
         SimConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("runs", True, "runs must be an integer"), ("seed", True, "seed must be an integer"),
+    ("seed", False, "seed must be an integer"), ("warmup", False, "warmup fraction"),
+    ("warmup", True, "warmup fraction")])
+def test_config_refuses_a_boolean(field, value, message):
+    # True is 1 to operator.index and a Real: seed=True would run seed 1, and
+    # warmup=False would be written to a JSON report as false
+    with pytest.raises(ValueError, match=f"^{message}"):
+        SimConfig(**{field: value})
+
+
 @pytest.mark.parametrize("seed", [np.uint64(5), np.int64(5), np.int32(5)])
 def test_config_takes_numpy_integers_as_python_ints(reference, seed):
     # np.uint64(5) << 64 wraps to 0, which ran seed 0's streams

@@ -541,9 +541,9 @@ def _spy_circles(monkeypatch) -> list:
     circles = []
     g_on_circle = solver._g_on_circle
 
-    def spy(probs, y_handle, radius, n_points, x_star):
-        circles.append(g_on_circle(probs, y_handle, radius, n_points, x_star)
-                       + (radius, n_points))
+    def spy(probs, y_handle, radius, inv_powers, x_star):
+        circles.append(g_on_circle(probs, y_handle, radius, inv_powers, x_star)
+                       + (radius, 2 * len(inv_powers)))
         return circles[-1][:2]
 
     monkeypatch.setattr(solver, "_g_on_circle", spy)
@@ -598,7 +598,8 @@ def test_ladder_steps_fail_the_census_then_the_fold_check(monkeypatch):
     # what the circles the census rejects would have given
     for (y_vals, g, radius, n_points), eq in zip(circles, (14255.4, 14066.8)):
         coef = np.fft.hfft(np.log(np.abs(g)) + 1j * solver._phase(g), n_points) / n_points
-        wrong = solver.Factorization(fact.x_star, radius, coef[:n_points // 2], y_vals)
+        wrong = solver.Factorization(fact.x_star, radius, radius ** -np.arange(n_points // 2),
+                                     coef[:n_points // 2], y_vals)
         assert solver.factor_moments(wrong, sm.arrivals)[0] == pytest.approx(eq, abs=0.05)
     # with no fold check the a = 2 circle, which winds 0, is taken
     monkeypatch.setattr(solver, "FOLD_TOL", math.inf)
@@ -606,73 +607,113 @@ def test_ladder_steps_fail_the_census_then_the_fold_check(monkeypatch):
     assert fact.radius == fact.x_star * (1.0 + 2.0 / (2.0 * 120))
 
 
-def _spy_newton(monkeypatch) -> list:
-    """Record the point of every single-point J evaluation, Newton's."""
+def _spy_j_points(monkeypatch) -> list:
+    """Record the point of every float J evaluation an x* search makes."""
     points = []
-    jump = solver._jump
+    outer_zero = solver._outer_zero
 
-    def spy(probs, y_handle, x):
-        if len(x) == 1:
-            points.append(x[0])
-        return jump(probs, y_handle, x)
+    def spy(probs, y_handle):
+        def counted(x):
+            points.append(x)
+            return y_handle(x)
 
-    monkeypatch.setattr(solver, "_jump", spy)
+        return outer_zero(probs, counted)
+
+    monkeypatch.setattr(solver, "_outer_zero", spy)
     return points
 
 
-def test_outer_zero_takes_a_handful_of_newton_steps(monkeypatch, reference_report):
-    # reference station 4: Newton reaches x* to the last bit in five
-    # evaluations, and a converged iterate that equals the bracket's upper
-    # end ends the search instead of starting a bisection from its lower end
+def test_outer_zero_takes_a_handful_of_j_evaluations(monkeypatch, reference_report):
+    # reference station 4: the exit, four binary-search steps over the
+    # sixteen points and a secant reach x* to the last bits in ten float J
+    # evaluations, where the complex route took a sixteen-point call and
+    # five complex-step Newton calls
     sm = reference_report.stations[3]
     y_handle = partial(headway.y_pgf, lam=sm.arrival_rate, model=reference_report.headway[3])
-    points = _spy_newton(monkeypatch)
+    points = _spy_j_points(monkeypatch)
     fact = solver.factorize(sm.service_dist.probs, y_handle)
     assert fact.x_star > 1.0
-    assert len(points) <= 8
+    assert len(points) <= 10
+    assert all(isinstance(x, float) for x in points)
 
 
 def test_x_star_bracket_runs_only_at_stations_with_an_x_star(monkeypatch, reference):
     # one real J at 1 + 8/C rules x* out at seven of the nine stations with
-    # arrivals; only stations 4 and 5 make the sixteen-point complex call
-    station, bracketed = [0], []
-    solve, jump = solver._solve_station, solver._jump
+    # arrivals; only stations 4 and 5 go on to the sixteen-point bracket
+    searched, solve = [], solver._solve_station
+    points = _spy_j_points(monkeypatch)
 
     def solve_spy(n, *args):
-        station[0] = n
-        return solve(n, *args)
-
-    def jump_spy(probs, y_handle, x):
-        if len(x) > 1:
-            bracketed.append(station[0])
-        return jump(probs, y_handle, x)
+        before = len(points)
+        out = solve(n, *args)
+        if len(points) - before > 1:
+            searched.append(n)
+        return out
 
     monkeypatch.setattr(solver, "_solve_station", solve_spy)
-    monkeypatch.setattr(solver, "_jump", jump_spy)
     analyze_route(reference)
-    assert bracketed == [4, 5]
+    assert searched == [4, 5]
 
 
 @pytest.mark.parametrize("name", model.PRESETS)
 def test_x_star_early_exit_decides_as_the_bracket_does(monkeypatch, name):
     # at every station the factorization solves, the real-axis exit fires
-    # exactly where the sixteen-point bracket reads J < 1 at every point
+    # exactly where the complex route's sixteen points read J < 1 at every
+    # point, and every x* found is the complex-step Newton's to 1e-14
     from test_fuzz import spy_x_star_searches
-    searches, _ = spy_x_star_searches(monkeypatch)
+    searches = spy_x_star_searches(monkeypatch)
     analyze_route(model.preset(name))
     assert len(searches) == 9
-    assert all(fired == below for fired, below in searches)
-    assert sum(fired for fired, _ in searches) == (7 if name == "reference" else 8)
+    assert all((n == 1) == (x_star == 0.0) == (oracle == 0.0)
+               for x_star, n, oracle in searches)
+    assert sum(n == 1 for _, n, _ in searches) == (7 if name == "reference" else 8)
+    assert all(abs(x_star - oracle) <= 1e-14 * oracle for x_star, _, oracle in searches)
 
 
 def test_outer_zero_returns_an_iterate_where_j_is_exactly_one(monkeypatch):
     # C = 1, s = point mass at 1 and Y(x) = (x^2 + 2) / 3 give J(x) = Y(x) / x,
-    # which is 1 exactly at the bracket's right end x = 2 (J(1.5) < 1), so
-    # the first Newton step is 0 and that point is x*
-    points = _spy_newton(monkeypatch)
+    # which is 1 exactly at the grid point x = 2 (J(1.5) < 1): the binary
+    # search reads J at 9, 5, 3 and 2, and that point is x*
+    points = _spy_j_points(monkeypatch)
     x_star = solver._outer_zero(np.array([0.0, 1.0]), lambda x: (x * x + 2.0) / 3.0)
     assert x_star == 2.0
-    assert [p.real for p in points] == [2.0]
+    assert points == [9.0, 5.0, 3.0, 2.0]
+
+
+def test_outer_zero_reads_an_overflowed_j_as_beyond_x_star(monkeypatch):
+    # J(x) = (x^2 + 2.2) / (3.2 x) is 1 at x* = 2.2, between the grid points
+    # 2 and 2.5, and Y overflows from 2.5 on: those points bracket x*, the
+    # secant waits until it has two finite values, and x* comes out right
+    def y_handle(x):
+        return math.inf if x >= 2.5 else (x * x + 2.2) / 3.2
+
+    points = _spy_j_points(monkeypatch)
+    x_star = solver._outer_zero(np.array([0.0, 1.0]), y_handle)
+    assert x_star == pytest.approx(2.2, rel=1e-15)
+    assert points[:5] == [9.0, 5.0, 3.0, 2.0, 2.5]
+    assert len(points) <= 12
+
+
+def test_circle_powers_read_as_prefixes_match_their_own_powers():
+    # each circle builds r^(-n), n < N/2, once, and the station solve reads
+    # its first C + 1 or C entries where it once raised r to those powers
+    rng = np.random.default_rng(35)
+    for _ in range(2000):
+        radius = 1.0 + float(rng.uniform(1e-6, 1.0))
+        n_points = 1 << int(rng.integers(10, 14))
+        table = radius ** -np.arange(n_points // 2)
+        length = int(rng.integers(1, n_points // 2 + 1))
+        assert np.array_equal(table[:length], radius ** -np.arange(length))
+
+
+def test_half_circle_is_built_once_per_point_count(reference):
+    solver._half_circle.cache_clear()
+    analyze_route(reference)
+    info = solver._half_circle.cache_info()
+    assert info.currsize <= 11 and info.hits > info.misses
+    w = solver._half_circle(1024)
+    assert w is solver._half_circle(1024) and not w.flags.writeable
+    assert np.array_equal(w, np.exp(2j * np.pi / 1024 * np.arange(513)))
 
 
 def test_station_solve_error_on_den_residual(monkeypatch):
